@@ -43,7 +43,6 @@ from .federated import (
 )
 from .training import (
     SamplerConfig,
-    Schedule,
     SplitMix64,
     base_lr,
     cosine_lr,
@@ -116,7 +115,6 @@ __all__ = [
     "classification_loss",
     "expand_verification",
     "SamplerConfig",
-    "Schedule",
     "SplitMix64",
     "base_lr",
     "cosine_lr",

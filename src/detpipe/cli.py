@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .experts import (
     split_by_rank,
 )
 from .federated import assign_rois, build_label_matrix, classification_loss, expand_verification
+from .fileio import _decode
 from .postprocess import (
     DEFAULT_BYTE_BUDGET,
     DEFAULT_MIN_MASK_AREA,
@@ -69,6 +71,68 @@ def _write_bytes_atomic(path: str, data: bytes) -> None:
         raise
 
 
+# -- stage declarations -------------------------------------------------------------
+
+# Flag roles.  A pipeline resolves input and output paths against the config
+# and run directories, records them in the manifest and checks that inputs
+# exist; it passes parameters through verbatim.
+INPUT, OUTPUT, PARAM = "input", "output", "parameter"
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One argument of a subcommand: its argparse name and settings, and its
+    role.  Its pipeline config key is the name without leading dashes.  The
+    ``either_or`` flags of a subcommand form one required group of which
+    exactly one is given."""
+
+    name: str
+    role: str
+    settings: dict
+    either_or: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.name.lstrip("-")
+
+    @property
+    def dest(self) -> str:
+        return self.settings.get("dest", self.key.replace("-", "_"))
+
+    @property
+    def many(self) -> bool:
+        """Takes several values; a config gives them whitespace-separated."""
+        return "nargs" in self.settings
+
+
+def _flag(name: str, role: str = PARAM, either_or: bool = False, **settings) -> Flag:
+    return Flag(name, role, settings, either_or)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One subcommand: its name, help text, run function and flags.
+    ``outputs`` gives the files a run writes, from its parsed arguments, when
+    they are not the values of its output flags.  A pipeline config may not
+    name a stage whose ``in_config`` is false."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    flags: tuple[Flag, ...]
+    outputs: Callable[[argparse.Namespace], list[str]] | None = None
+    in_config: bool = True
+
+    def paths(self, args: argparse.Namespace, role: str) -> list[str]:
+        """The values given to this stage's flags of one role, in flag order."""
+        found: list[str] = []
+        for flag in self.flags:
+            value = getattr(args, flag.dest)
+            if flag.role == role and value is not None:
+                found.extend(value if flag.many else [value])
+        return found
+
+
 # -- subcommand implementations ---------------------------------------------------
 
 
@@ -81,7 +145,7 @@ def _cmd_nms(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     prediction_sets = [fileio.parse_predictions(_read_bytes(p)) for p in args.inputs]
-    fused = ensemble(prediction_sets, args.iou_threshold, threads=args.threads)
+    fused = ensemble(prediction_sets, args.iou_threshold)
     _write_bytes_atomic(args.out, fileio.write_predictions(fused))
     return 0
 
@@ -143,10 +207,14 @@ def _cmd_partition_pool(args: argparse.Namespace) -> int:
         for index, chunk in enumerate(partition_pool(pool.images[image_id], args.k)):
             if chunk:
                 parts[index][image_id] = tuple(chunk)
-    for index, images in enumerate(parts):
+    for path, images in zip(_partition_paths(args), parts):
         part_pool = RoiPool(images, max_per_image=pool.max_per_image)
-        _write_bytes_atomic(f"{args.out_prefix}{index}.csv", fileio.write_roi_pool(part_pool))
+        _write_bytes_atomic(path, fileio.write_roi_pool(part_pool))
     return 0
+
+
+def _partition_paths(args: argparse.Namespace) -> list[str]:
+    return [f"{args.out_prefix}{index}.csv" for index in range(args.k)]
 
 
 def _cmd_lr(args: argparse.Namespace) -> int:
@@ -245,43 +313,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 # -- pipeline ----------------------------------------------------------------------
 
-# Flag names (config-key form) that hold input and output paths, per stage.
-_STAGE_INPUTS: dict[str, tuple[str, ...]] = {
-    "nms": ("in",),
-    "ensemble": ("inputs",),
-    "assign": ("rois", "ground-truth", "verification", "hierarchy", "categories"),
-    "loss": ("labels", "logits"),
-    "sample-rois": ("rois", "ground-truth"),
-    "partition-pool": ("rois",),
-    "lr": (),
-    "split-experts": ("stats", "embeddings"),
-    "filter-expert": ("ground-truth", "verification", "group-file"),
-    "restrict": ("in", "group-file"),
-    "drop-small-masks": ("in",),
-    "trim": ("in",),
-    "eval": ("predictions", "ground-truth", "verification", "hierarchy"),
-}
-_STAGE_OUTPUTS: dict[str, tuple[str, ...]] = {
-    "nms": ("out",),
-    "ensemble": ("out",),
-    "assign": ("out",),
-    "loss": (),
-    "sample-rois": ("out",),
-    "partition-pool": (),  # derived from out-prefix and k
-    "lr": (),
-    "split-experts": ("out",),
-    "filter-expert": ("out-ground-truth", "out-verification", "out-images"),
-    "restrict": ("out",),
-    "drop-small-masks": ("out",),
-    "trim": ("out", "report"),
-    "eval": ("out-report",),
-}
-
 
 @dataclass
 class _StagePlan:
     section: str
-    stage: str
+    stage: Stage
     argv: list[str]
     inputs: list[str]
     outputs: list[str]
@@ -304,7 +340,7 @@ def _parse_config_sections(text: str):
         if line.startswith("[") and line.endswith("]"):
             label = line[1:-1].strip()
             stage = label.split(".", 1)[0]
-            if stage not in _STAGE_INPUTS:
+            if stage not in _STAGES or not _STAGES[stage].in_config:
                 raise ValidationError(f"config line {number}: unknown stage {stage!r}")
             current = {}
             sections.append((label, stage, current))
@@ -326,102 +362,69 @@ def _parse_config_sections(text: str):
     return sections
 
 
-def _resolve_stage_paths(
-    stage: str,
+def _plan_stage(
+    label: str,
+    stage: Stage,
     options: dict[str, str],
+    parser: argparse.ArgumentParser,
     config_dir: Path,
     run_dir: Path,
     produced: set[str],
-) -> tuple[list[str], list[str]]:
-    """Rewrite path options in place; relative outputs land in the run
-    directory, relative inputs resolve to a prior stage's output when one
-    matches and to the config directory otherwise."""
+) -> _StagePlan:
+    """Render one config section as the stage's argv and parse it.  Relative
+    outputs land in the run directory; relative inputs resolve to a prior
+    stage's output when one matches and to the config directory otherwise."""
 
-    def resolve_input(raw: str) -> str:
-        candidate = raw if os.path.isabs(raw) else str(run_dir / raw)
-        if candidate in produced:
-            return candidate
-        return raw if os.path.isabs(raw) else str(config_dir / raw)
+    def resolve(flag: Flag, raw: str) -> str:
+        if flag.role == PARAM or os.path.isabs(raw):
+            return raw
+        in_run_dir = str(run_dir / raw)
+        if flag.role == OUTPUT or in_run_dir in produced:
+            return in_run_dir
+        return str(config_dir / raw)
 
-    def resolve_output(raw: str) -> str:
-        return raw if os.path.isabs(raw) else str(run_dir / raw)
-
-    inputs: list[str] = []
-    outputs: list[str] = []
-    for key in _STAGE_INPUTS[stage]:
-        if key not in options:
-            continue
-        if stage == "ensemble" and key == "inputs":
-            resolved = [resolve_input(tok) for tok in options[key].split()]
-            options[key] = " ".join(resolved)
-            inputs.extend(resolved)
-        else:
-            options[key] = resolve_input(options[key])
-            inputs.append(options[key])
-    for key in _STAGE_OUTPUTS[stage]:
-        if key not in options:
-            continue
-        options[key] = resolve_output(options[key])
-        outputs.append(options[key])
-    if stage == "partition-pool" and "out-prefix" in options:
-        options["out-prefix"] = resolve_output(options["out-prefix"])
-        k = int(options.get("k", "0") or 0)
-        outputs.extend(f"{options['out-prefix']}{i}.csv" for i in range(k))
-    return inputs, outputs
-
-
-def _stage_argv(stage: str, options: dict[str, str]) -> list[str]:
-    argv = [stage]
+    flags = {flag.key: flag for flag in stage.flags}
+    argv = [stage.name]
     for key, value in options.items():
-        if stage == "ensemble" and key == "inputs":
-            argv.extend(value.split())
-        else:
-            argv.extend((f"--{key}", value))
-    return argv
-
-
-def _plan_pipeline(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    config_path = Path(args.config)
-    config_text = _read_bytes(str(config_path)).decode("utf-8")
-    run_dir = Path(args.run_dir)
-    config_dir = config_path.resolve().parent
-    produced: set[str] = set()
-    plans: list[_StagePlan] = []
-    for label, stage, options in _parse_config_sections(config_text):
-        if (
-            stage == "ensemble"
-            and args.threads is not None
-            and "threads" not in options
-        ):
-            options["threads"] = str(args.threads)
-        inputs, outputs = _resolve_stage_paths(
-            stage, options, config_dir, run_dir.resolve(), produced
-        )
-        for path in inputs:
-            if path not in produced and not os.path.exists(path):
-                raise ValidationError(f"stage {label!r}: input file not found: {path}")
-        argv = _stage_argv(stage, options)
-        stderr_buffer = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(stderr_buffer):
-                stage_args = parser.parse_args(argv)
-        except SystemExit as exc:
-            detail = stderr_buffer.getvalue().strip().splitlines()
-            raise ValidationError(
-                f"stage {label!r}: invalid arguments"
-                + (f": {detail[-1]}" if detail else "")
-            ) from exc
-        produced.update(outputs)
-        plans.append(_StagePlan(label, stage, argv, inputs, outputs, stage_args))
-    return plans, run_dir
+        # Exact keys only: argparse would also take a prefix of a flag, or
+        # --help, and neither would be resolved as a path.
+        if key not in flags:
+            raise ValidationError(f"stage {label!r}: unknown key {key!r}")
+        flag = flags[key]
+        tokens = [resolve(flag, raw) for raw in (value.split() if flag.many else [value])]
+        argv.extend(tokens if not flag.name.startswith("-") else [f"--{key}", *tokens])
+    stderr_buffer = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr_buffer):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        detail = stderr_buffer.getvalue().strip().splitlines()
+        raise ValidationError(
+            f"stage {label!r}: invalid arguments" + (f": {detail[-1]}" if detail else "")
+        ) from exc
+    inputs = stage.paths(args, INPUT)
+    for path in inputs:
+        if path not in produced and not os.path.exists(path):
+            raise ValidationError(f"stage {label!r}: input file not found: {path}")
+    outputs = stage.outputs(args) if stage.outputs else stage.paths(args, OUTPUT)
+    produced.update(outputs)
+    return _StagePlan(label, stage, argv, inputs, outputs, args)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     parser = build_parser()
-    plans, run_dir = _plan_pipeline(args, parser)
+    config_path = Path(args.config)
+    config_text = _decode(_read_bytes(str(config_path)))
+    run_dir = Path(args.run_dir)
+    config_dir = config_path.resolve().parent
+    produced: set[str] = set()
+    plans = [
+        _plan_stage(label, _STAGES[stage], options, parser, config_dir, run_dir.resolve(), produced)
+        for label, stage, options in _parse_config_sections(config_text)
+    ]
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": str(Path(args.config).resolve()),
+        "config": str(config_path.resolve()),
         "run_dir": str(run_dir.resolve()),
         "stages": [],
     }
@@ -436,14 +439,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     for plan in plans:
         entry = {
             "section": plan.section,
-            "stage": plan.stage,
+            "stage": plan.stage.name,
             "argv": plan.argv,
             "inputs": plan.inputs,
             "outputs": plan.outputs,
             "status": "ok",
         }
         try:
-            plan.args.func(plan.args)
+            plan.stage.run(plan.args)
         except (ValidationError, OSError) as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
@@ -455,16 +458,118 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- parser -------------------------------------------------------------------------
+# -- stage table --------------------------------------------------------------------
 
 
-def _add_iou_threshold(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--iou-threshold",
-        type=float,
-        default=0.5,
-        help="IoU threshold (default 0.5)",
+_IOU_THRESHOLD = _flag(
+    "--iou-threshold", type=float, default=0.5, help="IoU threshold (default 0.5)"
+)
+_GROUP_INDEX = _flag("--group-index", type=int, default=None)
+
+_STAGES: dict[str, Stage] = {
+    stage.name: stage
+    for stage in (
+        Stage("nms", "class-wise non-maximum suppression", _cmd_nms, (
+            _flag("--in", INPUT, dest="input", required=True, help="predictions CSV"),
+            _flag("--out", OUTPUT, required=True, help="output predictions CSV"),
+            _IOU_THRESHOLD,
+        )),
+        Stage("ensemble", "two-stage multi-model ensembling", _cmd_ensemble, (
+            _flag("inputs", INPUT, nargs="+", help="prediction CSVs, one per model, in order"),
+            _flag("--out", OUTPUT, required=True, help="output predictions CSV"),
+            _IOU_THRESHOLD,
+        )),
+        Stage("assign", "build one image's label matrix", _cmd_assign, (
+            _flag("--image-id", required=True),
+            _flag("--rois", INPUT, required=True, help="RoI pool CSV"),
+            _flag("--ground-truth", INPUT, required=True, help="ground truth CSV"),
+            _flag("--verification", INPUT, required=True, help="verification CSV"),
+            _flag("--hierarchy", INPUT, required=True, help="hierarchy JSON"),
+            _flag("--categories", INPUT, required=True, help="category list CSV"),
+            _IOU_THRESHOLD,
+            _flag("--out", OUTPUT, required=True, help="output label matrix CSV"),
+        )),
+        Stage("loss", "classification loss of logits vs labels", _cmd_loss, (
+            _flag("--labels", INPUT, required=True, help="label matrix CSV"),
+            _flag("--logits", INPUT, required=True, help="logit matrix CSV"),
+        )),
+        Stage("sample-rois", "sample head-training RoIs per image", _cmd_sample_rois, (
+            _flag("--rois", INPUT, required=True, help="RoI pool CSV"),
+            _flag("--ground-truth", INPUT, required=True, help="ground truth CSV"),
+            _flag("--n-sample", type=int, default=512),
+            _flag("--fg-fraction", type=float, default=0.25),
+            _flag("--fg-iou-threshold", type=float, default=0.5),
+            _flag("--seed", type=int, default=0),
+            _flag("--out", OUTPUT, required=True, help="output sampled-index CSV"),
+        )),
+        Stage("partition-pool", "split an RoI pool into k disjoint pools", _cmd_partition_pool, (
+            _flag("--rois", INPUT, required=True, help="RoI pool CSV"),
+            _flag("--k", type=int, required=True),
+            _flag("--out-prefix", OUTPUT, required=True,
+                  help="output prefix; partition i goes to <prefix><i>.csv"),
+        ), outputs=_partition_paths),
+        Stage("lr", "print the cosine schedule at given progress values", _cmd_lr, (
+            _flag("--batch-size", either_or=True, type=int,
+                  help="derive eta0 as 0.00125 * batch size"),
+            _flag("--eta0", either_or=True, type=float, help="explicit initial learning rate"),
+            _flag("--at", type=float, action="append", required=True,
+                  help="progress ratio in [0, 1]; repeatable"),
+        )),
+        Stage("split-experts", "build expert category groups", _cmd_split_experts, (
+            _flag("--by", choices=("rank", "embedding"), required=True),
+            _flag("--stats", INPUT, help="category stats CSV (rank mode)"),
+            _flag("--start-rank", type=int, help="window start, 0 = rarest (rank mode)"),
+            _flag("--end-rank", type=int, help="window end, exclusive (rank mode)"),
+            _flag("--num-experts", type=int, help="number of groups (rank mode)"),
+            _flag("--embeddings", INPUT, help="embeddings CSV (embedding mode)"),
+            _flag("--k", type=int, help="number of clusters (embedding mode)"),
+            _flag("--seed", type=int, default=0, help="clustering seed (embedding mode)"),
+            _flag("--out", OUTPUT, required=True, help="output group CSV"),
+        )),
+        Stage("filter-expert", "restrict a training set to one group", _cmd_filter_expert, (
+            _flag("--ground-truth", INPUT, required=True, help="ground truth CSV"),
+            _flag("--verification", INPUT, required=True, help="verification CSV"),
+            _flag("--group-file", INPUT, required=True, help="group CSV"),
+            _GROUP_INDEX,
+            _flag("--out-ground-truth", OUTPUT, required=True),
+            _flag("--out-verification", OUTPUT, required=True),
+            _flag("--out-images", OUTPUT, required=True, help="kept image list CSV"),
+        )),
+        Stage("restrict", "drop predictions outside a category group", _cmd_restrict, (
+            _flag("--in", INPUT, dest="input", required=True, help="predictions CSV"),
+            _flag("--group-file", INPUT, required=True, help="group CSV"),
+            _GROUP_INDEX,
+            _flag("--out", OUTPUT, required=True),
+        )),
+        Stage("drop-small-masks", "remove predictions with tiny masks", _cmd_drop_small_masks, (
+            _flag("--in", INPUT, dest="input", required=True, help="predictions CSV"),
+            _flag("--min-area", type=int, default=DEFAULT_MIN_MASK_AREA),
+            _flag("--out", OUTPUT, required=True),
+        )),
+        Stage("trim", "trim predictions to a byte budget", _cmd_trim, (
+            _flag("--in", INPUT, dest="input", required=True, help="predictions CSV"),
+            _flag("--max-bytes", type=int, default=DEFAULT_BYTE_BUDGET),
+            _flag("--out", OUTPUT, required=True),
+            _flag("--report", OUTPUT, required=True, help="trim report CSV"),
+        )),
+        Stage("eval", "federated mean average precision", _cmd_eval, (
+            _flag("--predictions", INPUT, required=True, help="predictions CSV"),
+            _flag("--ground-truth", INPUT, required=True, help="ground truth CSV"),
+            _flag("--verification", INPUT, required=True, help="verification CSV"),
+            _flag("--hierarchy", INPUT, required=True, help="hierarchy JSON"),
+            _flag("--mode", choices=("box", "mask"), default="box"),
+            _IOU_THRESHOLD,
+            _flag("--out-report", OUTPUT, required=True, help="per-category report CSV"),
+        )),
+        Stage("pipeline", "run a multi-stage configuration", _cmd_pipeline, (
+            _flag("--config", INPUT, required=True, help="pipeline config file"),
+            _flag("--run-dir", required=True, help="directory for outputs and manifest"),
+        ), in_config=False),
     )
+}
+
+
+# -- parser -------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,127 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detection prediction post-processing toolkit.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("nms", help="class-wise non-maximum suppression")
-    p.add_argument("--in", dest="input", required=True, help="predictions CSV")
-    p.add_argument("--out", required=True, help="output predictions CSV")
-    _add_iou_threshold(p)
-    p.set_defaults(func=_cmd_nms)
-
-    p = subparsers.add_parser("ensemble", help="two-stage multi-model ensembling")
-    p.add_argument("inputs", nargs="+", help="prediction CSVs, one per model, in order")
-    p.add_argument("--out", required=True, help="output predictions CSV")
-    _add_iou_threshold(p)
-    p.add_argument("--threads", type=int, default=1, help="per-model NMS worker threads")
-    p.set_defaults(func=_cmd_ensemble)
-
-    p = subparsers.add_parser("assign", help="build one image's label matrix")
-    p.add_argument("--image-id", required=True)
-    p.add_argument("--rois", required=True, help="RoI pool CSV")
-    p.add_argument("--ground-truth", required=True, help="ground truth CSV")
-    p.add_argument("--verification", required=True, help="verification CSV")
-    p.add_argument("--hierarchy", required=True, help="hierarchy JSON")
-    p.add_argument("--categories", required=True, help="category list CSV")
-    _add_iou_threshold(p)
-    p.add_argument("--out", required=True, help="output label matrix CSV")
-    p.set_defaults(func=_cmd_assign)
-
-    p = subparsers.add_parser("loss", help="classification loss of logits vs labels")
-    p.add_argument("--labels", required=True, help="label matrix CSV")
-    p.add_argument("--logits", required=True, help="logit matrix CSV")
-    p.set_defaults(func=_cmd_loss)
-
-    p = subparsers.add_parser("sample-rois", help="sample head-training RoIs per image")
-    p.add_argument("--rois", required=True, help="RoI pool CSV")
-    p.add_argument("--ground-truth", required=True, help="ground truth CSV")
-    p.add_argument("--n-sample", type=int, default=512)
-    p.add_argument("--fg-fraction", type=float, default=0.25)
-    p.add_argument("--fg-iou-threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output sampled-index CSV")
-    p.set_defaults(func=_cmd_sample_rois)
-
-    p = subparsers.add_parser("partition-pool", help="split an RoI pool into k disjoint pools")
-    p.add_argument("--rois", required=True, help="RoI pool CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--out-prefix",
-        required=True,
-        help="output prefix; partition i goes to <prefix><i>.csv",
-    )
-    p.set_defaults(func=_cmd_partition_pool)
-
-    p = subparsers.add_parser("lr", help="print the cosine schedule at given progress values")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--batch-size", type=int, help="derive eta0 as 0.00125 * batch size")
-    group.add_argument("--eta0", type=float, help="explicit initial learning rate")
-    p.add_argument(
-        "--at",
-        type=float,
-        action="append",
-        required=True,
-        help="progress ratio in [0, 1]; repeatable",
-    )
-    p.set_defaults(func=_cmd_lr)
-
-    p = subparsers.add_parser("split-experts", help="build expert category groups")
-    p.add_argument("--by", choices=("rank", "embedding"), required=True)
-    p.add_argument("--stats", help="category stats CSV (rank mode)")
-    p.add_argument("--start-rank", type=int, help="window start, 0 = rarest (rank mode)")
-    p.add_argument("--end-rank", type=int, help="window end, exclusive (rank mode)")
-    p.add_argument("--num-experts", type=int, help="number of groups (rank mode)")
-    p.add_argument("--embeddings", help="embeddings CSV (embedding mode)")
-    p.add_argument("--k", type=int, help="number of clusters (embedding mode)")
-    p.add_argument("--seed", type=int, default=0, help="clustering seed (embedding mode)")
-    p.add_argument("--out", required=True, help="output group CSV")
-    p.set_defaults(func=_cmd_split_experts)
-
-    p = subparsers.add_parser("filter-expert", help="restrict a training set to one group")
-    p.add_argument("--ground-truth", required=True, help="ground truth CSV")
-    p.add_argument("--verification", required=True, help="verification CSV")
-    p.add_argument("--group-file", required=True, help="group CSV")
-    p.add_argument("--group-index", type=int, default=None)
-    p.add_argument("--out-ground-truth", required=True)
-    p.add_argument("--out-verification", required=True)
-    p.add_argument("--out-images", required=True, help="kept image list CSV")
-    p.set_defaults(func=_cmd_filter_expert)
-
-    p = subparsers.add_parser("restrict", help="drop predictions outside a category group")
-    p.add_argument("--in", dest="input", required=True, help="predictions CSV")
-    p.add_argument("--group-file", required=True, help="group CSV")
-    p.add_argument("--group-index", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_restrict)
-
-    p = subparsers.add_parser("drop-small-masks", help="remove predictions with tiny masks")
-    p.add_argument("--in", dest="input", required=True, help="predictions CSV")
-    p.add_argument("--min-area", type=int, default=DEFAULT_MIN_MASK_AREA)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_drop_small_masks)
-
-    p = subparsers.add_parser("trim", help="trim predictions to a byte budget")
-    p.add_argument("--in", dest="input", required=True, help="predictions CSV")
-    p.add_argument("--max-bytes", type=int, default=DEFAULT_BYTE_BUDGET)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True, help="trim report CSV")
-    p.set_defaults(func=_cmd_trim)
-
-    p = subparsers.add_parser("eval", help="federated mean average precision")
-    p.add_argument("--predictions", required=True, help="predictions CSV")
-    p.add_argument("--ground-truth", required=True, help="ground truth CSV")
-    p.add_argument("--verification", required=True, help="verification CSV")
-    p.add_argument("--hierarchy", required=True, help="hierarchy JSON")
-    p.add_argument("--mode", choices=("box", "mask"), default="box")
-    _add_iou_threshold(p)
-    p.add_argument("--out-report", required=True, help="per-category report CSV")
-    p.set_defaults(func=_cmd_eval)
-
-    p = subparsers.add_parser("pipeline", help="run a multi-stage configuration")
-    p.add_argument("--config", required=True, help="pipeline config file")
-    p.add_argument("--run-dir", required=True, help="directory for outputs and manifest")
-    p.add_argument("--threads", type=int, default=None, help="threads for ensemble stages")
-    p.set_defaults(func=_cmd_pipeline)
-
+    for stage in _STAGES.values():
+        sub = subparsers.add_parser(stage.name, help=stage.help)
+        if any(flag.either_or for flag in stage.flags):
+            either_or = sub.add_mutually_exclusive_group(required=True)
+        for flag in stage.flags:
+            (either_or if flag.either_or else sub).add_argument(flag.name, **flag.settings)
     return parser
 
 
@@ -605,7 +595,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return int(args.func(args) or 0)
+        return int(_STAGES[args.command].run(args) or 0)
     except (ValidationError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error\t{type(exc).__name__}\t{message}", file=sys.stderr)

@@ -9,7 +9,6 @@ score, with a confidence- and proximity-weighted average mask.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,22 +168,15 @@ def fuse_group(group: PredictionGroup) -> Prediction:
 def ensemble(
     prediction_sets: Sequence[Sequence[Prediction]],
     iou_threshold: float = 0.5,
-    threads: int = 1,
 ) -> list[Prediction]:
     """Suppress each model's predictions, concatenate in set order, group the
     concatenation, and fuse each group.  Output is sorted by
-    (image_id, category_id, descending score) and is independent of the
-    thread count."""
+    (image_id, category_id, descending score)."""
     _check_threshold(iou_threshold)
     if not prediction_sets:
         raise ValidationError("ensemble needs at least one prediction set")
-    if threads > 1 and len(prediction_sets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            suppressed = list(pool.map(lambda s: nms(s, iou_threshold), prediction_sets))
-    else:
-        suppressed = [nms(s, iou_threshold) for s in prediction_sets]
     concatenated: list[Prediction] = []
-    for model_predictions in suppressed:
-        concatenated.extend(model_predictions)
+    for model_predictions in prediction_sets:
+        concatenated.extend(nms(model_predictions, iou_threshold))
     groups = group_predictions(concatenated, iou_threshold)
     return [fuse_group(group) for group in groups]

@@ -534,16 +534,22 @@ def write_embeddings(table: EmbeddingTable) -> bytes:
 # -- category lists and groups ---------------------------------------------------
 
 
+def _parse_id_list(data: bytes | str, header: str, noun: str) -> list[str]:
+    ids: list[str] = []
+    seen: set[str] = set()
+    for number, line in _csv_lines(data, header):
+        (value,) = _split(line, number, 1)
+        if value in seen:
+            raise ParseError(number, f"duplicate {noun} {value!r}")
+        if value == "":
+            raise ParseError(number, f"empty {noun} id")
+        seen.add(value)
+        ids.append(value)
+    return ids
+
+
 def parse_image_list(data: bytes | str) -> list[str]:
-    seen: list[str] = []
-    for number, line in _csv_lines(data, IMAGE_LIST_HEADER):
-        parts = _split(line, number, 1)
-        if parts[0] in seen:
-            raise ParseError(number, f"duplicate image {parts[0]!r}")
-        if parts[0] == "":
-            raise ParseError(number, "empty image id")
-        seen.append(parts[0])
-    return seen
+    return _parse_id_list(data, IMAGE_LIST_HEADER, "image")
 
 
 def write_image_list(images: Sequence[str]) -> bytes:
@@ -553,15 +559,7 @@ def write_image_list(images: Sequence[str]) -> bytes:
 
 
 def parse_category_list(data: bytes | str) -> list[str]:
-    seen: list[str] = []
-    for number, line in _csv_lines(data, CATEGORY_LIST_HEADER):
-        parts = _split(line, number, 1)
-        if parts[0] in seen:
-            raise ParseError(number, f"duplicate category {parts[0]!r}")
-        if parts[0] == "":
-            raise ParseError(number, "empty category id")
-        seen.append(parts[0])
-    return seen
+    return _parse_id_list(data, CATEGORY_LIST_HEADER, "category")
 
 
 def write_category_list(categories: Sequence[str]) -> bytes:

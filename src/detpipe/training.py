@@ -14,13 +14,11 @@ from typing import TypeVar
 
 from .errors import ValidationError
 from .geometry import Box, box_iou
-from .records import GroundTruthInstance
 
 __all__ = [
     "SplitMix64",
     "fnv1a64",
     "SamplerConfig",
-    "Schedule",
     "sample_rois",
     "partition_pool",
     "base_lr",
@@ -109,27 +107,6 @@ class SamplerConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Schedule:
-    """Cosine learning-rate schedule anchored at an initial rate."""
-
-    eta0: float
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.eta0) or self.eta0 <= 0.0:
-            raise ValidationError(f"eta0 must be positive, got {self.eta0!r}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    @classmethod
-    def from_batch_size(cls, batch_size: int) -> "Schedule":
-        return cls(eta0=base_lr(batch_size), batch_size=batch_size)
-
-    def at(self, progress: float) -> float:
-        return cosine_lr(progress, self.eta0)
-
-
 def sample_rois(
     rois: Sequence[Box],
     gt_boxes: Sequence[Box],
@@ -160,13 +137,6 @@ def sample_rois(
     fg_take = min(len(foreground), n_take - bg_take)
     rng = SplitMix64(config.seed)
     return rng.sample(foreground, fg_take) + rng.sample(background, bg_take)
-
-
-def gt_boxes_for_image(
-    gts: Sequence[GroundTruthInstance], image_id: str
-) -> list[Box]:
-    """Convenience filter: boxes of the ground truths on one image."""
-    return [gt.box for gt in gts if gt.image_id == image_id]
 
 
 def partition_pool(pool: Sequence[_T], k: int) -> list[list[_T]]:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from detpipe import cli, fileio
 from detpipe.fileio import serialized_size
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write(path: Path, data: bytes) -> Path:
@@ -82,6 +84,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error\tValidationError\t")
+
+    def test_lr_needs_exactly_one_of_batch_size_and_eta0(self, capsys):
+        assert cli.run(["lr", "--batch-size", "8", "--eta0", "0.1", "--at", "0.5"]) == 2
+        assert cli.run(["lr", "--at", "0.5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_every_subcommand_has_help(self, capsys):
+        for name in cli._STAGES:
+            assert cli.run([name, "--help"]) == 0, name
+        capsys.readouterr()
+
+    def test_readme_table_names_every_subcommand(self):
+        rows = re.findall(r"^\| `([a-z-]+)[ `]", README.read_text(), flags=re.MULTILINE)
+        assert sorted(rows) == sorted(cli._STAGES)
 
     def test_missing_input_file_is_exit_one(self, tmp_path, capsys):
         code = cli.run(
@@ -561,12 +577,51 @@ class TestPipeline:
         capsys.readouterr()
 
     def test_unknown_stage_rejected(self, tmp_path, capsys):
-        config = tmp_path / "config.ini"
-        config.write_text("[launch-rockets]\nout = x\n")
-        assert cli.run(
-            ["pipeline", "--config", str(config), "--run-dir", str(tmp_path / "r")]
-        ) == 1
-        capsys.readouterr()
+        # A config may name every subcommand except the pipeline itself.
+        for stage in ("launch-rockets", "pipeline"):
+            config = tmp_path / "config.ini"
+            config.write_text(f"[{stage}]\nout = x\n")
+            assert cli.run(
+                ["pipeline", "--config", str(config), "--run-dir", str(tmp_path / "r")]
+            ) == 1, stage
+            assert "unknown stage" in capsys.readouterr().err
+
+    def assert_fails_before_any_stage(self, config_bytes: bytes, tmp_path, capsys):
+        config = write(tmp_path / "config.ini", config_bytes)
+        run_dir = tmp_path / "run"
+        code = cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error\t")
+        assert "Traceback" not in captured.err
+        assert not (run_dir / "manifest.json").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        fixture = FIXTURES / "pipeline"
+        self.assert_fails_before_any_stage(
+            b"[nms]\nin = " + str(fixture / "preds_a.csv").encode() + b"\nout = o\xff\xfe.csv\n",
+            tmp_path,
+            capsys,
+        )
+
+    def test_key_must_name_a_flag(self, tmp_path, capsys):
+        # argparse would take "iou" as an abbreviation of --iou-threshold and
+        # "help" as a help request; a config key must name a flag exactly.
+        preds = FIXTURES / "pipeline" / "preds_a.csv"
+        for key in ("iou", "help"):
+            self.assert_fails_before_any_stage(
+                f"[nms]\nin = {preds}\nout = o.csv\n{key} = 0.5\n".encode(), tmp_path, capsys
+            )
+
+    def test_partition_count_not_an_integer(self, tmp_path, capsys):
+        pool = write(tmp_path / "pool.csv", fileio.write_roi_pool(RoiPool({})))
+        self.assert_fails_before_any_stage(
+            f"[partition-pool]\nrois = {pool}\nk = abc\nout-prefix = part_\n".encode(),
+            tmp_path,
+            capsys,
+        )
 
     def test_failing_stage_recorded_in_manifest(self, tmp_path, capsys):
         fixture = FIXTURES / "pipeline"

@@ -233,11 +233,6 @@ class TestEnsemble:
         )
         assert merged == separate
 
-    def test_thread_count_does_not_change_output(self):
-        rng = np.random.default_rng(45)
-        sets = [random_predictions(rng, 80) for _ in range(3)]
-        assert ensemble(sets, 0.5, threads=1) == ensemble(sets, 0.5, threads=4)
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             ensemble([], 0.5)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -275,6 +277,32 @@ class TestGroupsAndLists:
     def test_image_list_round_trip(self):
         images = ["im2", "im1"]
         assert fileio.parse_image_list(fileio.write_image_list(images)) == images
+
+    @pytest.mark.parametrize(
+        "parse, header, noun",
+        [
+            (fileio.parse_image_list, fileio.IMAGE_LIST_HEADER, "image"),
+            (fileio.parse_category_list, fileio.CATEGORY_LIST_HEADER, "category"),
+        ],
+    )
+    def test_duplicate_id_rejected(self, parse, header, noun):
+        with pytest.raises(ParseError) as exc:
+            parse(f"{header}\na\nb\na\n")
+        assert exc.value.line == 4
+        assert exc.value.reason == f"duplicate {noun} 'a'"
+
+    def test_image_list_parse_time_is_linear(self):
+        def best_of_3(n: int) -> float:
+            data = fileio.write_image_list([f"im{i:07d}" for i in range(n)])
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fileio.parse_image_list(data)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # Four times the ids: about 4x for a linear parser, 16x for a quadratic one.
+        assert best_of_3(80_000) <= 8 * best_of_3(20_000)
 
 
 class TestMatrices:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from detpipe import (
     Box,
     SamplerConfig,
-    Schedule,
     SplitMix64,
     ValidationError,
     base_lr,
@@ -176,15 +175,3 @@ class TestLearningRate:
             assert cosine_lr(progress, 0.6) == pytest.approx(
                 2 * cosine_lr(progress, 0.3), abs=1e-15
             )
-
-    def test_schedule_from_batch_size(self):
-        schedule = Schedule.from_batch_size(240)
-        assert schedule.eta0 == pytest.approx(0.00125 * 240, abs=1e-15)
-        assert schedule.at(0.0) == schedule.eta0
-        assert schedule.at(1.0) == 0.0
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValidationError):
-            Schedule(eta0=-1.0, batch_size=8)
-        with pytest.raises(ValidationError):
-            Schedule(eta0=0.1, batch_size=0)
