@@ -10,11 +10,9 @@ from .errors import ParseError, ValidationError
 from .geometry import (
     BinaryMask,
     Box,
-    SoftMask,
     box_area,
     box_iou,
     mask_area,
-    mask_binarize,
     mask_decode,
     mask_encode,
     mask_iou,
@@ -88,11 +86,9 @@ __all__ = [
     "ValidationError",
     "BinaryMask",
     "Box",
-    "SoftMask",
     "box_area",
     "box_iou",
     "mask_area",
-    "mask_binarize",
     "mask_decode",
     "mask_encode",
     "mask_iou",

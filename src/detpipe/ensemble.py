@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import SoftMask, box_iou, mask_binarize, mask_decode
+from .geometry import _mask_from_segments, _segments, box_iou
 from .records import Prediction
 
 __all__ = [
@@ -147,21 +147,21 @@ def fuse_group(group: PredictionGroup) -> Prediction:
                 f"group mask dimensions differ: {size} vs "
                 f"({member.mask.width}, {member.mask.height})"
             )
-    accumulator = np.zeros((size[1], size[0]), dtype=np.float64)
+    # Per segment of the members' common run boundaries, not per pixel: each
+    # segment gets exactly the float operations each of its pixels would.
+    lengths, bits = _segments([m.mask for m in group.members])
+    accumulator = np.zeros(len(lengths), dtype=np.float64)
     total_weight = 0.0
-    for member in group.members:
+    for member, member_bits in zip(group.members, bits):
         weight = member.score * box_iou(member.box, seed.box)
-        accumulator += weight * mask_decode(member.mask)
+        accumulator += weight * member_bits
         total_weight += weight
     if total_weight > 0.0:
         soft = accumulator / total_weight
     else:
         # All-zero scores leave the weights degenerate; fall back to a plain mean.
-        soft = sum(
-            (mask_decode(m.mask).astype(np.float64) for m in group.members),
-            start=np.zeros((size[1], size[0]), dtype=np.float64),
-        ) / len(group.members)
-    fused = mask_binarize(SoftMask(size[0], size[1], np.clip(soft, 0.0, 1.0)), 0.5)
+        soft = sum(bits, start=np.zeros(len(lengths), dtype=np.float64)) / len(group.members)
+    fused = _mask_from_segments(size[0], size[1], lengths, np.clip(soft, 0.0, 1.0) >= 0.5)
     return Prediction(seed.image_id, seed.category_id, seed.score, seed.box, fused)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .federated import expand_verification
-from .geometry import box_iou, mask_decode
+from .geometry import box_iou, mask_iou
 from .records import (
     POSITIVE,
     UNVERIFIED,
@@ -167,35 +167,14 @@ def average_precision(match: MatchResult, gt_count: int) -> float:
     return ap
 
 
-def _mask_overlap_fn(
-    predictions: Sequence[Prediction], gts: Sequence[GroundTruthInstance]
-) -> Callable[[Prediction, GroundTruthInstance], float]:
-    """Mask IoU with per-record decoded-raster caching."""
-    import numpy as np
-
-    cache: dict[int, object] = {}
-
-    def decoded(record) -> "np.ndarray":
-        key = id(record)
-        if key not in cache:
-            cache[key] = mask_decode(record.mask).astype(bool)
-        return cache[key]
-
-    def overlap(p: Prediction, g: GroundTruthInstance) -> float:
-        if (p.mask.width, p.mask.height) != (g.mask.width, g.mask.height):
-            raise ValidationError(
-                f"mask dimensions differ on image {p.image_id!r}: "
-                f"{p.mask.width}x{p.mask.height} vs {g.mask.width}x{g.mask.height}"
-            )
-        a = decoded(p)
-        b = decoded(g)
-        inter = int(np.count_nonzero(a & b))
-        if inter == 0:
-            return 0.0
-        union = int(np.count_nonzero(a | b))
-        return inter / union
-
-    return overlap
+def _mask_overlap(p: Prediction, g: GroundTruthInstance) -> float:
+    """Mask IoU; a size mismatch names the image."""
+    if (p.mask.width, p.mask.height) != (g.mask.width, g.mask.height):
+        raise ValidationError(
+            f"mask dimensions differ on image {p.image_id!r}: "
+            f"{p.mask.width}x{p.mask.height} vs {g.mask.width}x{g.mask.height}"
+        )
+    return mask_iou(p.mask, g.mask)
 
 
 def evaluate(
@@ -237,7 +216,7 @@ def evaluate(
     for category_id in categories:
         preds_c = [p for p in predictions if p.category_id == category_id]
         gts_c = [g for g in gts if g.category_id == category_id]
-        overlap = _mask_overlap_fn(preds_c, gts_c) if mode == "mask" else None
+        overlap = _mask_overlap if mode == "mask" else None
         match = match_category(preds_c, gts_c, expanded, iou_threshold, overlap)
         ignored = sum(1 for flag in match.flags if flag == IGNORED)
         if gts_c:

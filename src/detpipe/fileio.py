@@ -126,7 +126,13 @@ def _decode(data: bytes | str) -> str:
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(1, f"not valid UTF-8: {exc}") from exc
+            line = data.count(b"\n", 0, exc.start) + 1
+            column = exc.start - data.rfind(b"\n", 0, exc.start)
+            raise ParseError(
+                line,
+                f"not valid UTF-8 at byte {column} of the line: "
+                f"0x{data[exc.start]:02x}, {exc.reason}",
+            ) from exc
     return data
 
 

@@ -7,6 +7,7 @@ pure functions on immutable values and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,9 @@ from .errors import ValidationError
 __all__ = [
     "Box",
     "BinaryMask",
-    "SoftMask",
     "box_area",
     "box_iou",
     "mask_area",
-    "mask_binarize",
     "mask_decode",
     "mask_encode",
     "mask_iou",
@@ -87,29 +86,6 @@ class BinaryMask:
         object.__setattr__(self, "runs", runs)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SoftMask:
-    """Row-major real-valued grid in [0, 1]; the pre-binarization mask average."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "width", _check_dimension("mask width", self.width))
-        object.__setattr__(self, "height", _check_dimension("mask height", self.height))
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.shape != (self.height, self.width):
-            raise ValidationError(
-                f"soft mask values have shape {arr.shape}, expected "
-                f"(height, width) = ({self.height}, {self.width})"
-            )
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValidationError("soft mask values must be finite and in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 def box_area(box: Box) -> float:
     """Area of a box; zero for degenerate boxes."""
     return (box.x_max - box.x_min) * (box.y_max - box.y_min)
@@ -156,23 +132,47 @@ def mask_encode(grid) -> BinaryMask:
     return BinaryMask(arr.shape[1], arr.shape[0], tuple(runs))
 
 
-def mask_binarize(soft: SoftMask, threshold: float) -> BinaryMask:
-    """Binary mask with 1-pixels exactly where the soft value is >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"binarization threshold must be in (0, 1), got {threshold!r}")
-    return mask_encode(soft.values >= threshold)
+def _segments(masks: Sequence[BinaryMask]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cut the row-major pixel sequence at every run boundary of every mask.
+
+    The masks must share one size.  Returns the length of each segment and,
+    per mask, its bit (0 or 1) on each segment: every pixel of a segment has
+    the same bit in each mask, so per-pixel work can be done per segment.
+    """
+    ends = [np.cumsum(np.asarray(m.runs, dtype=np.int64)) for m in masks]
+    # Sort and drop repeats by hand: np.unique imports numpy.ma on first use.
+    bounds = np.sort(np.concatenate(ends))
+    steps = np.diff(bounds, prepend=0)
+    keep = steps > 0
+    lengths = steps[keep]
+    starts = bounds[keep] - lengths
+    # The run holding a pixel is the number of run ends at or before it.
+    return lengths, [np.searchsorted(e, starts, side="right") % 2 for e in ends]
+
+
+def _mask_from_segments(
+    width: int, height: int, lengths: np.ndarray, bits: np.ndarray
+) -> BinaryMask:
+    """Canonical mask whose pixels take bits[i] along the i-th segment."""
+    firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    runs = np.add.reduceat(lengths, firsts).tolist()
+    if bits[0]:
+        runs.insert(0, 0)
+    return BinaryMask(width, height, tuple(runs))
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Intersection over union of two same-size masks; 0.0 when both are empty."""
+    """Intersection over union of two same-size masks; 0.0 when both are empty.
+
+    Computed on the runs, so the cost grows with the number of runs, not of pixels.
+    """
     if (a.width, a.height) != (b.width, b.height):
         raise ValidationError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    ga = mask_decode(a).astype(bool)
-    gb = mask_decode(b).astype(bool)
-    inter = int(np.count_nonzero(ga & gb))
-    union = int(np.count_nonzero(ga | gb))
+    lengths, (in_a, in_b) = _segments((a, b))
+    inter = int(lengths @ (in_a & in_b))
+    union = int(lengths @ (in_a | in_b))
     if union == 0:
         return 0.0
     return inter / union

@@ -597,6 +597,7 @@ class TestPipeline:
         assert captured.err.startswith("error\t")
         assert "Traceback" not in captured.err
         assert not (run_dir / "manifest.json").exists()
+        return captured.err
 
     def test_config_not_utf8(self, tmp_path, capsys):
         fixture = FIXTURES / "pipeline"
@@ -605,6 +606,12 @@ class TestPipeline:
             tmp_path,
             capsys,
         )
+
+    def test_config_bad_byte_names_its_line(self, tmp_path, capsys):
+        err = self.assert_fails_before_any_stage(
+            b"[nms]\nin = preds.csv\nout = o\xff.csv\n", tmp_path, capsys
+        )
+        assert "line 3: not valid UTF-8 at byte 8 of the line: 0xff" in err
 
     def test_key_must_name_a_flag(self, tmp_path, capsys):
         # argparse would take "iou" as an abbreviation of --iou-threshold and

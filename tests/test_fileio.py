@@ -97,6 +97,17 @@ class TestPredictions:
             fileio.parse_predictions("nope\n")
         assert info.value.line == 1
 
+    def test_bad_utf8_byte_reports_its_line(self):
+        data = (
+            fileio.PREDICTIONS_HEADER.encode() + b"\n"
+            b"im1,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+            b"im\xff,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+        )
+        with pytest.raises(ParseError) as info:
+            fileio.parse_predictions(data)
+        assert info.value.line == 3
+        assert "at byte 3 of the line: 0xff" in info.value.reason
+
     def test_carriage_return_rejected(self):
         with pytest.raises(ParseError):
             fileio.parse_predictions(fileio.PREDICTIONS_HEADER + "\r\n")

@@ -7,12 +7,10 @@ from hypothesis.extra.numpy import arrays
 from detpipe import (
     BinaryMask,
     Box,
-    SoftMask,
     ValidationError,
     box_area,
     box_iou,
     mask_area,
-    mask_binarize,
     mask_decode,
     mask_encode,
     mask_iou,
@@ -154,32 +152,6 @@ class TestBinaryMask:
     def test_area_bounded_by_size(self, grid):
         mask = mask_encode(grid)
         assert mask_area(mask) <= mask.width * mask.height
-
-
-class TestSoftMask:
-    def test_binarize_all_zero(self):
-        soft = SoftMask(3, 2, np.zeros((2, 3)))
-        assert mask_binarize(soft, 0.5) == BinaryMask(3, 2, (6,))
-
-    def test_binarize_all_one(self):
-        soft = SoftMask(3, 2, np.ones((2, 3)))
-        assert mask_binarize(soft, 0.5) == BinaryMask(3, 2, (0, 6))
-
-    def test_binarize_threshold_inclusive(self):
-        soft = SoftMask(3, 1, np.array([[0.4, 0.5, 0.6]]))
-        assert mask_binarize(soft, 0.5) == BinaryMask(3, 1, (1, 2))
-
-    def test_threshold_domain(self):
-        soft = SoftMask(1, 1, np.array([[0.5]]))
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValidationError):
-                mask_binarize(soft, bad)
-
-    def test_values_validated(self):
-        with pytest.raises(ValidationError):
-            SoftMask(2, 1, np.array([[0.5, 1.2]]))
-        with pytest.raises(ValidationError):
-            SoftMask(2, 2, np.array([[0.5, 0.5]]))
 
 
 class TestMaskIou:
