@@ -208,14 +208,18 @@ def evaluate(
             )
     if not gts:
         raise ValidationError("cannot evaluate with no ground-truth instances")
-    categories = sorted(
-        {p.category_id for p in predictions} | {g.category_id for g in gts}
-    )
+    # One pass buckets the records by category; each bucket keeps input order.
+    preds_by_category: dict[str, list[Prediction]] = {}
+    for p in predictions:
+        preds_by_category.setdefault(p.category_id, []).append(p)
+    gts_by_category: dict[str, list[GroundTruthInstance]] = {}
+    for g in gts:
+        gts_by_category.setdefault(g.category_id, []).append(g)
     results: list[CategoryResult] = []
     ap_values: list[float] = []
-    for category_id in categories:
-        preds_c = [p for p in predictions if p.category_id == category_id]
-        gts_c = [g for g in gts if g.category_id == category_id]
+    for category_id in sorted(preds_by_category.keys() | gts_by_category.keys()):
+        preds_c = preds_by_category.get(category_id, [])
+        gts_c = gts_by_category.get(category_id, [])
         overlap = _mask_overlap if mode == "mask" else None
         match = match_category(preds_c, gts_c, expanded, iou_threshold, overlap)
         ignored = sum(1 for flag in match.flags if flag == IGNORED)

@@ -64,7 +64,7 @@ class CategoryGroup:
             object.__setattr__(self, "rank_range", (int(start), int(end)))
 
     def __contains__(self, category_id: str) -> bool:
-        return category_id in set(self.categories)
+        return category_id in self.categories
 
     def __len__(self) -> int:
         return len(self.categories)

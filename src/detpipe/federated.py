@@ -87,15 +87,25 @@ def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> Verif
     """
     positives: set[tuple[str, str]] = set()
     negatives: set[tuple[str, str]] = set()
+    # Each category's closure is walked once per call, not once per entry.
+    ancestors: dict[str, frozenset[str]] = {}
+    descendants: dict[str, frozenset[str]] = {}
     for (image_id, category_id), sign in table.items():
         if sign == POSITIVE:
             positives.add((image_id, category_id))
-            for ancestor in hierarchy.ancestors(category_id):
+            if category_id not in ancestors:
+                ancestors[category_id] = hierarchy.ancestors(category_id)
+            for ancestor in ancestors[category_id]:
                 positives.add((image_id, ancestor))
         else:
             negatives.add((image_id, category_id))
-            for descendant in hierarchy.descendants(category_id):
+            if category_id not in descendants:
+                descendants[category_id] = hierarchy.descendants(category_id)
+            for descendant in descendants[category_id]:
                 negatives.add((image_id, descendant))
+    # Building the result table below is this function's memory peak; the
+    # closures are not needed for it.
+    del ancestors, descendants
     conflicts = sorted(positives & negatives)
     if conflicts:
         listing = "; ".join(f"image {img!r}, category {cat!r}" for img, cat in conflicts)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
+from math import isfinite
 
 import numpy as np
 
@@ -114,6 +115,11 @@ LABELS_HEADER = "roi_index,category_id,label"
 LOGITS_HEADER = "roi_index,category_id,logit"
 EVAL_REPORT_HEADER = "category_id,ap,gt_count,prediction_count,ignored_count"
 TRIM_REPORT_HEADER = "kind,key,value"
+
+# Records whose fields are already checked are built without their
+# validating constructors (see _trusted_box and parse_predictions).
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _fmt_float(value: float) -> str:
@@ -222,6 +228,23 @@ def _check_mask_dimensions(
 # -- predictions --------------------------------------------------------------
 
 
+def _trusted_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Box | None:
+    """The Box of four parsed coordinates, built without Box's checks, or None
+    unless the coordinates pass them (finite, corners not inverted).
+
+    A finite sum implies four finite coordinates; a finite set whose sum
+    overflows, such as 1e308 four times, falls back to Box itself.
+    """
+    if not (x_min <= x_max and y_min <= y_max and isfinite(x_min + y_min + x_max + y_max)):
+        return None
+    box = _new(Box)
+    _set(box, "x_min", x_min)
+    _set(box, "y_min", y_min)
+    _set(box, "x_max", x_max)
+    _set(box, "y_max", y_max)
+    return box
+
+
 def parse_predictions(
     data: bytes | str,
     image_sizes: Mapping[str, tuple[int, int]] | None = None,
@@ -231,24 +254,44 @@ def parse_predictions(
     out: list[Prediction] = []
     for number, line in _csv_lines(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
+        image_id, category_id = parts[0], parts[1]
         mask = _parse_mask_fields(parts[7:10], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
+        _check_mask_dimensions(mask, image_id, image_sizes, number)
+        # Rows that pass every check Box and Prediction make are built
+        # directly: the split and the file-level CR check already rule out
+        # commas and newlines in the ids.  Any other row goes through the
+        # validating constructors, which report its first error.
         try:
-            box = Box(
-                _parse_float(parts[3], number, "x_min"),
-                _parse_float(parts[4], number, "y_min"),
-                _parse_float(parts[5], number, "x_max"),
-                _parse_float(parts[6], number, "y_max"),
+            score = float(parts[2])
+            box = _trusted_box(
+                float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
             )
-            record = Prediction(
-                image_id=parts[0],
-                category_id=parts[1],
-                score=_parse_float(parts[2], number, "score"),
-                box=box,
-                mask=mask,
-            )
-        except ValidationError as exc:
-            raise ParseError(number, str(exc)) from exc
+        except ValueError:
+            box = None
+        if box is not None and image_id and category_id and 0.0 <= score <= 1.0:
+            record = _new(Prediction)
+            _set(record, "image_id", image_id)
+            _set(record, "category_id", category_id)
+            _set(record, "score", score)
+            _set(record, "box", box)
+            _set(record, "mask", mask)
+        else:
+            try:
+                box = Box(
+                    _parse_float(parts[3], number, "x_min"),
+                    _parse_float(parts[4], number, "y_min"),
+                    _parse_float(parts[5], number, "x_max"),
+                    _parse_float(parts[6], number, "y_max"),
+                )
+                record = Prediction(
+                    image_id=image_id,
+                    category_id=category_id,
+                    score=_parse_float(parts[2], number, "score"),
+                    box=box,
+                    mask=mask,
+                )
+            except ValidationError as exc:
+                raise ParseError(number, str(exc)) from exc
         out.append(record)
     return out
 
@@ -302,20 +345,35 @@ def parse_ground_truth(
     out: list[GroundTruthInstance] = []
     for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
+        image_id, category_id = parts[0], parts[1]
         mask = _parse_mask_fields(parts[6:9], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
+        _check_mask_dimensions(mask, image_id, image_sizes, number)
+        # The same direct construction as in parse_predictions.
         try:
-            box = Box(
-                _parse_float(parts[2], number, "x_min"),
-                _parse_float(parts[3], number, "y_min"),
-                _parse_float(parts[4], number, "x_max"),
-                _parse_float(parts[5], number, "y_max"),
+            box = _trusted_box(
+                float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5])
             )
-            record = GroundTruthInstance(
-                image_id=parts[0], category_id=parts[1], box=box, mask=mask
-            )
-        except ValidationError as exc:
-            raise ParseError(number, str(exc)) from exc
+        except ValueError:
+            box = None
+        if box is not None and image_id and category_id:
+            record = _new(GroundTruthInstance)
+            _set(record, "image_id", image_id)
+            _set(record, "category_id", category_id)
+            _set(record, "box", box)
+            _set(record, "mask", mask)
+        else:
+            try:
+                box = Box(
+                    _parse_float(parts[2], number, "x_min"),
+                    _parse_float(parts[3], number, "y_min"),
+                    _parse_float(parts[4], number, "x_max"),
+                    _parse_float(parts[5], number, "y_max"),
+                )
+                record = GroundTruthInstance(
+                    image_id=image_id, category_id=category_id, box=box, mask=mask
+                )
+            except ValidationError as exc:
+                raise ParseError(number, str(exc)) from exc
         out.append(record)
     return out
 

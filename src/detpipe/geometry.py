@@ -36,6 +36,8 @@ class Box:
     y_max: float
 
     def __post_init__(self) -> None:
+        # fileio._trusted_box skips these checks for parsed values that pass
+        # them; a new check here belongs there too.
         for name in ("x_min", "y_min", "x_max", "y_max"):
             value = float(getattr(self, name))
             if not math.isfinite(value):

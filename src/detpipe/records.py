@@ -42,7 +42,7 @@ def _check_id(name: str, value: str) -> None:
     # Identifiers end up as CSV fields, so the separator characters are banned.
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
-    if any(ch in value for ch in (",", "\n", "\r")):
+    if "," in value or "\n" in value or "\r" in value:
         raise ValidationError(f"{name} must not contain commas or newlines: {value!r}")
 
 
@@ -57,6 +57,8 @@ class Prediction:
     mask: BinaryMask | None = None
 
     def __post_init__(self) -> None:
+        # fileio's parsers skip these checks for rows that pass them; a new
+        # check here belongs there too (likewise for GroundTruthInstance).
         _check_id("image_id", self.image_id)
         _check_id("category_id", self.category_id)
         score = float(self.score)
