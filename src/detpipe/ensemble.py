@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _mask_from_segments, _segments, box_iou
+from .geometry import _check_iou_threshold, _mask_from_segments, _segments, box_iou
 from .records import Prediction
 
 __all__ = [
@@ -56,11 +56,6 @@ class PredictionGroup:
         return self.members[self.seed_index]
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValidationError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
-
-
 def _strata(predictions: Sequence[Prediction]):
     """Indices grouped by (image_id, category_id), strata in sorted key order."""
     buckets: dict[tuple[str, str], list[int]] = {}
@@ -78,7 +73,7 @@ def nms(predictions: Sequence[Prediction], iou_threshold: float = 0.5) -> list[P
     already-kept box is below the threshold.  Output is sorted by
     (image_id, category_id, descending score).
     """
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     kept: list[Prediction] = []
     for stratum in _strata(predictions):
         order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
@@ -100,7 +95,7 @@ def group_predictions(
     unclaimed prediction seeds a group and claims every unclaimed prediction
     whose IoU with it reaches the threshold.  Claimed members never seed.
     """
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     groups: list[PredictionGroup] = []
     for stratum in _strata(predictions):
         order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
@@ -130,14 +125,15 @@ def group_predictions(
 def fuse_group(group: PredictionGroup) -> Prediction:
     """Collapse a group into its representative prediction.
 
-    Box and score come from the seed.  When members carry masks, the fused
-    mask is the per-pixel average weighted by score * IoU(member, seed),
-    binarized at 0.5; all members must then have masks of identical size.
+    A group without masks is represented by its seed.  Otherwise box and
+    score come from the seed, and the fused mask is the per-pixel average
+    weighted by score * IoU(member, seed), binarized at 0.5; all members must
+    then have masks of identical size.
     """
     seed = group.seed
     with_mask = [m for m in group.members if m.mask is not None]
     if not with_mask:
-        return Prediction(seed.image_id, seed.category_id, seed.score, seed.box)
+        return seed
     if len(with_mask) != len(group.members):
         raise ValidationError("group mixes masked and mask-less predictions")
     size = (with_mask[0].mask.width, with_mask[0].mask.height)
@@ -172,7 +168,7 @@ def ensemble(
     """Suppress each model's predictions, concatenate in set order, group the
     concatenation, and fuse each group.  Output is sorted by
     (image_id, category_id, descending score)."""
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     if not prediction_sets:
         raise ValidationError("ensemble needs at least one prediction set")
     concatenated: list[Prediction] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .federated import expand_verification
-from .geometry import box_iou, mask_iou
+from .geometry import _check_iou_threshold, box_iou, mask_iou
 from .records import (
     POSITIVE,
     UNVERIFIED,
@@ -92,8 +92,7 @@ def match_category(
     on its image reaches the IoU threshold (ties to the earliest ground
     truth), else a false positive.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValidationError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
+    _check_iou_threshold(iou_threshold)
     categories = {p.category_id for p in predictions} | {g.category_id for g in gts}
     if len(categories) > 1:
         raise ValidationError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Box, box_iou
+from .geometry import Box, _check_iou_threshold, box_iou
 from .records import (
     NEGATIVE,
     POSITIVE,
@@ -124,8 +124,7 @@ def assign_rois(
 ) -> Assignment:
     """Assign each RoI to the ground truth of maximal IoU, if it clears the
     threshold; ties break toward the smallest ground-truth index."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValidationError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
+    _check_iou_threshold(iou_threshold)
     gt_indices: list[int | None] = []
     ious: list[float] = []
     for roi in rois:

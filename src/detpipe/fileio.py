@@ -30,8 +30,7 @@ trim report      ``kind,key,value``
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
-from math import isfinite
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -116,15 +115,14 @@ LOGITS_HEADER = "roi_index,category_id,logit"
 EVAL_REPORT_HEADER = "category_id,ap,gt_count,prediction_count,ignored_count"
 TRIM_REPORT_HEADER = "kind,key,value"
 
-# Records whose fields are already checked are built without their
-# validating constructors (see _trusted_box and parse_predictions).
-_new = object.__new__
-_set = object.__setattr__
-
-
 def _fmt_float(value: float) -> str:
     # repr() of a Python float is the shortest string that round-trips.
     return repr(float(value))
+
+
+def _table(header: str, rows: Iterable[str]) -> bytes:
+    """A file of the header and one LF-terminated line per row."""
+    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
 
 
 def _decode(data: bytes | str) -> str:
@@ -181,6 +179,20 @@ def _parse_int(text: str, line_number: int, name: str) -> int:
         raise ParseError(line_number, f"bad {name} {text!r}") from exc
 
 
+def _parse_box(fields: Sequence[str], line_number: int) -> Box:
+    """The Box of four coordinate fields (x_min, y_min, x_max, y_max)."""
+    x_min, y_min, x_max, y_max = fields
+    try:
+        return Box(float(x_min), float(y_min), float(x_max), float(y_max))
+    except ValidationError as exc:
+        raise ParseError(line_number, str(exc)) from exc
+    except ValueError:
+        # float() rejected a field: report the first such field by name.
+        for text, name in zip(fields, ("x_min", "y_min", "x_max", "y_max")):
+            _parse_float(text, line_number, name)
+        raise
+
+
 def _parse_mask_fields(
     parts: Sequence[str], line_number: int
 ) -> BinaryMask | None:
@@ -193,17 +205,27 @@ def _parse_mask_fields(
     height = _parse_int(height_s, line_number, "mask_height")
     if rle_s == "":
         raise ParseError(line_number, "mask_rle is empty but dimensions are present")
-    runs = tuple(_parse_int(tok, line_number, "mask run") for tok in rle_s.split(" "))
+    tokens = rle_s.split(" ")
+    try:
+        runs = list(map(int, tokens))
+    except ValueError:
+        runs = [_parse_int(token, line_number, "mask run") for token in tokens]
     try:
         return BinaryMask(width, height, runs)
     except ValidationError as exc:
         raise ParseError(line_number, str(exc)) from exc
 
 
-def _mask_fields(mask: BinaryMask | None) -> tuple[str, str, str]:
+# The record constructors store coordinates and scores as floats, so repr()
+# gives the shortest string that round-trips without _fmt_float's float().
+def _box_fields(box: Box) -> str:
+    return f"{box.x_min!r},{box.y_min!r},{box.x_max!r},{box.y_max!r}"
+
+
+def _mask_fields(mask: BinaryMask | None) -> str:
     if mask is None:
-        return "", "", ""
-    return str(mask.width), str(mask.height), " ".join(str(r) for r in mask.runs)
+        return ",,"
+    return f"{mask.width},{mask.height},{' '.join(map(str, mask.runs))}"
 
 
 def _check_mask_dimensions(
@@ -228,23 +250,6 @@ def _check_mask_dimensions(
 # -- predictions --------------------------------------------------------------
 
 
-def _trusted_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Box | None:
-    """The Box of four parsed coordinates, built without Box's checks, or None
-    unless the coordinates pass them (finite, corners not inverted).
-
-    A finite sum implies four finite coordinates; a finite set whose sum
-    overflows, such as 1e308 four times, falls back to Box itself.
-    """
-    if not (x_min <= x_max and y_min <= y_max and isfinite(x_min + y_min + x_max + y_max)):
-        return None
-    box = _new(Box)
-    _set(box, "x_min", x_min)
-    _set(box, "y_min", y_min)
-    _set(box, "x_max", x_max)
-    _set(box, "y_max", y_max)
-    return box
-
-
 def parse_predictions(
     data: bytes | str,
     image_sizes: Mapping[str, tuple[int, int]] | None = None,
@@ -254,70 +259,25 @@ def parse_predictions(
     out: list[Prediction] = []
     for number, line in _csv_lines(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
-        image_id, category_id = parts[0], parts[1]
         mask = _parse_mask_fields(parts[7:10], number)
-        _check_mask_dimensions(mask, image_id, image_sizes, number)
-        # Rows that pass every check Box and Prediction make are built
-        # directly: the split and the file-level CR check already rule out
-        # commas and newlines in the ids.  Any other row goes through the
-        # validating constructors, which report its first error.
+        _check_mask_dimensions(mask, parts[0], image_sizes, number)
+        box = _parse_box(parts[3:7], number)
+        score = _parse_float(parts[2], number, "score")
         try:
-            score = float(parts[2])
-            box = _trusted_box(
-                float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6])
-            )
-        except ValueError:
-            box = None
-        if box is not None and image_id and category_id and 0.0 <= score <= 1.0:
-            record = _new(Prediction)
-            _set(record, "image_id", image_id)
-            _set(record, "category_id", category_id)
-            _set(record, "score", score)
-            _set(record, "box", box)
-            _set(record, "mask", mask)
-        else:
-            try:
-                box = Box(
-                    _parse_float(parts[3], number, "x_min"),
-                    _parse_float(parts[4], number, "y_min"),
-                    _parse_float(parts[5], number, "x_max"),
-                    _parse_float(parts[6], number, "y_max"),
-                )
-                record = Prediction(
-                    image_id=image_id,
-                    category_id=category_id,
-                    score=_parse_float(parts[2], number, "score"),
-                    box=box,
-                    mask=mask,
-                )
-            except ValidationError as exc:
-                raise ParseError(number, str(exc)) from exc
-        out.append(record)
+            out.append(Prediction(parts[0], parts[1], score, box, mask))
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from exc
     return out
 
 
 def _prediction_row(p: Prediction) -> str:
-    mask_w, mask_h, mask_rle = _mask_fields(p.mask)
     return ",".join(
-        (
-            p.image_id,
-            p.category_id,
-            _fmt_float(p.score),
-            _fmt_float(p.box.x_min),
-            _fmt_float(p.box.y_min),
-            _fmt_float(p.box.x_max),
-            _fmt_float(p.box.y_max),
-            mask_w,
-            mask_h,
-            mask_rle,
-        )
+        (p.image_id, p.category_id, repr(p.score), _box_fields(p.box), _mask_fields(p.mask))
     )
 
 
 def write_predictions(predictions: Sequence[Prediction]) -> bytes:
-    lines = [PREDICTIONS_HEADER]
-    lines.extend(_prediction_row(p) for p in predictions)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(PREDICTIONS_HEADER, map(_prediction_row, predictions))
 
 
 def empty_predictions_size() -> int:
@@ -345,59 +305,24 @@ def parse_ground_truth(
     out: list[GroundTruthInstance] = []
     for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
-        image_id, category_id = parts[0], parts[1]
         mask = _parse_mask_fields(parts[6:9], number)
-        _check_mask_dimensions(mask, image_id, image_sizes, number)
-        # The same direct construction as in parse_predictions.
+        _check_mask_dimensions(mask, parts[0], image_sizes, number)
+        box = _parse_box(parts[2:6], number)
         try:
-            box = _trusted_box(
-                float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5])
-            )
-        except ValueError:
-            box = None
-        if box is not None and image_id and category_id:
-            record = _new(GroundTruthInstance)
-            _set(record, "image_id", image_id)
-            _set(record, "category_id", category_id)
-            _set(record, "box", box)
-            _set(record, "mask", mask)
-        else:
-            try:
-                box = Box(
-                    _parse_float(parts[2], number, "x_min"),
-                    _parse_float(parts[3], number, "y_min"),
-                    _parse_float(parts[4], number, "x_max"),
-                    _parse_float(parts[5], number, "y_max"),
-                )
-                record = GroundTruthInstance(
-                    image_id=image_id, category_id=category_id, box=box, mask=mask
-                )
-            except ValidationError as exc:
-                raise ParseError(number, str(exc)) from exc
-        out.append(record)
+            out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from exc
     return out
 
 
 def write_ground_truth(instances: Sequence[GroundTruthInstance]) -> bytes:
-    lines = [GROUND_TRUTH_HEADER]
-    for g in instances:
-        mask_w, mask_h, mask_rle = _mask_fields(g.mask)
-        lines.append(
-            ",".join(
-                (
-                    g.image_id,
-                    g.category_id,
-                    _fmt_float(g.box.x_min),
-                    _fmt_float(g.box.y_min),
-                    _fmt_float(g.box.x_max),
-                    _fmt_float(g.box.y_max),
-                    mask_w,
-                    mask_h,
-                    mask_rle,
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        GROUND_TRUTH_HEADER,
+        (
+            ",".join((g.image_id, g.category_id, _box_fields(g.box), _mask_fields(g.mask)))
+            for g in instances
+        ),
+    )
 
 
 # -- verification --------------------------------------------------------------
@@ -424,10 +349,10 @@ def parse_verification(data: bytes | str) -> VerificationTable:
 
 
 def write_verification(table: VerificationTable) -> bytes:
-    lines = [VERIFICATION_HEADER]
-    for (image_id, category_id), sign in sorted(table.items()):
-        lines.append(f"{image_id},{category_id},{sign}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        VERIFICATION_HEADER,
+        (f"{image},{category},{sign}" for (image, category), sign in sorted(table.items())),
+    )
 
 
 # -- hierarchy -----------------------------------------------------------------
@@ -480,10 +405,9 @@ def parse_category_stats(data: bytes | str) -> CategoryStats:
 
 
 def write_category_stats(stats: CategoryStats) -> bytes:
-    lines = [STATS_HEADER]
-    for category_id, count in sorted(stats.items()):
-        lines.append(f"{category_id},{count}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        STATS_HEADER, (f"{category},{count}" for category, count in sorted(stats.items()))
+    )
 
 
 # -- RoI pool ------------------------------------------------------------------
@@ -498,16 +422,9 @@ def parse_roi_pool(
         objectness = None
         if parts[5] != "":
             objectness = _parse_float(parts[5], number, "objectness")
+        box = _parse_box(parts[1:5], number)
         try:
-            roi = Roi(
-                box=Box(
-                    _parse_float(parts[1], number, "x_min"),
-                    _parse_float(parts[2], number, "y_min"),
-                    _parse_float(parts[3], number, "x_max"),
-                    _parse_float(parts[4], number, "y_max"),
-                ),
-                objectness=objectness,
-            )
+            roi = Roi(box, objectness)
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
         per_image = images.setdefault(parts[0], [])
@@ -524,23 +441,15 @@ def parse_roi_pool(
 
 
 def write_roi_pool(pool: RoiPool) -> bytes:
-    lines = [ROI_POOL_HEADER]
-    for image_id in sorted(pool.images):
-        for roi in pool.images[image_id]:
-            objectness = "" if roi.objectness is None else _fmt_float(roi.objectness)
-            lines.append(
-                ",".join(
-                    (
-                        image_id,
-                        _fmt_float(roi.box.x_min),
-                        _fmt_float(roi.box.y_min),
-                        _fmt_float(roi.box.x_max),
-                        _fmt_float(roi.box.y_max),
-                        objectness,
-                    )
-                )
-            )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        ROI_POOL_HEADER,
+        (
+            f"{image_id},{_box_fields(roi.box)},"
+            f"{'' if roi.objectness is None else _fmt_float(roi.objectness)}"
+            for image_id in sorted(pool.images)
+            for roi in pool.images[image_id]
+        ),
+    )
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -588,11 +497,10 @@ def write_embeddings(table: EmbeddingTable) -> bytes:
     header = ",".join(
         [EMBEDDINGS_HEADER_PREFIX] + [f"v{i}" for i in range(table.dimension)]
     )
-    lines = [header]
-    for category_id in sorted(table):
-        values = ",".join(_fmt_float(v) for v in table[category_id])
-        lines.append(f"{category_id},{values}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        header,
+        (",".join([category, *map(_fmt_float, table[category])]) for category in sorted(table)),
+    )
 
 
 # -- category lists and groups ---------------------------------------------------
@@ -617,9 +525,7 @@ def parse_image_list(data: bytes | str) -> list[str]:
 
 
 def write_image_list(images: Sequence[str]) -> bytes:
-    lines = [IMAGE_LIST_HEADER]
-    lines.extend(images)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(IMAGE_LIST_HEADER, images)
 
 
 def parse_category_list(data: bytes | str) -> list[str]:
@@ -627,9 +533,7 @@ def parse_category_list(data: bytes | str) -> list[str]:
 
 
 def write_category_list(categories: Sequence[str]) -> bytes:
-    lines = [CATEGORY_LIST_HEADER]
-    lines.extend(categories)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(CATEGORY_LIST_HEADER, categories)
 
 
 def parse_category_groups(data: bytes | str):
@@ -663,11 +567,14 @@ def parse_category_groups(data: bytes | str):
 
 
 def write_category_groups(groups) -> bytes:
-    lines = [GROUPS_HEADER]
-    for index, group in enumerate(groups):
-        for category_id in group.categories:
-            lines.append(f"{index},{category_id}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        GROUPS_HEADER,
+        (
+            f"{index},{category_id}"
+            for index, group in enumerate(groups)
+            for category_id in group.categories
+        ),
+    )
 
 
 # -- sampled RoI indices ---------------------------------------------------------
@@ -685,11 +592,10 @@ def parse_sampled_indices(data: bytes | str) -> dict[str, list[int]]:
 
 
 def write_sampled_indices(samples: Mapping[str, Sequence[int]]) -> bytes:
-    lines = [SAMPLED_HEADER]
-    for image_id in sorted(samples):
-        for index in samples[image_id]:
-            lines.append(f"{image_id},{index}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        SAMPLED_HEADER,
+        (f"{image_id},{index}" for image_id in sorted(samples) for index in samples[image_id]),
+    )
 
 
 # -- label and logit matrices ----------------------------------------------------
@@ -754,11 +660,14 @@ def parse_label_matrix(data: bytes | str):
 
 
 def write_label_matrix(matrix) -> bytes:
-    lines = [LABELS_HEADER]
-    for i in range(matrix.values.shape[0]):
-        for j, category_id in enumerate(matrix.categories):
-            lines.append(f"{i},{category_id},{int(matrix.values[i, j])}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        LABELS_HEADER,
+        (
+            f"{i},{category_id},{int(matrix.values[i, j])}"
+            for i in range(matrix.values.shape[0])
+            for j, category_id in enumerate(matrix.categories)
+        ),
+    )
 
 
 def parse_logit_matrix(data: bytes | str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -772,31 +681,36 @@ def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(categories):
         raise ValidationError("logit matrix shape does not match the category list")
-    lines = [LOGITS_HEADER]
-    for i in range(arr.shape[0]):
-        for j, category_id in enumerate(categories):
-            lines.append(f"{i},{category_id},{_fmt_float(arr[i, j])}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        LOGITS_HEADER,
+        (
+            f"{i},{category_id},{_fmt_float(arr[i, j])}"
+            for i in range(arr.shape[0])
+            for j, category_id in enumerate(categories)
+        ),
+    )
 
 
 # -- reports ---------------------------------------------------------------------
 
 
 def write_eval_report(report) -> bytes:
-    lines = [EVAL_REPORT_HEADER]
-    for row in report.results:
-        ap = "" if row.ap is None else _fmt_float(row.ap)
-        lines.append(
-            f"{row.category_id},{ap},{row.gt_count},"
-            f"{row.prediction_count},{row.ignored_count}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        EVAL_REPORT_HEADER,
+        (
+            f"{row.category_id},{'' if row.ap is None else _fmt_float(row.ap)},"
+            f"{row.gt_count},{row.prediction_count},{row.ignored_count}"
+            for row in report.results
+        ),
+    )
 
 
 def write_trim_report(report) -> bytes:
-    lines = [TRIM_REPORT_HEADER]
-    lines.append(f"summary,final_bytes,{report.final_bytes}")
-    lines.append(f"summary,budget,{report.budget}")
-    for category_id in sorted(report.removed):
-        lines.append(f"category,{category_id},{report.removed[category_id]}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(
+        TRIM_REPORT_HEADER,
+        [
+            f"summary,final_bytes,{report.final_bytes}",
+            f"summary,budget,{report.budget}",
+            *(f"category,{c},{report.removed[c]}" for c in sorted(report.removed)),
+        ],
+    )

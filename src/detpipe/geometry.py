@@ -25,8 +25,12 @@ __all__ = [
     "mask_iou",
 ]
 
+# Boxes and masks are frozen, so their constructors set fields through
+# object.__setattr__, bound once here to save a lookup per field.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Box:
     """Axis-aligned rectangle in absolute, real-valued pixel coordinates."""
 
@@ -35,19 +39,34 @@ class Box:
     x_max: float
     y_max: float
 
-    def __post_init__(self) -> None:
-        # fileio._trusted_box skips these checks for parsed values that pass
-        # them; a new check here belongs there too.
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"box coordinate {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValidationError(
-                f"box corners are inverted: "
-                f"({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+        # Ordered floats with a finite sum (so each one is finite) are stored
+        # as given; anything else is converted and checked field by field.
+        if not (
+            type(x_min) is type(y_min) is type(x_max) is type(y_max) is float
+            and x_min <= x_max
+            and y_min <= y_max
+            and math.isfinite(x_min + y_min + x_max + y_max)
+        ):
+            x_min = _coordinate("x_min", x_min)
+            y_min = _coordinate("y_min", y_min)
+            x_max = _coordinate("x_max", x_max)
+            y_max = _coordinate("y_max", y_max)
+            if x_max < x_min or y_max < y_min:
+                raise ValidationError(
+                    f"box corners are inverted: ({x_min}, {y_min}, {x_max}, {y_max})"
+                )
+        _set(self, "x_min", x_min)
+        _set(self, "y_min", y_min)
+        _set(self, "x_max", x_max)
+        _set(self, "y_max", y_max)
+
+
+def _coordinate(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"box coordinate {name} must be finite, got {value!r}")
+    return value
 
 
 def _check_dimension(name: str, value: int) -> int:
@@ -59,7 +78,7 @@ def _check_dimension(name: str, value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinaryMask:
     """Full-image binary raster stored as row-major run lengths.
 
@@ -72,20 +91,22 @@ class BinaryMask:
     height: int
     runs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "width", _check_dimension("mask width", self.width))
-        object.__setattr__(self, "height", _check_dimension("mask height", self.height))
-        runs = tuple(int(r) for r in self.runs)
+    def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
+        width = _check_dimension("mask width", width)
+        height = _check_dimension("mask height", height)
+        runs = tuple(map(int, runs))
         if not runs:
             raise ValidationError("mask runs must not be empty")
-        if runs[0] < 0 or any(r < 1 for r in runs[1:]):
+        if runs[0] < 0 or min(runs[1:], default=1) < 1:
             raise ValidationError(f"mask runs after the first must be >= 1, got {runs}")
         total = sum(runs)
-        if total != self.width * self.height:
+        if total != width * height:
             raise ValidationError(
-                f"mask runs sum to {total}, expected width*height = {self.width * self.height}"
+                f"mask runs sum to {total}, expected width*height = {width * height}"
             )
-        object.__setattr__(self, "runs", runs)
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "runs", runs)
 
 
 def box_area(box: Box) -> float:
@@ -102,6 +123,11 @@ def box_iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValidationError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
 
 
 def mask_area(mask: BinaryMask) -> int:

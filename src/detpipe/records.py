@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -34,6 +35,10 @@ POSITIVE = 1
 NEGATIVE = -1
 UNVERIFIED = 0
 
+# Predictions, ground truths and RoIs are frozen, so their constructors set
+# fields through object.__setattr__, bound once here to save a lookup per field.
+_set = object.__setattr__
+
 # Per-image RoI pool cap; pools larger than this are rejected at parse time.
 DEFAULT_POOL_LIMIT = 16000
 
@@ -46,7 +51,7 @@ def _check_id(name: str, value: str) -> None:
         raise ValidationError(f"{name} must not contain commas or newlines: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Prediction:
     """One detection: where (box, optional mask), what (category), how sure (score)."""
 
@@ -56,18 +61,39 @@ class Prediction:
     box: Box
     mask: BinaryMask | None = None
 
-    def __post_init__(self) -> None:
-        # fileio's parsers skip these checks for rows that pass them; a new
-        # check here belongs there too (likewise for GroundTruthInstance).
-        _check_id("image_id", self.image_id)
-        _check_id("category_id", self.category_id)
-        score = float(self.score)
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"score must be in [0, 1], got {self.score!r}")
-        object.__setattr__(self, "score", score)
+    def __init__(
+        self,
+        image_id: str,
+        category_id: str,
+        score: float,
+        box: Box,
+        mask: BinaryMask | None = None,
+    ) -> None:
+        # Plain ids and a float score in range are stored as given; anything
+        # else is converted and checked field by field.
+        if not (
+            type(image_id) is type(category_id) is str
+            and image_id
+            and category_id
+            and "," not in image_id and "\n" not in image_id and "\r" not in image_id
+            and "," not in category_id and "\n" not in category_id and "\r" not in category_id
+            and type(score) is float
+            and 0.0 <= score <= 1.0
+        ):
+            _check_id("image_id", image_id)
+            _check_id("category_id", category_id)
+            value = float(score)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"score must be in [0, 1], got {score!r}")
+            score = value
+        _set(self, "image_id", image_id)
+        _set(self, "category_id", category_id)
+        _set(self, "score", score)
+        _set(self, "box", box)
+        _set(self, "mask", mask)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GroundTruthInstance:
     """One annotated object."""
 
@@ -76,9 +102,23 @@ class GroundTruthInstance:
     box: Box
     mask: BinaryMask | None = None
 
-    def __post_init__(self) -> None:
-        _check_id("image_id", self.image_id)
-        _check_id("category_id", self.category_id)
+    def __init__(
+        self, image_id: str, category_id: str, box: Box, mask: BinaryMask | None = None
+    ) -> None:
+        # The same accept test for the ids as in Prediction.
+        if not (
+            type(image_id) is type(category_id) is str
+            and image_id
+            and category_id
+            and "," not in image_id and "\n" not in image_id and "\r" not in image_id
+            and "," not in category_id and "\n" not in category_id and "\r" not in category_id
+        ):
+            _check_id("image_id", image_id)
+            _check_id("category_id", category_id)
+        _set(self, "image_id", image_id)
+        _set(self, "category_id", category_id)
+        _set(self, "box", box)
+        _set(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -222,19 +262,21 @@ class CategoryStats:
         return len(self.counts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Roi:
     """A candidate region presented to a detector head."""
 
     box: Box
     objectness: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.objectness is not None:
-            value = float(self.objectness)
-            if not np.isfinite(value):
-                raise ValidationError(f"objectness must be finite, got {self.objectness!r}")
-            object.__setattr__(self, "objectness", value)
+    def __init__(self, box: Box, objectness: float | None = None) -> None:
+        if objectness is not None:
+            value = float(objectness)
+            if not isfinite(value):
+                raise ValidationError(f"objectness must be finite, got {objectness!r}")
+            objectness = value
+        _set(self, "box", box)
+        _set(self, "objectness", objectness)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detpipe import (
+    BinaryMask,
     Box,
     GroundTruthInstance,
     Hierarchy,
@@ -39,7 +40,7 @@ from detpipe.fileio import (
     _check_mask_dimensions,
     _csv_lines,
     _parse_float,
-    _parse_mask_fields,
+    _parse_int,
     _split,
 )
 from detpipe.records import NEGATIVE, POSITIVE
@@ -50,12 +51,30 @@ from generators import random_box
 # -- references ------------------------------------------------------------------
 
 
+def parse_mask_fields_ref(parts, line_number):
+    """Reference: each mask run parsed on its own."""
+    width_s, height_s, rle_s = parts
+    if width_s == "" and height_s == "" and rle_s == "":
+        return None
+    if width_s == "" or height_s == "":
+        raise ParseError(line_number, "mask fields must be all empty or all present")
+    width = _parse_int(width_s, line_number, "mask_width")
+    height = _parse_int(height_s, line_number, "mask_height")
+    if rle_s == "":
+        raise ParseError(line_number, "mask_rle is empty but dimensions are present")
+    runs = tuple(_parse_int(tok, line_number, "mask run") for tok in rle_s.split(" "))
+    try:
+        return BinaryMask(width, height, runs)
+    except ValidationError as exc:
+        raise ParseError(line_number, str(exc)) from exc
+
+
 def parse_predictions_ref(data, image_sizes=None):
     """Reference: every row through the validating constructors."""
     out = []
     for number, line in _csv_lines(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
-        mask = _parse_mask_fields(parts[7:10], number)
+        mask = parse_mask_fields_ref(parts[7:10], number)
         _check_mask_dimensions(mask, parts[0], image_sizes, number)
         try:
             box = Box(
@@ -71,6 +90,9 @@ def parse_predictions_ref(data, image_sizes=None):
                 box=box,
                 mask=mask,
             )
+        except ParseError:
+            # A field that is not a number; the error names its line once.
+            raise
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
         out.append(record)
@@ -82,7 +104,7 @@ def parse_ground_truth_ref(data, image_sizes=None):
     out = []
     for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
-        mask = _parse_mask_fields(parts[6:9], number)
+        mask = parse_mask_fields_ref(parts[6:9], number)
         _check_mask_dimensions(mask, parts[0], image_sizes, number)
         try:
             box = Box(
@@ -94,6 +116,9 @@ def parse_ground_truth_ref(data, image_sizes=None):
             record = GroundTruthInstance(
                 image_id=parts[0], category_id=parts[1], box=box, mask=mask
             )
+        except ParseError:
+            # A field that is not a number; the error names its line once.
+            raise
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
         out.append(record)
@@ -311,6 +336,7 @@ class TestParseMatchesReference:
     @example([], "im,c,abc,2,0,1,1,,,")
     @example([], ",c,abc,0,0,1,1,,,")
     @example([], "im,c,0.5,2,0,1,1,2,,1 3")
+    @example([], "im,c,0.5,0,0,1,1,2,2,1 x 2")
     def test_any_prediction_row(self, valid, row):
         data = as_file(PREDICTIONS_HEADER, [*valid, row])
         assert_same_outcome(fileio.parse_predictions, parse_predictions_ref, data)
@@ -327,6 +353,7 @@ class TestParseMatchesReference:
     @example([], "im,c,0,2,1,1,,,")
     @example([], ",c,0,2,1,1,,,")
     @example([], "im,c,0,2,1,x,,,")
+    @example([], "im,c,0,0,1,1,2,2,1 3 y")
     def test_any_ground_truth_row(self, valid, row):
         data = as_file(GROUND_TRUTH_HEADER, [*valid, row])
         assert_same_outcome(fileio.parse_ground_truth, parse_ground_truth_ref, data)

@@ -107,6 +107,49 @@ class TestExitCodes:
         assert "nope.csv" in capsys.readouterr().err
 
 
+class TestParseErrors:
+    """A field that is not a number is reported with its line, once."""
+
+    def assert_one_error(self, capsys, argv, message):
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == f"error\tParseError\t{message}\n"
+
+    def test_bad_score(self, tmp_path, capsys):
+        data = fileio.PREDICTIONS_HEADER.encode() + b"\nim1,c,abc,0,0,1,1,,,\n"
+        preds = write(tmp_path / "preds.csv", data)
+        argv = ["nms", "--in", str(preds), "--out", str(tmp_path / "out.csv")]
+        self.assert_one_error(capsys, argv, "line 2: bad score 'abc'")
+
+    def test_bad_ground_truth_coordinate(self, tmp_path, capsys):
+        _, _, _, paths = small_world(tmp_path)
+        data = fileio.GROUND_TRUTH_HEADER.encode() + b"\nim1,c1,0,0,10,x,,,\n"
+        write(paths["gt"], data)
+        groups = write(tmp_path / "groups.csv", fileio.GROUPS_HEADER.encode() + b"\n0,c1\n")
+        argv = [
+            "filter-expert",
+            "--ground-truth",
+            str(paths["gt"]),
+            "--verification",
+            str(paths["ver"]),
+            "--group-file",
+            str(groups),
+            "--out-ground-truth",
+            str(tmp_path / "gt_out.csv"),
+            "--out-verification",
+            str(tmp_path / "ver_out.csv"),
+            "--out-images",
+            str(tmp_path / "images.csv"),
+        ]
+        self.assert_one_error(capsys, argv, "line 2: bad y_max 'x'")
+
+    def test_bad_roi_coordinate(self, tmp_path, capsys):
+        data = fileio.ROI_POOL_HEADER.encode() + b"\nim1,0,0,5,5,\nim1,zz,0,5,5,0.5\n"
+        pool = write(tmp_path / "pool.csv", data)
+        prefix = str(tmp_path / "p")
+        argv = ["partition-pool", "--rois", str(pool), "--k", "2", "--out-prefix", prefix]
+        self.assert_one_error(capsys, argv, "line 3: bad x_min 'zz'")
+
+
 class TestSubcommands:
     def test_nms_writes_suppressed_file(self, tmp_path, capsys):
         predictions, _, _, paths = small_world(tmp_path)
