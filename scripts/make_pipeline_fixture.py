@@ -25,7 +25,7 @@ from detpipe import (
     mask_encode,
 )
 from detpipe import fileio
-from detpipe.fileio import prediction_row_size, serialized_size
+from detpipe.fileio import serialized_size
 
 IMAGE_SIDE = 100
 
@@ -72,7 +72,7 @@ def build() -> dict[str, bytes]:
     victim = min(
         (p for p in filtered if p.category_id == "c2"), key=lambda p: p.score
     )
-    budget = serialized_size(filtered) - prediction_row_size(victim)
+    budget = serialized_size([p for p in filtered if p is not victim])
 
     config = f"""# Full submission chain on the committed fixture.
 [ensemble]

@@ -39,7 +39,7 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import Roi, RoiPool
+from .records import DEFAULT_POOL_LIMIT, Roi, RoiPool
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
 __all__ = ["run", "main", "build_parser"]
@@ -137,15 +137,15 @@ class Stage:
 
 
 def _cmd_nms(args: argparse.Namespace) -> int:
-    predictions = fileio.parse_predictions(_read_bytes(args.input))
-    kept = nms(predictions, args.iou_threshold)
+    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    kept = nms(table, args.iou_threshold)
     _write_bytes_atomic(args.out, fileio.write_predictions(kept))
     return 0
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    prediction_sets = [fileio.parse_predictions(_read_bytes(p)) for p in args.inputs]
-    fused = ensemble(prediction_sets, args.iou_threshold)
+    tables = [fileio.parse_prediction_table(_read_bytes(p)) for p in args.inputs]
+    fused = ensemble(tables, args.iou_threshold)
     _write_bytes_atomic(args.out, fileio.write_predictions(fused))
     return 0
 
@@ -202,18 +202,26 @@ def _cmd_partition_pool(args: argparse.Namespace) -> int:
     pool = fileio.parse_roi_pool(_read_bytes(args.rois))
     if args.k < 1:
         raise ValidationError(f"number of partitions must be >= 1, got {args.k}")
-    parts: list[dict[str, tuple[Roi, ...]]] = [{} for _ in range(args.k)]
+    paths = _partition_paths(args)
+    parts: list[dict[str, tuple[Roi, ...]]] = [{} for _ in paths]
     for image_id in sorted(pool.images):
         for index, chunk in enumerate(partition_pool(pool.images[image_id], args.k)):
             if chunk:
                 parts[index][image_id] = tuple(chunk)
-    for path, images in zip(_partition_paths(args), parts):
+    for path, images in zip(paths, parts):
         part_pool = RoiPool(images, max_per_image=pool.max_per_image)
         _write_bytes_atomic(path, fileio.write_roi_pool(part_pool))
     return 0
 
 
 def _partition_paths(args: argparse.Namespace) -> list[str]:
+    # A pool holds at most DEFAULT_POOL_LIMIT RoIs per image, so any further
+    # partition would be empty for every image.
+    if args.k > DEFAULT_POOL_LIMIT:
+        raise ValidationError(
+            f"number of partitions must be at most {DEFAULT_POOL_LIMIT}, "
+            f"the per-image pool limit, got {args.k}"
+        )
     return [f"{args.out_prefix}{index}.csv" for index in range(args.k)]
 
 
@@ -275,24 +283,22 @@ def _cmd_filter_expert(args: argparse.Namespace) -> int:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
-    predictions = fileio.parse_predictions(_read_bytes(args.input))
+    table = fileio.parse_prediction_table(_read_bytes(args.input))
     group = _select_group(args.group_file, args.group_index)
-    _write_bytes_atomic(
-        args.out, fileio.write_predictions(restrict_predictions(predictions, group))
-    )
+    _write_bytes_atomic(args.out, fileio.write_predictions(restrict_predictions(table, group)))
     return 0
 
 
 def _cmd_drop_small_masks(args: argparse.Namespace) -> int:
-    predictions = fileio.parse_predictions(_read_bytes(args.input))
-    kept = drop_small_masks(predictions, args.min_area)
+    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    kept = drop_small_masks(table, args.min_area)
     _write_bytes_atomic(args.out, fileio.write_predictions(kept))
     return 0
 
 
 def _cmd_trim(args: argparse.Namespace) -> int:
-    predictions = fileio.parse_predictions(_read_bytes(args.input))
-    survivors, report = trim_to_budget(predictions, args.max_bytes)
+    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    survivors, report = trim_to_budget(table, args.max_bytes)
     _write_bytes_atomic(args.out, fileio.write_predictions(survivors))
     _write_bytes_atomic(args.report, fileio.write_trim_report(report))
     return 0
@@ -406,7 +412,10 @@ def _plan_stage(
     for path in inputs:
         if path not in produced and not os.path.exists(path):
             raise ValidationError(f"stage {label!r}: input file not found: {path}")
-    outputs = stage.outputs(args) if stage.outputs else stage.paths(args, OUTPUT)
+    try:
+        outputs = stage.outputs(args) if stage.outputs else stage.paths(args, OUTPUT)
+    except ValidationError as exc:
+        raise ValidationError(f"stage {label!r}: {exc}") from exc
     produced.update(outputs)
     return _StagePlan(label, stage, argv, inputs, outputs, args)
 

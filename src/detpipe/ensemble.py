@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import _check_iou_threshold, _mask_from_segments, _segments, box_iou
 from .records import Prediction
+from .table import PredictionTable, Predictions, as_table, select
 
 __all__ = [
     "PredictionGroup",
@@ -56,70 +57,110 @@ class PredictionGroup:
         return self.members[self.seed_index]
 
 
-def _strata(predictions: Sequence[Prediction]):
-    """Indices grouped by (image_id, category_id), strata in sorted key order."""
-    buckets: dict[tuple[str, str], list[int]] = {}
-    for index, p in enumerate(predictions):
-        buckets.setdefault((p.image_id, p.category_id), []).append(index)
-    for key in sorted(buckets):
-        yield buckets[key]
+def _iou(a: np.ndarray, area_a: np.ndarray, b: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """box_iou of each row of a with the same row of b, in box_iou's order of
+    operations, so every value equals box_iou's bit for bit."""
+    with np.errstate(all="ignore"):
+        inter_w = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+        inter_h = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+        inter = np.where((inter_w > 0.0) & (inter_h > 0.0), inter_w * inter_h, 0.0)
+        union = area_a + area_b - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
 
 
-def nms(predictions: Sequence[Prediction], iou_threshold: float = 0.5) -> list[Prediction]:
+def _suppresses(iou: np.ndarray, iou_threshold: float) -> np.ndarray:
+    # A candidate survives only an IoU below the threshold with every kept box.
+    return ~(iou < iou_threshold)
+
+
+def _claims(iou: np.ndarray, iou_threshold: float) -> np.ndarray:
+    # A seed claims the unclaimed predictions whose IoU with it reaches the threshold.
+    return iou >= iou_threshold
+
+
+def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy overlap resolution within each (image, category) stratum.
+
+    Returns the rows in stratum order, by (image_id, category_id, descending
+    score, row index), and for each position in that order the position of
+    the seed that covers it (its own for a seed).  Within a stratum the first
+    uncovered position seeds and covers every uncovered position of the
+    stratum whose IoU with it passes `covers`.  All strata advance together,
+    one seed each per step; a stratum with one uncovered member needs no IoU.
+    """
+    order = np.lexsort((-table.scores, table.category_codes, table.image_codes))
+    n = len(order)
+    images, categories = table.image_codes[order], table.category_codes[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (images[1:] != images[:-1]) | (categories[1:] != categories[:-1])
+    stratum = np.cumsum(starts)
+    boxes = table.boxes[order]
+    with np.errstate(all="ignore"):
+        areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    owner = np.arange(n)
+    uncovered = np.arange(n)
+    while len(uncovered):
+        seeds = np.ones(len(uncovered), dtype=bool)
+        seeds[1:] = stratum[uncovered[1:]] != stratum[uncovered[:-1]]
+        seed_of = uncovered[seeds][np.cumsum(seeds) - 1]
+        others, seed_of = uncovered[~seeds], seed_of[~seeds]
+        covered = covers(
+            _iou(boxes[others], areas[others], boxes[seed_of], areas[seed_of]), iou_threshold
+        )
+        owner[others[covered]] = seed_of[covered]
+        uncovered = others[~covered]
+    return order, owner
+
+
+def _groups(order: np.ndarray, owner: np.ndarray) -> list[tuple[int, list[int]]]:
+    """(seed row, member rows in row order) of each group, in seed order."""
+    if not len(order):
+        return []
+    by_group = np.lexsort((order, owner))
+    seeds = owner[by_group]
+    cuts = (np.flatnonzero(seeds[1:] != seeds[:-1]) + 1).tolist()
+    firsts, ends = [0, *cuts], [*cuts, len(order)]
+    members = order[by_group].tolist()
+    return [
+        (seed, members[first:end])
+        for seed, first, end in zip(order[seeds[firsts]].tolist(), firsts, ends)
+    ]
+
+
+def nms(predictions: Predictions, iou_threshold: float = 0.5) -> list[Prediction] | PredictionTable:
     """Greedy class-wise non-maximum suppression.
 
     Within each (image, category) stratum, walk predictions by descending
     score (ties keep input order) and keep one only if its IoU with every
     already-kept box is below the threshold.  Output is sorted by
-    (image_id, category_id, descending score).
+    (image_id, category_id, descending score): a table for a table, else a
+    list of the given rows.
     """
     _check_iou_threshold(iou_threshold)
-    kept: list[Prediction] = []
-    for stratum in _strata(predictions):
-        order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
-        kept_boxes = []
-        for index in order:
-            box = predictions[index].box
-            if all(box_iou(box, other) < iou_threshold for other in kept_boxes):
-                kept_boxes.append(box)
-                kept.append(predictions[index])
-    return kept
+    order, owner = _greedy(as_table(predictions), iou_threshold, _suppresses)
+    return select(predictions, order[owner == np.arange(len(owner))])
 
 
 def group_predictions(
-    predictions: Sequence[Prediction], iou_threshold: float = 0.5
+    predictions: Predictions, iou_threshold: float = 0.5
 ) -> list[PredictionGroup]:
     """Partition concatenated predictions into overlap groups.
 
     Greedy within each (image, category) stratum: the highest-scoring
     unclaimed prediction seeds a group and claims every unclaimed prediction
     whose IoU with it reaches the threshold.  Claimed members never seed.
+    Groups come stratum by stratum in sorted key order, seeds by descending
+    score within a stratum.  Members are the given rows, or a table's row
+    views.
     """
     _check_iou_threshold(iou_threshold)
-    groups: list[PredictionGroup] = []
-    for stratum in _strata(predictions):
-        order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
-        claimed: set[int] = set()
-        for seed_idx in order:
-            if seed_idx in claimed:
-                continue
-            seed_box = predictions[seed_idx].box
-            member_indices = [seed_idx]
-            claimed.add(seed_idx)
-            for other in stratum:
-                if other in claimed:
-                    continue
-                if box_iou(predictions[other].box, seed_box) >= iou_threshold:
-                    member_indices.append(other)
-                    claimed.add(other)
-            member_indices.sort()
-            groups.append(
-                PredictionGroup(
-                    members=tuple(predictions[i] for i in member_indices),
-                    seed_index=member_indices.index(seed_idx),
-                )
-            )
-    return groups
+    table = as_table(predictions)
+    order, owner = _greedy(table, iou_threshold, _claims)
+    rows = table.rows() if table is predictions else predictions
+    return [
+        PredictionGroup(tuple(map(rows.__getitem__, members)), members.index(seed))
+        for seed, members in _groups(order, owner)
+    ]
 
 
 def fuse_group(group: PredictionGroup) -> Prediction:
@@ -162,17 +203,20 @@ def fuse_group(group: PredictionGroup) -> Prediction:
 
 
 def ensemble(
-    prediction_sets: Sequence[Sequence[Prediction]],
+    prediction_sets: Sequence[Predictions],
     iou_threshold: float = 0.5,
-) -> list[Prediction]:
+) -> list[Prediction] | PredictionTable:
     """Suppress each model's predictions, concatenate in set order, group the
     concatenation, and fuse each group.  Output is sorted by
-    (image_id, category_id, descending score)."""
+    (image_id, category_id, descending score): a table when every set is a
+    table, else a list."""
     _check_iou_threshold(iou_threshold)
     if not prediction_sets:
         raise ValidationError("ensemble needs at least one prediction set")
-    concatenated: list[Prediction] = []
-    for model_predictions in prediction_sets:
-        concatenated.extend(nms(model_predictions, iou_threshold))
-    groups = group_predictions(concatenated, iou_threshold)
-    return [fuse_group(group) for group in groups]
+    concatenated = PredictionTable.concat(
+        [nms(as_table(predictions), iou_threshold) for predictions in prediction_sets]
+    )
+    fused = [fuse_group(group) for group in group_predictions(concatenated, iou_threshold)]
+    if all(isinstance(predictions, PredictionTable) for predictions in prediction_sets):
+        return PredictionTable.from_rows(fused)
+    return fused

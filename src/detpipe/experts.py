@@ -22,6 +22,7 @@ from .records import (
     Prediction,
     VerificationTable,
 )
+from .table import PredictionTable, Predictions, as_table, select
 from .training import SplitMix64
 
 __all__ = [
@@ -202,9 +203,15 @@ def filter_for_expert(
     return kept_gts, VerificationTable(entries), kept_images
 
 
-def restrict_predictions(
-    predictions: Sequence[Prediction], group: CategoryGroup
-) -> list[Prediction]:
-    """Keep only predictions whose category the group covers; order preserved."""
+def _restricted_rows(table: PredictionTable, group: CategoryGroup) -> np.ndarray:
     wanted = set(group.categories)
-    return [p for p in predictions if p.category_id in wanted]
+    covered = np.array([c in wanted for c in table.category_ids], dtype=bool)
+    return np.flatnonzero(covered[table.category_codes])
+
+
+def restrict_predictions(
+    predictions: Predictions, group: CategoryGroup
+) -> list[Prediction] | PredictionTable:
+    """Keep only predictions whose category the group covers; order
+    preserved.  A table gives a table, rows a list."""
+    return select(predictions, _restricted_rows(as_table(predictions), group))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +47,9 @@ from .records import (
     Roi,
     RoiPool,
     VerificationTable,
+    _check_id,
 )
+from .table import PredictionTable, Predictions, as_table
 
 __all__ = [
     "PREDICTIONS_HEADER",
@@ -63,10 +66,10 @@ __all__ = [
     "LOGITS_HEADER",
     "EVAL_REPORT_HEADER",
     "TRIM_REPORT_HEADER",
+    "parse_prediction_table",
     "parse_predictions",
     "write_predictions",
     "serialized_size",
-    "prediction_row_size",
     "empty_predictions_size",
     "parse_ground_truth",
     "write_ground_truth",
@@ -140,8 +143,9 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _csv_lines(data: bytes | str, header: str):
-    """Yield (line_number, line) for data rows after validating the header."""
+def _data_lines(data: bytes | str, header: str) -> list[str]:
+    """The lines after the header, the first being line 2, once the file is
+    valid UTF-8 without carriage returns and its header matches."""
     text = _decode(data)
     if "\r" in text:
         raise ParseError(1, "carriage returns are not allowed; files are LF-terminated")
@@ -152,7 +156,13 @@ def _csv_lines(data: bytes | str, header: str):
         raise ParseError(1, f"missing header; expected {header!r}")
     if lines[0] != header:
         raise ParseError(1, f"bad header {lines[0]!r}; expected {header!r}")
-    for number, line in enumerate(lines[1:], start=2):
+    del lines[0]
+    return lines
+
+
+def _csv_lines(data: bytes | str, header: str):
+    """Yield (line_number, line) for data rows after validating the header."""
+    for number, line in enumerate(_data_lines(data, header), start=2):
         if line == "":
             raise ParseError(number, "empty line")
         yield number, line
@@ -177,6 +187,13 @@ def _parse_int(text: str, line_number: int, name: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ParseError(line_number, f"bad {name} {text!r}") from exc
+
+
+def _parse_id(text: str, line_number: int, name: str) -> None:
+    try:
+        _check_id(name, text)
+    except ValidationError as exc:
+        raise ParseError(line_number, str(exc)) from exc
 
 
 def _parse_box(fields: Sequence[str], line_number: int) -> Box:
@@ -249,35 +266,125 @@ def _check_mask_dimensions(
 
 # -- predictions --------------------------------------------------------------
 
+# Rows parsed per vectorized step: enough to spread numpy's per-call cost,
+# few enough that one chunk's field tokens stay within a few megabytes.
+_CHUNK_LINES = 4096
+
+
+def _parse_prediction_line(
+    number: int, line: str, image_sizes: Mapping[str, tuple[int, int]] | None
+) -> Prediction:
+    """One row, field by field: the source of every row's ParseError."""
+    if line == "":
+        raise ParseError(number, "empty line")
+    parts = _split(line, number, 10)
+    mask = _parse_mask_fields(parts[7:10], number)
+    _check_mask_dimensions(mask, parts[0], image_sizes, number)
+    box = _parse_box(parts[3:7], number)
+    score = _parse_float(parts[2], number, "score")
+    try:
+        return Prediction(parts[0], parts[1], score, box, mask)
+    except ValidationError as exc:
+        raise ParseError(number, str(exc)) from exc
+
+
+def _parse_box_only_chunk(lines: list[str]) -> PredictionTable | None:
+    """The table of a chunk of box-only rows that all pass the record
+    checks; None for any other chunk.  Numbers go through float(), as in
+    the row-by-row parse."""
+    n = len(lines)
+    # Nine commas and a line ending in ",,,": ten fields, the mask's empty.
+    if (
+        list(map(str.count, lines, repeat(",", n))).count(9) != n
+        or sum(map(str.endswith, lines, repeat(",,,", n))) != n
+    ):
+        return None
+    tokens = ",".join(lines).split(",")
+    images, categories = tokens[0::10], tokens[1::10]
+    if "" in images or "" in categories:
+        return None
+    try:
+        numbers = np.array([list(map(float, tokens[k::10])) for k in range(2, 7)])
+    except ValueError:
+        return None
+    score, x_min, y_min, x_max, y_max = numbers
+    # Box's and Prediction's accept tests, column by column; a sum that
+    # overflows fails here and the row-by-row parse judges the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (
+            np.all((0.0 <= score) & (score <= 1.0))
+            and np.all(x_min <= x_max)
+            and np.all(y_min <= y_max)
+            and np.all(np.isfinite(x_min + y_min + x_max + y_max))
+        ):
+            return None
+    return PredictionTable.from_columns(images, categories, score, numbers[1:].T, [None] * n)
+
+
+def parse_prediction_table(
+    data: bytes | str,
+    image_sizes: Mapping[str, tuple[int, int]] | None = None,
+) -> PredictionTable:
+    """Parse a predictions file into a table; mask dimensions are
+    cross-checked against image_sizes when a table is supplied.
+
+    Rows are parsed a chunk at a time.  A chunk of valid box-only rows is
+    parsed column by column; any other chunk (one with masks, or one that
+    fails a check) is parsed row by row, so the first bad row reports its
+    own line."""
+    lines = _data_lines(data, PREDICTIONS_HEADER)
+    tables = []
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        table = _parse_box_only_chunk(chunk)
+        if table is None:
+            table = PredictionTable.from_rows(
+                [
+                    _parse_prediction_line(number, line, image_sizes)
+                    for number, line in enumerate(chunk, start + 2)
+                ]
+            )
+        tables.append(table)
+    return PredictionTable.concat(tables or [PredictionTable.from_rows([])])
+
 
 def parse_predictions(
     data: bytes | str,
     image_sizes: Mapping[str, tuple[int, int]] | None = None,
 ) -> list[Prediction]:
-    """Parse a predictions file; mask dimensions are cross-checked against
-    image_sizes when a table is supplied."""
-    out: list[Prediction] = []
-    for number, line in _csv_lines(data, PREDICTIONS_HEADER):
-        parts = _split(line, number, 10)
-        mask = _parse_mask_fields(parts[7:10], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
-        box = _parse_box(parts[3:7], number)
-        score = _parse_float(parts[2], number, "score")
-        try:
-            out.append(Prediction(parts[0], parts[1], score, box, mask))
-        except ValidationError as exc:
-            raise ParseError(number, str(exc)) from exc
-    return out
+    """Parse a predictions file into rows; see parse_prediction_table."""
+    return parse_prediction_table(data, image_sizes).rows()
 
 
-def _prediction_row(p: Prediction) -> str:
-    return ",".join(
-        (p.image_id, p.category_id, repr(p.score), _box_fields(p.box), _mask_fields(p.mask))
-    )
+def _prediction_lines(table: PredictionTable) -> list[str]:
+    """Each row's CSV line, without its LF.  Formatted once per table and
+    kept in ``table.lines``; floats are written with repr(), the shortest
+    string that round-trips."""
+    if table.lines is None:
+        coordinates = map(repr, table.boxes.ravel().tolist())
+        table.lines = list(
+            map(
+                ",".join,
+                zip(
+                    map(table.image_ids.__getitem__, table.image_codes.tolist()),
+                    map(table.category_ids.__getitem__, table.category_codes.tolist()),
+                    map(repr, table.scores.tolist()),
+                    map(",".join, zip(*[coordinates] * 4)),
+                    map(_mask_fields, table.masks),
+                ),
+            )
+        )
+    return table.lines
 
 
-def write_predictions(predictions: Sequence[Prediction]) -> bytes:
-    return _table(PREDICTIONS_HEADER, map(_prediction_row, predictions))
+def _prediction_row_sizes(table: PredictionTable) -> np.ndarray:
+    """Byte length each row contributes to the serialized file."""
+    lines = _prediction_lines(table)
+    return np.fromiter(map(len, map(str.encode, lines)), np.int64, len(lines)) + 1
+
+
+def write_predictions(predictions: Predictions) -> bytes:
+    return _table(PREDICTIONS_HEADER, _prediction_lines(as_table(predictions)))
 
 
 def empty_predictions_size() -> int:
@@ -285,14 +392,9 @@ def empty_predictions_size() -> int:
     return len(PREDICTIONS_HEADER.encode("utf-8")) + 1
 
 
-def prediction_row_size(p: Prediction) -> int:
-    """Byte length one prediction contributes to the serialized file."""
-    return len(_prediction_row(p).encode("utf-8")) + 1
-
-
-def serialized_size(predictions: Sequence[Prediction]) -> int:
+def serialized_size(predictions: Predictions) -> int:
     """Exact byte length write_predictions() would produce."""
-    return empty_predictions_size() + sum(prediction_row_size(p) for p in predictions)
+    return empty_predictions_size() + int(_prediction_row_sizes(as_table(predictions)).sum())
 
 
 # -- ground truth --------------------------------------------------------------
@@ -332,6 +434,8 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     entries: dict[tuple[str, str], int] = {}
     for number, line in _csv_lines(data, VERIFICATION_HEADER):
         parts = _split(line, number, 3)
+        _parse_id(parts[0], number, "image_id")
+        _parse_id(parts[1], number, "category_id")
         if parts[2] not in ("1", "-1"):
             raise ParseError(number, f"verification must be 1 or -1, got {parts[2]!r}")
         key = (parts[0], parts[1])
@@ -342,10 +446,7 @@ def parse_verification(data: bytes | str) -> VerificationTable:
                 f"conflicting verification for image {key[0]!r}, category {key[1]!r}",
             )
         entries[key] = sign
-    try:
-        return VerificationTable(entries)
-    except ValidationError as exc:
-        raise ParseError(1, str(exc)) from exc
+    return VerificationTable(entries)
 
 
 def write_verification(table: VerificationTable) -> bytes:
@@ -366,6 +467,8 @@ def parse_hierarchy(
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(1, "invalid JSON: nested too deeply") from exc
     if not isinstance(raw, list):
         raise ParseError(1, "hierarchy must be a JSON list of {child, parent} objects")
     edges = []
@@ -395,6 +498,7 @@ def parse_category_stats(data: bytes | str) -> CategoryStats:
     counts: dict[str, int] = {}
     for number, line in _csv_lines(data, STATS_HEADER):
         parts = _split(line, number, 2)
+        _parse_id(parts[0], number, "category_id")
         if parts[0] in counts:
             raise ParseError(number, f"duplicate category {parts[0]!r}")
         count = _parse_int(parts[1], number, "count")
@@ -419,6 +523,7 @@ def parse_roi_pool(
     images: dict[str, list[Roi]] = {}
     for number, line in _csv_lines(data, ROI_POOL_HEADER):
         parts = _split(line, number, 6)
+        _parse_id(parts[0], number, "image_id")
         objectness = None
         if parts[5] != "":
             objectness = _parse_float(parts[5], number, "objectness")

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
-from .fileio import empty_predictions_size, prediction_row_size
+from .fileio import _prediction_row_sizes, empty_predictions_size
 from .geometry import mask_area
 from .records import Prediction
+from .table import PredictionTable, Predictions, as_table, select
 
 __all__ = [
     "DEFAULT_MIN_MASK_AREA",
@@ -49,60 +50,74 @@ class TrimReport:
         return sum(self.removed.values())
 
 
+def _kept_mask_rows(table: PredictionTable, min_area: int) -> np.ndarray:
+    return np.flatnonzero([m is None or mask_area(m) >= min_area for m in table.masks])
+
+
 def drop_small_masks(
-    predictions: Sequence[Prediction], min_area: int = DEFAULT_MIN_MASK_AREA
-) -> list[Prediction]:
+    predictions: Predictions, min_area: int = DEFAULT_MIN_MASK_AREA
+) -> list[Prediction] | PredictionTable:
     """Remove exactly the predictions whose mask covers fewer than min_area
-    pixels; box-only predictions always pass.  Order is preserved."""
-    return [
-        p for p in predictions if p.mask is None or mask_area(p.mask) >= min_area
-    ]
+    pixels; box-only predictions always pass.  Order is preserved; a table
+    gives a table, rows a list."""
+    return select(predictions, _kept_mask_rows(as_table(predictions), min_area))
 
 
-def trim_to_budget(
-    predictions: Sequence[Prediction], max_bytes: int = DEFAULT_BYTE_BUDGET
-) -> tuple[list[Prediction], TrimReport]:
-    """Drop predictions until the serialized file fits in max_bytes.
+def _trim(table: PredictionTable, max_bytes: int) -> tuple[np.ndarray, TrimReport]:
+    """The rows trim_to_budget keeps, in row order, and its report.
 
-    One prediction is removed per step: from the category with the most
-    remaining predictions (ties: lexicographically smallest category id), its
-    lowest-score prediction goes first (ties: latest in input order).
-    Survivors keep their input order.
+    The greedy removal order is known up front: a category's k-th lowest
+    prediction leaves when k predictions of it remain, and among removals at
+    the same remaining count the smallest category id goes first.  So sort
+    every row by (its category's remaining count when it leaves, descending;
+    category id) and remove the shortest prefix that frees enough bytes.
     """
     header_bytes = empty_predictions_size()
     if max_bytes < header_bytes:
         raise ValidationError(
             f"byte budget {max_bytes} is smaller than the header ({header_bytes} bytes)"
         )
-    row_sizes = [prediction_row_size(p) for p in predictions]
-    total = header_bytes + sum(row_sizes)
-    removed_flags = [False] * len(predictions)
-    removed_counts: dict[str, int] = {}
-    remaining: dict[str, int] = {}
-    removal_order: dict[str, list[int]] = {}
-    for index, p in enumerate(predictions):
-        removed_counts.setdefault(p.category_id, 0)
-        remaining[p.category_id] = remaining.get(p.category_id, 0) + 1
-        removal_order.setdefault(p.category_id, []).append(index)
-    for category_id, indices in removal_order.items():
-        # Pop-from-the-back order: lowest score first, latest input index first.
-        indices.sort(key=lambda i: (-predictions[i].score, i))
-    heap: list[tuple[int, str]] = [
-        (-count, category_id) for category_id, count in remaining.items()
-    ]
-    heapq.heapify(heap)
-    while total > max_bytes:
-        while True:
-            neg_count, category_id = heap[0]
-            if remaining[category_id] == -neg_count:
-                break
-            heapq.heappop(heap)  # stale entry
-        victim = removal_order[category_id].pop()
-        removed_flags[victim] = True
-        total -= row_sizes[victim]
-        remaining[category_id] -= 1
-        removed_counts[category_id] += 1
-        heapq.heapreplace(heap, (-remaining[category_id], category_id))
-    survivors = [p for i, p in enumerate(predictions) if not removed_flags[i]]
-    report = TrimReport(removed=removed_counts, final_bytes=total, budget=max_bytes)
-    return survivors, report
+    sizes = _prediction_row_sizes(table)
+    total = header_bytes + int(sizes.sum())
+    n = len(table)
+    codes = table.category_codes
+    # Per category by descending score, ties by row index: the last leaves first.
+    order = np.lexsort((-table.scores, codes))
+    ordered_codes = codes[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ordered_codes[1:] != ordered_codes[:-1]
+    positions = np.arange(n)
+    # A row's rank in that order is its category's remaining count, less one,
+    # when the row leaves.
+    rank = positions - np.maximum.accumulate(np.where(starts, positions, 0))
+    removal = order[np.lexsort((ordered_codes, -rank))]
+    removed = removal[:0]
+    if total > max_bytes:
+        freed = np.cumsum(sizes[removal])
+        count = int(np.searchsorted(freed, total - max_bytes)) + 1
+        removed = removal[:count]
+        total -= int(freed[count - 1])
+    present = np.bincount(codes, minlength=len(table.category_ids))
+    counts = np.bincount(codes[removed], minlength=len(table.category_ids))
+    report = TrimReport(
+        removed={table.category_ids[c]: int(counts[c]) for c in np.flatnonzero(present)},
+        final_bytes=total,
+        budget=max_bytes,
+    )
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    return np.flatnonzero(keep), report
+
+
+def trim_to_budget(
+    predictions: Predictions, max_bytes: int = DEFAULT_BYTE_BUDGET
+) -> tuple[list[Prediction] | PredictionTable, TrimReport]:
+    """Drop predictions until the serialized file fits in max_bytes.
+
+    One prediction is removed per step: from the category with the most
+    remaining predictions (ties: lexicographically smallest category id), its
+    lowest-score prediction goes first (ties: latest in input order).
+    Survivors keep their input order: a table for a table, else a list.
+    """
+    kept, report = _trim(as_table(predictions), max_bytes)
+    return select(predictions, kept), report

@@ -1,0 +1,181 @@
+"""A predictions file held column by column.
+
+``PredictionTable`` stores one row per prediction in arrays: image and
+category ids interned to integer codes (assigned in sorted string order, so
+code order is id order), scores as float64 ``[N]``, boxes as float64
+``[N, 4]`` (x_min, y_min, x_max, y_max) and one ``BinaryMask | None`` per row.
+``Prediction`` is the row type; ``rows()`` and ``row(i)`` build row views on
+demand.  The prediction functions of ``fileio``, ``ensemble``, ``experts``
+and ``postprocess`` take a table or a list of rows: they convert a list with
+``as_table`` and run the same table code, and those that return predictions
+hand back a table for a table (``select``).  The CLI's prediction stages pass
+tables from parse to write.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from .geometry import BinaryMask, Box
+from .records import Prediction
+
+__all__ = ["PredictionTable", "Predictions", "as_table", "select"]
+
+
+def _intern(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct ids and each id's code, its index among them."""
+    vocabulary = tuple(sorted(set(ids)))
+    code = {value: index for index, value in enumerate(vocabulary)}
+    return vocabulary, np.fromiter(map(code.__getitem__, ids), np.int32, len(ids))
+
+
+class PredictionTable:
+    """Columns of a predictions file.  The constructors trust their columns:
+    the parser calls ``from_columns`` only on rows that pass the record
+    checks, ``from_rows`` takes rows that are records already, and ``take``
+    and ``concat`` take rows of other tables.
+
+    ``lines`` is the CSV line of each row once ``fileio`` has formatted
+    them, and None before; ``take`` carries it along, so ``trim`` sizes rows
+    from the same lines the writer joins.
+    """
+
+    __slots__ = (
+        "image_ids",
+        "category_ids",
+        "image_codes",
+        "category_codes",
+        "scores",
+        "boxes",
+        "masks",
+        "lines",
+    )
+
+    def __init__(
+        self,
+        image_ids: tuple[str, ...],
+        category_ids: tuple[str, ...],
+        image_codes: np.ndarray,
+        category_codes: np.ndarray,
+        scores: np.ndarray,
+        boxes: np.ndarray,
+        masks: list[BinaryMask | None],
+        lines: list[str] | None = None,
+    ) -> None:
+        self.image_ids = image_ids
+        self.category_ids = category_ids
+        self.image_codes = image_codes
+        self.category_codes = category_codes
+        self.scores = scores
+        self.boxes = boxes
+        self.masks = masks
+        self.lines = lines
+
+    @classmethod
+    def from_columns(
+        cls,
+        image_ids: Sequence[str],
+        category_ids: Sequence[str],
+        scores: np.ndarray,
+        boxes: np.ndarray,
+        masks: list[BinaryMask | None],
+    ) -> PredictionTable:
+        """A table of per-row ids, which it interns, and the other columns."""
+        images, image_codes = _intern(image_ids)
+        categories, category_codes = _intern(category_ids)
+        return cls(images, categories, image_codes, category_codes, scores, boxes, masks)
+
+    @classmethod
+    def from_rows(cls, predictions: Sequence[Prediction]) -> PredictionTable:
+        boxes = [(p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max) for p in predictions]
+        return cls.from_columns(
+            [p.image_id for p in predictions],
+            [p.category_id for p in predictions],
+            np.fromiter((p.score for p in predictions), np.float64, len(predictions)),
+            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            [p.mask for p in predictions],
+        )
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def row(self, index: int) -> Prediction:
+        x_min, y_min, x_max, y_max = self.boxes[index].tolist()
+        return Prediction(
+            self.image_ids[self.image_codes[index]],
+            self.category_ids[self.category_codes[index]],
+            float(self.scores[index]),
+            Box(x_min, y_min, x_max, y_max),
+            self.masks[index],
+        )
+
+    def rows(self) -> list[Prediction]:
+        images = list(map(self.image_ids.__getitem__, self.image_codes.tolist()))
+        categories = list(map(self.category_ids.__getitem__, self.category_codes.tolist()))
+        boxes = [Box(*box) for box in self.boxes.tolist()]
+        return list(map(Prediction, images, categories, self.scores.tolist(), boxes, self.masks))
+
+    def take(self, indices: np.ndarray) -> PredictionTable:
+        """The rows at the given indices, in that order."""
+        picked = indices.tolist()
+        return PredictionTable(
+            self.image_ids,
+            self.category_ids,
+            self.image_codes[indices],
+            self.category_codes[indices],
+            self.scores[indices],
+            self.boxes[indices],
+            [self.masks[i] for i in picked],
+            None if self.lines is None else [self.lines[i] for i in picked],
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence[PredictionTable]) -> PredictionTable:
+        """The rows of every table, in table order, over one vocabulary."""
+        image_ids, image_codes = _merge_codes(
+            [t.image_ids for t in tables], [t.image_codes for t in tables]
+        )
+        category_ids, category_codes = _merge_codes(
+            [t.category_ids for t in tables], [t.category_codes for t in tables]
+        )
+        return cls(
+            image_ids,
+            category_ids,
+            image_codes,
+            category_codes,
+            np.concatenate([t.scores for t in tables]),
+            np.concatenate([t.boxes for t in tables]),
+            [mask for t in tables for mask in t.masks],
+        )
+
+
+# A predictions argument: a table, or rows.
+Predictions = Sequence[Prediction] | PredictionTable
+
+
+def as_table(predictions: Predictions) -> PredictionTable:
+    """The table itself, or a table of the given rows."""
+    if isinstance(predictions, PredictionTable):
+        return predictions
+    return PredictionTable.from_rows(predictions)
+
+
+def select(predictions: Predictions, indices: np.ndarray) -> list[Prediction] | PredictionTable:
+    """The rows at indices, in that order: a table for a table, else a list
+    of the caller's own row objects."""
+    if isinstance(predictions, PredictionTable):
+        return predictions.take(indices)
+    return [predictions[i] for i in indices.tolist()]
+
+
+def _merge_codes(vocabularies, codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """One sorted vocabulary over several, and every codes array recoded to it."""
+    merged = tuple(sorted(set().union(*vocabularies)))
+    code = {value: index for index, value in enumerate(merged)}
+    recoded = [
+        np.array([code[value] for value in vocabulary], dtype=np.int32)[old]
+        for vocabulary, old in zip(vocabularies, codes)
+    ]
+    return merged, np.concatenate(recoded)

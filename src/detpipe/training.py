@@ -155,7 +155,10 @@ def base_lr(batch_size: int) -> float:
     """Initial learning rate: 0.00125 per example in the batch."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    return 0.00125 * batch_size
+    try:
+        return 0.00125 * batch_size
+    except OverflowError as exc:
+        raise ValidationError("batch_size is too large to convert to a float") from exc
 
 
 def cosine_lr(progress: float, eta0: float) -> float:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +109,58 @@ class TestExitCodes:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_batch_size_too_large_for_a_float(self, capsys):
+        assert cli.run(["lr", "--batch-size", "1" + "0" * 400, "--at", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error\tValidationError\tbatch_size is too large to convert to a float\n"
+        )
+
+    @staticmethod
+    def run_with_small_address_space(argv, cwd):
+        """Run the CLI in a child limited to 512 MB of address space, so an
+        attempt to allocate per partition fails fast instead of filling the
+        machine's memory."""
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from detpipe import cli\n"
+            f"sys.exit(cli.run({argv!r}))\n"
+        )
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+        }
+        return subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    def test_partition_count_above_the_pool_limit(self, tmp_path):
+        # Any partition past the per-image pool limit is empty for every image.
+        huge = "100000000000000000000"
+        message = (
+            "number of partitions must be at most 16000, the per-image pool limit, "
+            f"got {huge}"
+        )
+        pool = write(tmp_path / "pool.csv", fileio.write_roi_pool(RoiPool({})))
+        argv = ["partition-pool", "--rois", str(pool), "--k", huge, "--out-prefix", "part_"]
+        child = self.run_with_small_address_space(argv, tmp_path)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == f"error\tValidationError\t{message}\n"
+        config = write(
+            tmp_path / "config.ini",
+            f"[partition-pool]\nrois = {pool}\nk = {huge}\nout-prefix = part_\n".encode(),
+        )
+        argv = ["pipeline", "--config", str(config), "--run-dir", str(tmp_path / "run")]
+        child = self.run_with_small_address_space(argv, tmp_path)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == f"error\tValidationError\tstage 'partition-pool': {message}\n"
+        assert sorted(tmp_path.iterdir()) == sorted([pool, config])
+
 
 class TestParseErrors:
-    """A field that is not a number is reported with its line, once."""
+    """A bad field is reported with its line, once."""
 
     def assert_one_error(self, capsys, argv, message):
         assert cli.run(argv) == 1
@@ -148,6 +200,73 @@ class TestParseErrors:
         prefix = str(tmp_path / "p")
         argv = ["partition-pool", "--rois", str(pool), "--k", "2", "--out-prefix", prefix]
         self.assert_one_error(capsys, argv, "line 3: bad x_min 'zz'")
+
+    def test_empty_verification_id(self, tmp_path, capsys):
+        _, _, _, paths = small_world(tmp_path)
+        write(paths["ver"], fileio.VERIFICATION_HEADER.encode() + b"\nim1,c1,1\n,c2,-1\n")
+        groups = write(tmp_path / "groups.csv", fileio.GROUPS_HEADER.encode() + b"\n0,c1\n")
+        argv = [
+            "filter-expert",
+            "--ground-truth",
+            str(paths["gt"]),
+            "--verification",
+            str(paths["ver"]),
+            "--group-file",
+            str(groups),
+            "--out-ground-truth",
+            str(tmp_path / "gt_out.csv"),
+            "--out-verification",
+            str(tmp_path / "ver_out.csv"),
+            "--out-images",
+            str(tmp_path / "images.csv"),
+        ]
+        self.assert_one_error(capsys, argv, "line 3: image_id must be a non-empty string, got ''")
+
+    def test_empty_roi_image_id(self, tmp_path, capsys):
+        data = fileio.ROI_POOL_HEADER.encode() + b"\nim1,0,0,5,5,\n,1,0,5,5,0.5\n"
+        pool = write(tmp_path / "pool.csv", data)
+        prefix = str(tmp_path / "p")
+        argv = ["partition-pool", "--rois", str(pool), "--k", "2", "--out-prefix", prefix]
+        self.assert_one_error(capsys, argv, "line 3: image_id must be a non-empty string, got ''")
+
+    def test_empty_stats_category_id(self, tmp_path, capsys):
+        stats = write(tmp_path / "stats.csv", fileio.STATS_HEADER.encode() + b"\nc1,3\n,4\n")
+        argv = [
+            "split-experts",
+            "--by",
+            "rank",
+            "--stats",
+            str(stats),
+            "--start-rank",
+            "0",
+            "--end-rank",
+            "1",
+            "--num-experts",
+            "1",
+            "--out",
+            str(tmp_path / "groups.csv"),
+        ]
+        self.assert_one_error(
+            capsys, argv, "line 3: category_id must be a non-empty string, got ''"
+        )
+
+    def test_deeply_nested_hierarchy(self, tmp_path, capsys):
+        _, _, _, paths = small_world(tmp_path)
+        write(paths["hier"], b"[" * 200_000 + b"]" * 200_000)
+        argv = [
+            "eval",
+            "--predictions",
+            str(paths["preds"]),
+            "--ground-truth",
+            str(paths["gt"]),
+            "--verification",
+            str(paths["ver"]),
+            "--hierarchy",
+            str(paths["hier"]),
+            "--out-report",
+            str(tmp_path / "report.csv"),
+        ]
+        self.assert_one_error(capsys, argv, "line 1: invalid JSON: nested too deeply")
 
 
 class TestSubcommands:

@@ -1,0 +1,547 @@
+"""The columnar predictions table, checked against the per-row code it
+replaced.  The references below are the row-at-a-time bodies of
+parse_predictions, write_predictions, nms, group_predictions, ensemble,
+drop_small_masks, restrict_predictions and trim_to_budget as they were before
+the table; the library functions must give the same values, in the same
+order, the same bytes and the same ParseError line and message."""
+
+import heapq
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from detpipe import (
+    Box,
+    CategoryGroup,
+    ParseError,
+    Prediction,
+    PredictionGroup,
+    TrimReport,
+    ValidationError,
+    box_iou,
+    drop_small_masks,
+    ensemble,
+    fileio,
+    fuse_group,
+    group_predictions,
+    mask_area,
+    mask_encode,
+    nms,
+    restrict_predictions,
+    trim_to_budget,
+)
+from detpipe.fileio import (
+    PREDICTIONS_HEADER,
+    _box_fields,
+    _check_mask_dimensions,
+    _csv_lines,
+    _mask_fields,
+    _parse_box,
+    _parse_float,
+    _parse_mask_fields,
+    _split,
+    _table,
+)
+from detpipe.geometry import _check_iou_threshold
+from detpipe.table import PredictionTable
+
+# -- references ------------------------------------------------------------------
+
+
+def parse_predictions_ref(data, image_sizes=None):
+    out = []
+    for number, line in _csv_lines(data, PREDICTIONS_HEADER):
+        parts = _split(line, number, 10)
+        mask = _parse_mask_fields(parts[7:10], number)
+        _check_mask_dimensions(mask, parts[0], image_sizes, number)
+        box = _parse_box(parts[3:7], number)
+        score = _parse_float(parts[2], number, "score")
+        try:
+            out.append(Prediction(parts[0], parts[1], score, box, mask))
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from exc
+    return out
+
+
+def prediction_row_ref(p):
+    return ",".join(
+        (p.image_id, p.category_id, repr(p.score), _box_fields(p.box), _mask_fields(p.mask))
+    )
+
+
+def write_predictions_ref(predictions):
+    return _table(PREDICTIONS_HEADER, map(prediction_row_ref, predictions))
+
+
+def strata_ref(predictions):
+    buckets = {}
+    for index, p in enumerate(predictions):
+        buckets.setdefault((p.image_id, p.category_id), []).append(index)
+    for key in sorted(buckets):
+        yield buckets[key]
+
+
+def nms_ref(predictions, iou_threshold=0.5):
+    _check_iou_threshold(iou_threshold)
+    kept = []
+    for stratum in strata_ref(predictions):
+        order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
+        kept_boxes = []
+        for index in order:
+            box = predictions[index].box
+            if all(box_iou(box, other) < iou_threshold for other in kept_boxes):
+                kept_boxes.append(box)
+                kept.append(predictions[index])
+    return kept
+
+
+def group_predictions_ref(predictions, iou_threshold=0.5):
+    _check_iou_threshold(iou_threshold)
+    groups = []
+    for stratum in strata_ref(predictions):
+        order = sorted(stratum, key=lambda i: (-predictions[i].score, i))
+        claimed = set()
+        for seed_idx in order:
+            if seed_idx in claimed:
+                continue
+            seed_box = predictions[seed_idx].box
+            member_indices = [seed_idx]
+            claimed.add(seed_idx)
+            for other in stratum:
+                if other in claimed:
+                    continue
+                if box_iou(predictions[other].box, seed_box) >= iou_threshold:
+                    member_indices.append(other)
+                    claimed.add(other)
+            member_indices.sort()
+            groups.append(
+                PredictionGroup(
+                    members=tuple(predictions[i] for i in member_indices),
+                    seed_index=member_indices.index(seed_idx),
+                )
+            )
+    return groups
+
+
+def ensemble_ref(prediction_sets, iou_threshold=0.5):
+    _check_iou_threshold(iou_threshold)
+    if not prediction_sets:
+        raise ValidationError("ensemble needs at least one prediction set")
+    concatenated = []
+    for model_predictions in prediction_sets:
+        concatenated.extend(nms_ref(model_predictions, iou_threshold))
+    groups = group_predictions_ref(concatenated, iou_threshold)
+    return [fuse_group(group) for group in groups]
+
+
+def drop_small_masks_ref(predictions, min_area):
+    return [p for p in predictions if p.mask is None or mask_area(p.mask) >= min_area]
+
+
+def restrict_predictions_ref(predictions, group):
+    wanted = set(group.categories)
+    return [p for p in predictions if p.category_id in wanted]
+
+
+def trim_to_budget_ref(predictions, max_bytes):
+    header_bytes = fileio.empty_predictions_size()
+    if max_bytes < header_bytes:
+        raise ValidationError(
+            f"byte budget {max_bytes} is smaller than the header ({header_bytes} bytes)"
+        )
+    row_sizes = [len(prediction_row_ref(p).encode("utf-8")) + 1 for p in predictions]
+    total = header_bytes + sum(row_sizes)
+    removed_flags = [False] * len(predictions)
+    removed_counts = {}
+    remaining = {}
+    removal_order = {}
+    for index, p in enumerate(predictions):
+        removed_counts.setdefault(p.category_id, 0)
+        remaining[p.category_id] = remaining.get(p.category_id, 0) + 1
+        removal_order.setdefault(p.category_id, []).append(index)
+    for category_id, indices in removal_order.items():
+        indices.sort(key=lambda i: (-predictions[i].score, i))
+    heap = [(-count, category_id) for category_id, count in remaining.items()]
+    heapq.heapify(heap)
+    while total > max_bytes:
+        while True:
+            neg_count, category_id = heap[0]
+            if remaining[category_id] == -neg_count:
+                break
+            heapq.heappop(heap)
+        victim = removal_order[category_id].pop()
+        removed_flags[victim] = True
+        total -= row_sizes[victim]
+        remaining[category_id] -= 1
+        removed_counts[category_id] += 1
+        heapq.heapreplace(heap, (-remaining[category_id], category_id))
+    survivors = [p for i, p in enumerate(predictions) if not removed_flags[i]]
+    return survivors, TrimReport(removed=removed_counts, final_bytes=total, budget=max_bytes)
+
+
+def outcome(fn, *args):
+    """The call's result, or its error type and message."""
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_rows(actual, expected):
+    """Equal records with equal repr, so -0.0 and 0.0 differ."""
+    assert actual == expected
+    assert list(map(repr, actual)) == list(map(repr, expected))
+    assert all(type(p.score) is float for p in actual)
+
+
+# -- strategies --------------------------------------------------------------------
+
+MASK_SIZE = (4, 3)
+IDS = ["a", "b", "é", "日本", "img 1"]
+# (token, value) pairs that float() accepts; several spell one value.
+SCORE_TOKENS = [
+    ("0", 0.0), ("1", 1.0), ("0.5", 0.5), (" 0.5", 0.5), ("0.5 ", 0.5),
+    ("0.5000000000000001", 0.5000000000000001), ("-0.0", -0.0), ("1e-5", 1e-5),
+    ("0.25", 0.25), ("١", 1.0),
+]
+COORDINATE_TOKENS = [
+    ("0", 0.0), ("1", 1.0), ("2.5", 2.5), ("1_0", 10.0), (" 3", 3.0), ("3 ", 3.0),
+    ("1e308", 1e308), ("-1e308", -1e308), ("0.1", 0.1), ("-0.0", -0.0),
+]
+BAD_NUMBER_TOKENS = ["nan", "inf", "-inf", "1e999", "abc", "", "1__0"]
+
+
+@st.composite
+def masks(draw):
+    bits = draw(st.lists(st.integers(0, 1), min_size=12, max_size=12))
+    return mask_encode(np.array(bits, dtype=np.uint8).reshape(MASK_SIZE[1], MASK_SIZE[0]))
+
+
+def valid_fields(draw):
+    """The eight fields (the mask's three as one) of a row every parser
+    accepts, with token spellings float() accepts."""
+    corners = st.lists(st.sampled_from(COORDINATE_TOKENS), min_size=2, max_size=2)
+    x = sorted(draw(corners), key=lambda token: token[1])
+    y = sorted(draw(corners), key=lambda token: token[1])
+    return [
+        draw(st.sampled_from(IDS)),
+        draw(st.sampled_from(IDS)),
+        draw(st.sampled_from(SCORE_TOKENS))[0],
+        x[0][0],
+        y[0][0],
+        x[1][0],
+        y[1][0],
+        _mask_fields(draw(masks())) if draw(st.booleans()) else ",,",
+    ]
+
+
+@st.composite
+def valid_rows(draw):
+    return ",".join(valid_fields(draw))
+
+
+@st.composite
+def wild_rows(draw):
+    """A valid row with one defect, each aimed at one check; a few defects
+    (four 1e308 coordinates, equal corners swapped) leave the row valid."""
+    fields = valid_fields(draw)
+    defect = draw(
+        st.sampled_from(
+            ["empty", "short", "long", "id", "score", "coordinate", "x", "y", "mask", "huge"]
+        )
+    )
+    if defect == "empty":
+        return ""
+    if defect == "id":
+        fields[draw(st.integers(0, 1))] = ""
+    elif defect == "score":
+        fields[2] = draw(st.sampled_from(["1.5", "-0.5", "1_0", *BAD_NUMBER_TOKENS]))
+    elif defect == "coordinate":
+        fields[draw(st.integers(3, 6))] = draw(st.sampled_from(BAD_NUMBER_TOKENS))
+    elif defect == "x":
+        fields[3], fields[5] = fields[5], fields[3]
+    elif defect == "y":
+        fields[4], fields[6] = fields[6], fields[4]
+    elif defect == "mask":
+        fields[7] = draw(
+            st.sampled_from(
+                ["4,3,1 2", "4,,", ",3,12", ",,12", ",3,", "x,3,12", "4,3,", "4,3,6 x 6"]
+                + ["5,3,15", "4,3,0 0 12"]
+            )
+        )
+    elif defect == "huge":
+        fields[3:7] = ["1e308"] * 4
+    line = ",".join(fields)
+    if defect == "short":
+        return line.rsplit(",", 1)[0]
+    if defect == "long":
+        return line + ",0"
+    return line
+
+
+def predictions_file(*rows):
+    return (PREDICTIONS_HEADER + "\n" + "".join(row + "\n" for row in rows)).encode()
+
+
+@st.composite
+def prediction_files(draw):
+    rows = draw(st.lists(valid_rows(), max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(wild_rows()))
+    return predictions_file(*rows)
+
+
+boxes = st.builds(
+    lambda x, w, y, h: Box(x, y, x + w, y + h),
+    st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+    st.sampled_from([0.0, 1.0, 3.0, 10.0]),
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.sampled_from([0.0, 2.0, 4.0]),
+) | st.sampled_from(
+    # Widths or heights that overflow to inf, so IoUs are nan or inf/inf.
+    [Box(-1e308, 0.0, 1e308, 1.0), Box(0.0, -1e308, 1.0, 1e308), Box(1.0, -1e308, 2.0, 1e308)]
+)
+
+
+@st.composite
+def prediction_lists(draw, masked=None, max_size=14):
+    ids = st.sampled_from(["a", "b", "é"])
+    categories = st.sampled_from(["x", "y", "日"])
+    scores = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5, 0.9, 1.0])
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        is_masked = draw(st.booleans()) if masked is None else masked
+        out.append(
+            Prediction(
+                draw(ids), draw(categories), draw(scores), draw(boxes),
+                draw(masks()) if is_masked else None,
+            )
+        )
+    return out
+
+
+thresholds = st.sampled_from([0.1, 0.5, 0.7, 1.0])
+
+
+# -- parse and write -----------------------------------------------------------------
+
+
+class TestParse:
+    @given(prediction_files(), st.integers(1, 4), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    @example(predictions_file("a,a,0.5,1e308,1e308,1e308,1e308,,,"), 1, False)
+    @example(predictions_file("a,a,nan,0,0,1,1,,,"), 1, False)
+    @example(predictions_file("a,a,-0.5,0,0,1,1,,,"), 1, False)
+    @example(predictions_file("a,a,0.5,0,0,1,inf,,,"), 1, False)
+    @example(predictions_file("a,a,0.5,0,1,1,0,,,"), 1, False)
+    # A short row and a long row whose fields, run together, make two valid rows.
+    @example(predictions_file("a,a,0.5,0,0,1,1,,", ",a,a,0.5,0,0,1,1,,,"), 2, False)
+    @example(predictions_file("a,a,0.5,0,0,1,1,,,", "a,a,0.5,0,1,1,1,,3,12"), 2, False)
+    def test_matches_reference(self, data, chunk_lines, with_sizes):
+        sizes = {"a": MASK_SIZE, "b": MASK_SIZE, "é": (5, 3)} if with_sizes else None
+        expected = outcome(parse_predictions_ref, data, sizes)
+        with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines):
+            actual = outcome(fileio.parse_predictions, data, sizes)
+            table = outcome(fileio.parse_prediction_table, data, sizes)
+        assert actual[0] == expected[0] == table[0]
+        if expected[0] == "ok":
+            same_rows(actual[1], expected[1])
+            same_rows(table[1].rows(), expected[1])
+            assert fileio.write_predictions(table[1]) == write_predictions_ref(expected[1])
+        else:
+            assert actual[1] == expected[1] == table[1]
+
+    def test_bad_row_at_chunk_boundaries(self):
+        # Bad rows first, last and on either side of the boundaries between
+        # full-size chunks each report their own line.
+        chunk = fileio._CHUNK_LINES
+        good = "img,cat,0.5,1,2,3,4,,,"
+        n = 2 * chunk + 3
+        for index in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1):
+            for bad in (
+                "img,cat,0.5,3,2,1,4,,,",
+                "img,cat,0.5,1,2,3,inf,,,",
+                "img,,0.5,1,2,3,4,,,",
+                "img,cat,1_5,1,2,3,4,,,",
+                "",
+            ):
+                rows = [good] * n
+                rows[index] = bad
+                data = predictions_file(*rows)
+                expected = outcome(parse_predictions_ref, data)
+                assert expected[0] == "ParseError"
+                assert expected[1].startswith(f"line {index + 2}: ")
+                assert outcome(fileio.parse_prediction_table, data) == expected
+
+    def test_accepted_odd_spellings_at_chunk_boundaries(self):
+        # float() accepts "1_0" and spaces; such rows parse as before.
+        chunk = fileio._CHUNK_LINES
+        rows = ["img,cat,0.5,1,2,3,4,,,"] * (chunk + 2)
+        rows[chunk - 1] = "img,cat, 0.5,1_0,2,1_1,4,,,"
+        rows[chunk] = "img,cat,0.5,1e308,1e308,1e308,1e308,,,"
+        data = predictions_file(*rows)
+        same_rows(fileio.parse_predictions(data), parse_predictions_ref(data))
+
+    @given(prediction_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_write_matches_reference(self, predictions):
+        expected = write_predictions_ref(predictions)
+        assert fileio.write_predictions(predictions) == expected
+        assert fileio.serialized_size(predictions) == len(expected)
+        table = PredictionTable.from_rows(predictions)
+        assert fileio.write_predictions(table) == expected
+        same_rows(table.rows(), predictions)
+
+    def test_table_holds_under_100_bytes_per_row(self):
+        rows = 200_000
+        rng = np.random.default_rng(7)
+        corners = np.round(rng.uniform(0, 900, size=(rows, 2)), 1)
+        lines = [
+            f"img{i % 20_000:05d},c{i % 500:03d},{(i % 997) / 997!r},"
+            f"{x!r},{y!r},{x + 50.5!r},{y + 20.25!r},,,"
+            for i, (x, y) in enumerate(corners.tolist())
+        ]
+        data = (PREDICTIONS_HEADER + "\n" + "\n".join(lines) + "\n").encode()
+        del lines, corners
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = fileio.parse_prediction_table(data)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows
+        assert held / rows <= 100, f"{held / rows:.0f} B/row"
+
+
+# -- operations ------------------------------------------------------------------------
+
+
+class TestOperations:
+    @given(prediction_lists(), thresholds)
+    @settings(max_examples=150, deadline=None)
+    @example(
+        [
+            Prediction("a", "x", 0.9, Box(0.0, -1e308, 1.0, 1e308)),
+            Prediction("a", "x", 0.8, Box(1.0, -1e308, 2.0, 1e308)),
+            Prediction("a", "x", 0.7, Box(-1e308, 0.0, 1e308, 1.0)),
+        ],
+        0.5,
+    )
+    def test_nms(self, predictions, threshold):
+        expected = nms_ref(predictions, threshold)
+        assert list(map(id, nms(predictions, threshold))) == list(map(id, expected))
+        table = nms(PredictionTable.from_rows(predictions), threshold)
+        same_rows(table.rows(), expected)
+
+    @given(prediction_lists(), thresholds)
+    @settings(max_examples=150, deadline=None)
+    # Duplicate boxes with tied scores: one group of all four.
+    @example(
+        [Prediction("a", "x", score, Box(0.0, 0.0, 2.0, 2.0)) for score in (0.5, 0.9, 0.9, 0.5)],
+        0.5,
+    )
+    def test_group_predictions(self, predictions, threshold):
+        expected = group_predictions_ref(predictions, threshold)
+        actual = group_predictions(predictions, threshold)
+        assert [(list(map(id, g.members)), g.seed_index) for g in actual] == [
+            (list(map(id, g.members)), g.seed_index) for g in expected
+        ]
+        assert group_predictions(PredictionTable.from_rows(predictions), threshold) == expected
+
+    @given(
+        st.sampled_from([False, True, None]).flatmap(
+            lambda masked: st.lists(prediction_lists(masked), min_size=1, max_size=3)
+        ),
+        thresholds,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ensemble_and_fusion(self, prediction_sets, threshold):
+        # Box-only, masked, and mixed sets; a group that mixes masked and
+        # box-only predictions fails the same way in both.
+        expected = outcome(ensemble_ref, prediction_sets, threshold)
+        actual = outcome(ensemble, prediction_sets, threshold)
+        tables = [PredictionTable.from_rows(s) for s in prediction_sets]
+        fused = outcome(ensemble, tables, threshold)
+        assert actual[0] == expected[0] == fused[0]
+        if expected[0] == "ok":
+            same_rows(actual[1], expected[1])
+            assert isinstance(fused[1], PredictionTable)
+            assert fileio.write_predictions(fused[1]) == write_predictions_ref(expected[1])
+        else:
+            assert actual[1] == expected[1] == fused[1]
+
+    def test_ensemble_fuses_each_group_through_fuse_group(self):
+        mask = mask_encode(np.ones((MASK_SIZE[1], MASK_SIZE[0]), dtype=np.uint8))
+        masked = [Prediction("a", "x", 0.9, Box(0, 0, 2, 2), mask)] * 2
+        boxed = [Prediction("b", "x", 0.8, Box(0, 0, 2, 2))] * 2
+        for predictions in (masked + boxed, PredictionTable.from_rows(masked + boxed)):
+            seen = []
+
+            def counting(group):
+                seen.append(group)
+                return fuse_group(group)
+
+            with mock.patch("detpipe.ensemble.fuse_group", counting):
+                fused = ensemble([predictions], 0.5)
+            assert [len(g.members) for g in seen] == [1, 1]
+            assert fileio.write_predictions(fused) == write_predictions_ref([masked[0], boxed[0]])
+
+    @given(prediction_lists(), st.sampled_from([0, 1, 4, 6, 13]))
+    @settings(max_examples=100, deadline=None)
+    def test_drop_small_masks(self, predictions, min_area):
+        expected = drop_small_masks_ref(predictions, min_area)
+        assert list(map(id, drop_small_masks(predictions, min_area))) == list(map(id, expected))
+        table = drop_small_masks(PredictionTable.from_rows(predictions), min_area)
+        same_rows(table.rows(), expected)
+
+    @given(prediction_lists(), st.sets(st.sampled_from(["x", "y", "日", "z"]), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_restrict(self, predictions, categories):
+        group = CategoryGroup(tuple(sorted(categories)))
+        expected = restrict_predictions_ref(predictions, group)
+        assert list(map(id, restrict_predictions(predictions, group))) == list(map(id, expected))
+        table = restrict_predictions(PredictionTable.from_rows(predictions), group)
+        same_rows(table.rows(), expected)
+
+    @given(prediction_lists(max_size=20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trim_to_budget(self, predictions, data):
+        full = len(write_predictions_ref(predictions))
+        budget = data.draw(st.integers(fileio.empty_predictions_size() - 1, full + 10))
+        expected = outcome(trim_to_budget_ref, predictions, budget)
+        actual = outcome(trim_to_budget, predictions, budget)
+        assert actual[0] == expected[0]
+        if expected[0] != "ok":
+            assert actual == expected
+            return
+        (survivors, report), (ref_survivors, ref_report) = actual[1], expected[1]
+        assert list(map(id, survivors)) == list(map(id, ref_survivors))
+        assert report == ref_report
+        # A budget that the removals meet exactly removes no further row.
+        exact = trim_to_budget(predictions, report.final_bytes)
+        assert list(map(id, exact[0])) == list(map(id, ref_survivors))
+        table, table_report = trim_to_budget(PredictionTable.from_rows(predictions), budget)
+        assert table_report == ref_report
+        assert fileio.write_predictions(table) == write_predictions_ref(ref_survivors)
+        assert len(fileio.write_predictions(table)) == report.final_bytes
+
+    def test_trim_formats_each_row_once(self):
+        predictions = [Prediction("a", f"c{i % 3}", i / 10, Box(0, 0, 1, 1)) for i in range(10)]
+        table = PredictionTable.from_rows(predictions)
+        calls = []
+        original = fileio._mask_fields
+
+        def counting(mask):
+            calls.append(mask)
+            return original(mask)
+
+        budget = fileio.serialized_size(predictions[:6])
+        with mock.patch.object(fileio, "_mask_fields", counting):
+            survivors, _ = trim_to_budget(table, budget)
+            data = fileio.write_predictions(survivors)
+        assert len(calls) == len(predictions)
+        assert data == write_predictions_ref(trim_to_budget_ref(predictions, len(data))[0])
