@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
+from itertools import chain, cycle, groupby, repeat
+from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
@@ -160,12 +162,38 @@ def _data_lines(data: bytes | str, header: str) -> list[str]:
     return lines
 
 
-def _csv_lines(data: bytes | str, header: str):
-    """Yield (line_number, line) for data rows after validating the header."""
-    for number, line in enumerate(_data_lines(data, header), start=2):
+def _numbered(lines: list[str], first: int):
+    """Yield (line_number, line) for lines numbered from first, none empty."""
+    for number, line in enumerate(lines, first):
         if line == "":
             raise ParseError(number, "empty line")
         yield number, line
+
+
+def _csv_lines(data: bytes | str, header: str):
+    """Yield (line_number, line) for data rows after validating the header."""
+    return _numbered(_data_lines(data, header), 2)
+
+
+# Rows parsed per vectorized step: enough to spread numpy's per-call cost,
+# few enough that one chunk's field tokens stay within a few megabytes.
+_CHUNK_LINES = 4096
+
+
+def _chunks(lines: list[str]):
+    """Yield (number of its first line, lines) for each _CHUNK_LINES-line
+    chunk of a file's data lines."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        yield start + 2, lines[start : start + _CHUNK_LINES]
+
+
+def _split_chunk(lines: list[str], n_fields: int) -> list[str] | None:
+    """Every field of a chunk, row-major, when each line has n_fields fields;
+    None otherwise.  n_fields is at least 2, so an empty line fails."""
+    n = len(lines)
+    if list(map(str.count, lines, repeat(",", n))).count(n_fields - 1) != n:
+        return None
+    return ",".join(lines).split(",")
 
 
 def _split(line: str, line_number: int, n_fields: int) -> list[str]:
@@ -266,11 +294,6 @@ def _check_mask_dimensions(
 
 # -- predictions --------------------------------------------------------------
 
-# Rows parsed per vectorized step: enough to spread numpy's per-call cost,
-# few enough that one chunk's field tokens stay within a few megabytes.
-_CHUNK_LINES = 4096
-
-
 def _parse_prediction_line(
     number: int, line: str, image_sizes: Mapping[str, tuple[int, int]] | None
 ) -> Prediction:
@@ -293,13 +316,12 @@ def _parse_box_only_chunk(lines: list[str]) -> PredictionTable | None:
     checks; None for any other chunk.  Numbers go through float(), as in
     the row-by-row parse."""
     n = len(lines)
-    # Nine commas and a line ending in ",,,": ten fields, the mask's empty.
-    if (
-        list(map(str.count, lines, repeat(",", n))).count(9) != n
-        or sum(map(str.endswith, lines, repeat(",,,", n))) != n
-    ):
+    # Ten fields, the mask's three empty.
+    if sum(map(str.endswith, lines, repeat(",,,", n))) != n:
         return None
-    tokens = ",".join(lines).split(",")
+    tokens = _split_chunk(lines, 10)
+    if tokens is None:
+        return None
     images, categories = tokens[0::10], tokens[1::10]
     if "" in images or "" in categories:
         return None
@@ -332,16 +354,14 @@ def parse_prediction_table(
     parsed column by column; any other chunk (one with masks, or one that
     fails a check) is parsed row by row, so the first bad row reports its
     own line."""
-    lines = _data_lines(data, PREDICTIONS_HEADER)
     tables = []
-    for start in range(0, len(lines), _CHUNK_LINES):
-        chunk = lines[start : start + _CHUNK_LINES]
+    for first, chunk in _chunks(_data_lines(data, PREDICTIONS_HEADER)):
         table = _parse_box_only_chunk(chunk)
         if table is None:
             table = PredictionTable.from_rows(
                 [
                     _parse_prediction_line(number, line, image_sizes)
-                    for number, line in enumerate(chunk, start + 2)
+                    for number, line in enumerate(chunk, first)
                 ]
             )
         tables.append(table)
@@ -400,12 +420,12 @@ def serialized_size(predictions: Predictions) -> int:
 # -- ground truth --------------------------------------------------------------
 
 
-def parse_ground_truth(
-    data: bytes | str,
-    image_sizes: Mapping[str, tuple[int, int]] | None = None,
+def _ground_truth_rows(
+    lines: list[str], first: int, image_sizes: Mapping[str, tuple[int, int]] | None
 ) -> list[GroundTruthInstance]:
+    """Row by row, field by field: the source of every row's ParseError."""
     out: list[GroundTruthInstance] = []
-    for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
+    for number, line in _numbered(lines, first):
         parts = _split(line, number, 9)
         mask = _parse_mask_fields(parts[6:9], number)
         _check_mask_dimensions(mask, parts[0], image_sizes, number)
@@ -414,6 +434,36 @@ def parse_ground_truth(
             out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
+    return out
+
+
+def _box_only_ground_truth(lines: list[str]) -> list[GroundTruthInstance] | None:
+    """The records of a chunk of box-only rows that all pass the record
+    checks, column by column; None for any other chunk."""
+    n = len(lines)
+    if sum(map(str.endswith, lines, repeat(",,,", n))) != n:
+        return None
+    tokens = _split_chunk(lines, 9)
+    if tokens is None:
+        return None
+    try:
+        boxes = map(Box, *[map(float, tokens[k::9]) for k in range(2, 6)])
+        return list(map(GroundTruthInstance, tokens[0::9], tokens[1::9], boxes))
+    except (ValueError, ValidationError):
+        return None
+
+
+def parse_ground_truth(
+    data: bytes | str,
+    image_sizes: Mapping[str, tuple[int, int]] | None = None,
+) -> list[GroundTruthInstance]:
+    """Parse a ground-truth file; mask dimensions are cross-checked against
+    image_sizes when a table is supplied.  A chunk of valid box-only rows is
+    parsed column by column, any other chunk row by row."""
+    out: list[GroundTruthInstance] = []
+    for first, chunk in _chunks(_data_lines(data, GROUND_TRUTH_HEADER)):
+        records = _box_only_ground_truth(chunk)
+        out += _ground_truth_rows(chunk, first, image_sizes) if records is None else records
     return out
 
 
@@ -430,9 +480,12 @@ def write_ground_truth(instances: Sequence[GroundTruthInstance]) -> bytes:
 # -- verification --------------------------------------------------------------
 
 
-def parse_verification(data: bytes | str) -> VerificationTable:
-    entries: dict[tuple[str, str], int] = {}
-    for number, line in _csv_lines(data, VERIFICATION_HEADER):
+def _verification_rows(
+    lines: list[str], first: int, entries: dict[tuple[str, str], int]
+) -> None:
+    """Add a chunk's rows to entries row by row: the source of every
+    verification ParseError."""
+    for number, line in _numbered(lines, first):
         parts = _split(line, number, 3)
         _parse_id(parts[0], number, "image_id")
         _parse_id(parts[1], number, "category_id")
@@ -446,6 +499,24 @@ def parse_verification(data: bytes | str) -> VerificationTable:
                 f"conflicting verification for image {key[0]!r}, category {key[1]!r}",
             )
         entries[key] = sign
+
+
+def parse_verification(data: bytes | str) -> VerificationTable:
+    """Parse a verification file.  A chunk whose rows all pass the checks,
+    with no key repeated or seen before, is added column by column; any other
+    chunk row by row, which accepts a repeat of the same sign."""
+    entries: dict[tuple[str, str], int] = {}
+    for first, chunk in _chunks(_data_lines(data, VERIFICATION_HEADER)):
+        tokens = _split_chunk(chunk, 3)
+        if tokens is not None:
+            # Split ids hold no comma or newline, so non-empty ones are valid.
+            images, categories, signs = tokens[0::3], tokens[1::3], tokens[2::3]
+            if "" not in images and "" not in categories and {*signs} <= {"1", "-1"}:
+                added = dict(zip(zip(images, categories), map(int, signs)))
+                if len(added) == len(signs) and entries.keys().isdisjoint(added):
+                    entries.update(added)
+                    continue
+        _verification_rows(chunk, first, entries)
     return VerificationTable(entries)
 
 
@@ -517,11 +588,12 @@ def write_category_stats(stats: CategoryStats) -> bytes:
 # -- RoI pool ------------------------------------------------------------------
 
 
-def parse_roi_pool(
-    data: bytes | str, max_per_image: int = DEFAULT_POOL_LIMIT
-) -> RoiPool:
-    images: dict[str, list[Roi]] = {}
-    for number, line in _csv_lines(data, ROI_POOL_HEADER):
+def _roi_pool_rows(
+    lines: list[str], first: int, images: dict[str, list[Roi]], max_per_image: int
+) -> None:
+    """Add a chunk's rows to images row by row: the source of every RoI pool
+    ParseError."""
+    for number, line in _numbered(lines, first):
         parts = _split(line, number, 6)
         _parse_id(parts[0], number, "image_id")
         objectness = None
@@ -539,6 +611,51 @@ def parse_roi_pool(
                 f"image {parts[0]!r} exceeds the pool limit of {max_per_image} RoIs",
             )
         per_image.append(roi)
+
+
+def _roi_pool_columns(
+    lines: list[str], images: dict[str, list[Roi]], max_per_image: int
+) -> bool:
+    """Add a chunk to images column by column when its rows all pass the
+    record checks and the pool limit; otherwise add nothing and say so."""
+    tokens = _split_chunk(lines, 6)
+    if tokens is None:
+        return False
+    image_ids, objectness = tokens[0::6], tokens[5::6]
+    if "" in image_ids:
+        return False
+    try:
+        boxes = map(Box, *[map(float, tokens[k::6]) for k in range(1, 5)])
+        scores = (
+            [float(text) if text else None for text in objectness]
+            if "" in objectness
+            else map(float, objectness)
+        )
+        rois = list(map(Roi, boxes, scores))
+    except (ValueError, ValidationError):
+        return False
+    added: dict[str, list[Roi]] = {}
+    for image_id, run in groupby(zip(image_ids, rois), itemgetter(0)):
+        added.setdefault(image_id, []).extend(map(itemgetter(1), run))
+    if any(
+        len(images.get(image_id, ())) + len(rois) > max_per_image
+        for image_id, rois in added.items()
+    ):
+        return False
+    for image_id, rois in added.items():
+        images.setdefault(image_id, []).extend(rois)
+    return True
+
+
+def parse_roi_pool(
+    data: bytes | str, max_per_image: int = DEFAULT_POOL_LIMIT
+) -> RoiPool:
+    """Parse a RoI pool file, a chunk of rows at a time: column by column
+    when every row of the chunk is valid, row by row otherwise."""
+    images: dict[str, list[Roi]] = {}
+    for first, chunk in _chunks(_data_lines(data, ROI_POOL_HEADER)):
+        if not _roi_pool_columns(chunk, images, max_per_image):
+            _roi_pool_rows(chunk, first, images, max_per_image)
     return RoiPool(
         {image_id: tuple(rois) for image_id, rois in images.items()},
         max_per_image=max_per_image,
@@ -587,11 +704,13 @@ def parse_embeddings(data: bytes | str) -> EmbeddingTable:
                 f"embedding dimension mismatch: expected {dimension} values, "
                 f"got {len(parts) - 1}",
             )
+        _parse_id(parts[0], number, "category_id")
         if parts[0] in vectors:
             raise ParseError(number, f"duplicate category {parts[0]!r}")
-        vectors[parts[0]] = [
-            _parse_float(tok, number, "embedding value") for tok in parts[1:]
-        ]
+        vector = [_parse_float(tok, number, "embedding value") for tok in parts[1:]]
+        if not all(map(isfinite, vector)):
+            raise ParseError(number, f"embedding for {parts[0]!r} has non-finite entries")
+        vectors[parts[0]] = vector
     try:
         return EmbeddingTable(vectors)
     except ValidationError as exc:
@@ -659,6 +778,7 @@ def parse_category_groups(data: bytes | str):
                 number,
                 f"group indices must be contiguous and non-decreasing, got {index}",
             )
+        _parse_id(parts[1], number, "category_id")
         if parts[1] in groups[index]:
             raise ParseError(number, f"duplicate category {parts[1]!r} in group {index}")
         groups[index].append(parts[1])
@@ -689,6 +809,7 @@ def parse_sampled_indices(data: bytes | str) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {}
     for number, line in _csv_lines(data, SAMPLED_HEADER):
         parts = _split(line, number, 2)
+        _parse_id(parts[0], number, "image_id")
         index = _parse_int(parts[1], number, "roi_index")
         if index < 0:
             raise ParseError(number, f"roi_index must be non-negative, got {index}")
@@ -705,17 +826,21 @@ def write_sampled_indices(samples: Mapping[str, Sequence[int]]) -> bytes:
 
 # -- label and logit matrices ----------------------------------------------------
 
+# The text of each label, indexed by the label: -1 reads the last entry.
+_LABEL_TEXT = ("0", "1", "-1")
 
-def _parse_matrix(data: bytes | str, header: str, parse_value, value_name: str):
-    """Shared shape handling: rows are roi-major, categories repeat per RoI."""
+
+def _matrix_rows(lines: list[str], parse_value, value_name: str):
+    """Row by row, cell by cell: the source of every matrix ParseError.
+    Every row is parsed before the layout is checked."""
     entries: list[tuple[int, str, object, int]] = []
-    for number, line in _csv_lines(data, header):
+    for number, line in _numbered(lines, 2):
         parts = _split(line, number, 3)
         roi_index = _parse_int(parts[0], number, "roi_index")
         value = parse_value(parts[2], number, value_name)
         entries.append((roi_index, parts[1], value, number))
     if not entries:
-        return [], ()
+        return np.empty((0, 0)), ()
     # The category order is defined by the rows of RoI 0.
     categories: list[str] = []
     for roi_index, category_id, _, number in entries:
@@ -728,7 +853,7 @@ def _parse_matrix(data: bytes | str, header: str, parse_value, value_name: str):
         raise ParseError(entries[0][3], "first roi_index must be 0")
     n_categories = len(categories)
     if len(entries) % n_categories != 0:
-        raise ParseError(1, "matrix ends mid-row")
+        raise ParseError(entries[-1][3], "matrix ends mid-row")
     rows: list[list] = []
     for r in range(len(entries) // n_categories):
         row = []
@@ -742,58 +867,137 @@ def _parse_matrix(data: bytes | str, header: str, parse_value, value_name: str):
                 )
             row.append(value)
         rows.append(row)
-    return rows, tuple(categories)
+    return np.array(rows), tuple(categories)
+
+
+def _matches_cycle(names: list[str], categories: list[str], start: int) -> bool:
+    """Whether names reads as categories repeated endlessly, from index start."""
+    done = 0
+    while done < len(names):
+        piece = categories[start : start + len(names) - done]
+        if names[done : done + len(piece)] != piece:
+            return False
+        done += len(piece)
+        start = 0
+    return True
+
+
+def _matrix_columns(lines: list[str], convert):
+    """The (RoI x category) values and the categories of a matrix whose rows
+    all parse with convert and whose layout holds, checked a chunk of columns
+    at a time; None for any other matrix."""
+    value_chunks = []
+    categories: list[str] = []
+    n_categories = 0  # set by RoI 1's first row, which ends RoI 0's rows
+    cells = 0
+    for _, chunk in _chunks(lines):
+        tokens = _split_chunk(chunk, 3)
+        if tokens is None:
+            return None
+        try:
+            rois = np.array(list(map(int, tokens[0::3])), dtype=np.int64)
+            # dtype=int is int64 and dtype=float float64; a value out of
+            # range raises OverflowError.
+            value_chunks.append(np.array(list(map(convert, tokens[2::3])), dtype=convert))
+        except (ValueError, OverflowError):
+            return None
+        names = tokens[1::3]
+        if not n_categories:
+            nonzero = np.flatnonzero(rois)
+            if nonzero.size == 0:
+                categories += names
+                cells += len(names)
+                continue
+            categories += names[: nonzero[0]]
+            n_categories = len(categories)
+            if not n_categories or len(set(categories)) != n_categories:
+                return None
+        if not (
+            np.array_equal(rois, np.arange(cells, cells + len(names)) // n_categories)
+            and _matches_cycle(names, categories, cells % n_categories)
+        ):
+            return None
+        cells += len(names)
+    if not cells:
+        return np.empty((0, 0)), ()
+    if not n_categories:
+        # Every row is RoI 0's.
+        n_categories = len(categories)
+        if len(set(categories)) != n_categories:
+            return None
+    if cells % n_categories:
+        return None
+    return np.concatenate(value_chunks).reshape(-1, n_categories), tuple(categories)
+
+
+def _parse_label(text: str, number: int, name: str) -> int:
+    value = _parse_int(text, number, name)
+    if value not in (-1, 0, 1):
+        raise ParseError(number, f"label must be -1, 0 or 1, got {value}")
+    return value
 
 
 def parse_label_matrix(data: bytes | str):
-    """Parse a label CSV into a LabelMatrix."""
+    """Parse a label CSV into a LabelMatrix.  The file is checked column by
+    column; one that fails any check is parsed row by row for its error."""
     from .federated import LabelMatrix
 
-    def parse_label(text: str, number: int, name: str) -> int:
-        value = _parse_int(text, number, name)
-        if value not in (-1, 0, 1):
-            raise ParseError(number, f"label must be -1, 0 or 1, got {value}")
-        return value
-
-    rows, categories = _parse_matrix(data, LABELS_HEADER, parse_label, "label")
-    if not rows:
+    lines = _data_lines(data, LABELS_HEADER)
+    matrix = _matrix_columns(lines, int)
+    if matrix is None or not ((matrix[0] >= -1) & (matrix[0] <= 1)).all():
+        matrix = _matrix_rows(lines, _parse_label, "label")
+    values, categories = matrix
+    if not categories:
         raise ParseError(1, "label matrix has no rows")
-    try:
-        return LabelMatrix(np.asarray(rows, dtype=np.int8), categories)
-    except ValidationError as exc:
-        raise ParseError(1, str(exc)) from exc
+    ones = values == 1
+    doubled = np.flatnonzero(ones.sum(axis=1) > 1)
+    if doubled.size:
+        # Name the line of the first such row's second +1.
+        row = int(doubled[0])
+        column = int(np.flatnonzero(ones[row])[1])
+        raise ParseError(
+            2 + row * len(categories) + column, "label matrix rows may contain at most one +1"
+        )
+    return LabelMatrix(values, categories)
+
+
+def _matrix_file(header: str, categories: Sequence[str], n_rois: int, texts) -> bytes:
+    """A long-format matrix file, one line per cell, roi-major, from the
+    cells' texts in that order; each category's ",id," is formatted once."""
+    middles = [f",{category_id}," for category_id in categories]
+    roi_texts = chain.from_iterable(repeat(str(i), len(middles)) for i in range(n_rois))
+    return _table(header, map("".join, zip(roi_texts, cycle(middles), texts)))
 
 
 def write_label_matrix(matrix) -> bytes:
-    return _table(
+    values = matrix.values
+    return _matrix_file(
         LABELS_HEADER,
-        (
-            f"{i},{category_id},{int(matrix.values[i, j])}"
-            for i in range(matrix.values.shape[0])
-            for j, category_id in enumerate(matrix.categories)
-        ),
+        matrix.categories,
+        values.shape[0],
+        map(_LABEL_TEXT.__getitem__, values.ravel().tolist()),
     )
 
 
 def parse_logit_matrix(data: bytes | str) -> tuple[np.ndarray, tuple[str, ...]]:
-    rows, categories = _parse_matrix(data, LOGITS_HEADER, _parse_float, "logit")
-    if not rows:
+    """Parse a logit CSV into a float64 (RoI x category) array and its
+    categories, column by column as parse_label_matrix."""
+    lines = _data_lines(data, LOGITS_HEADER)
+    matrix = _matrix_columns(lines, float)
+    if matrix is None:
+        matrix = _matrix_rows(lines, _parse_float, "logit")
+    values, categories = matrix
+    if not categories:
         raise ParseError(1, "logit matrix has no rows")
-    return np.asarray(rows, dtype=np.float64), categories
+    return values, categories
 
 
 def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(categories):
         raise ValidationError("logit matrix shape does not match the category list")
-    return _table(
-        LOGITS_HEADER,
-        (
-            f"{i},{category_id},{_fmt_float(arr[i, j])}"
-            for i in range(arr.shape[0])
-            for j, category_id in enumerate(categories)
-        ),
-    )
+    # repr() of a Python float is the shortest string that round-trips.
+    return _matrix_file(LOGITS_HEADER, categories, arr.shape[0], map(repr, arr.ravel().tolist()))
 
 
 # -- reports ---------------------------------------------------------------------

@@ -51,6 +51,17 @@ def _check_id(name: str, value: str) -> None:
         raise ValidationError(f"{name} must not contain commas or newlines: {value!r}")
 
 
+def _is_id(value: object) -> bool:
+    """Whether _check_id accepts value."""
+    return (
+        isinstance(value, str)
+        and value != ""
+        and "," not in value
+        and "\n" not in value
+        and "\r" not in value
+    )
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Prediction:
     """One detection: where (box, optional mask), what (category), how sure (score)."""
@@ -131,8 +142,21 @@ class VerificationTable:
     entries: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Each distinct id, and the set of signs, is checked once; on any
+        # failure the entries are checked one by one for the error.
+        entries = self.entries
+        if (
+            {*map(type, entries)} <= {tuple}
+            and {*map(len, entries)} <= {2}
+            and {*map(type, entries.values())} <= {int}
+            and {*entries.values()} <= {POSITIVE, NEGATIVE}
+        ):
+            images, categories = [*zip(*entries)] or [(), ()]
+            if all(map(_is_id, {*images})) and all(map(_is_id, {*categories})):
+                object.__setattr__(self, "entries", dict(entries))
+                return
         copied: dict[tuple[str, str], int] = {}
-        for key, sign in self.entries.items():
+        for key, sign in entries.items():
             image_id, category_id = key
             _check_id("image_id", image_id)
             _check_id("category_id", category_id)

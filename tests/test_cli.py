@@ -707,6 +707,33 @@ class TestPipeline:
             assert (run_dir / name).read_bytes() == (manual / name).read_bytes(), name
         capsys.readouterr()
 
+    def test_expert_chain_matches_recorded_outputs(self, tmp_path, capsys):
+        # expected/ holds the outputs and standard output recorded by
+        # scripts/make_pipeline_fixture.py; every output file is compared.
+        fixture = FIXTURES / "expert_pipeline"
+        expected = fixture / "expected"
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.run(
+            ["pipeline", "--config", str(fixture / "config.ini"), "--run-dir", str(run_dir)]
+        ) == 0
+        assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
+        outputs = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+        assert outputs == sorted(p.name for p in expected.iterdir() if p.name != "stdout.txt")
+        for name in outputs:
+            assert (run_dir / name).read_bytes() == (expected / name).read_bytes(), name
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert {s["stage"] for s in manifest["stages"]} == {
+            "split-experts",
+            "filter-expert",
+            "restrict",
+            "ensemble",
+            "partition-pool",
+            "sample-rois",
+            "assign",
+            "loss",
+        }
+
     def test_manifest_records_stages(self, tmp_path, capsys):
         fixture = FIXTURES / "pipeline"
         run_dir = tmp_path / "run"

@@ -264,6 +264,16 @@ class TestEmbeddings:
         with pytest.raises(ParseError):
             fileio.parse_embeddings("category_id,x0\na,1.0\n")
 
+    def test_empty_category_id_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            fileio.parse_embeddings("category_id,v0\na,1.0\n,2.0\n")
+        assert str(info.value) == "line 3: category_id must be a non-empty string, got ''"
+
+    def test_non_finite_value_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            fileio.parse_embeddings("category_id,v0,v1\na,1.0,2.0\nb,nan,1.0\n")
+        assert str(info.value) == "line 3: embedding for 'b' has non-finite entries"
+
 
 class TestGroupsAndLists:
     def test_group_round_trip(self):
@@ -279,6 +289,23 @@ class TestGroupsAndLists:
         data = fileio.GROUPS_HEADER + "\n0,a\n2,b\n"
         with pytest.raises(ParseError):
             fileio.parse_category_groups(data)
+
+    def test_empty_group_member_names_its_line(self):
+        data = fileio.GROUPS_HEADER + "\n0,a\n0,\n"
+        with pytest.raises(ParseError) as info:
+            fileio.parse_category_groups(data)
+        assert str(info.value) == "line 3: category_id must be a non-empty string, got ''"
+
+    def test_sampled_indices_round_trip(self):
+        samples = {"im1": [3, 0], "im0": [5]}
+        data = fileio.write_sampled_indices(samples)
+        assert fileio.parse_sampled_indices(data) == {"im0": [5], "im1": [3, 0]}
+
+    def test_empty_sampled_image_id_names_its_line(self):
+        data = fileio.SAMPLED_HEADER + "\nim1,0\n,3\n"
+        with pytest.raises(ParseError) as info:
+            fileio.parse_sampled_indices(data)
+        assert str(info.value) == "line 3: image_id must be a non-empty string, got ''"
 
     def test_category_list_round_trip(self):
         categories = ["c2", "c1", "c3"]
@@ -342,6 +369,21 @@ class TestMatrices:
         data = fileio.LABELS_HEADER + "\n0,a,2\n"
         with pytest.raises(ParseError):
             fileio.parse_label_matrix(data)
+
+    def test_second_positive_in_a_row_names_its_line(self):
+        data = fileio.LABELS_HEADER + "\n0,a,0\n0,b,0\n1,a,1\n1,b,1\n"
+        with pytest.raises(ParseError) as info:
+            fileio.parse_label_matrix(data)
+        assert str(info.value) == "line 5: label matrix rows may contain at most one +1"
+
+    def test_truncated_matrix_names_its_last_line(self):
+        for parse, header in (
+            (fileio.parse_label_matrix, fileio.LABELS_HEADER),
+            (fileio.parse_logit_matrix, fileio.LOGITS_HEADER),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(header + "\n0,a,0\n0,b,0\n1,a,1\n")
+            assert str(info.value) == "line 4: matrix ends mid-row"
 
 
 scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
