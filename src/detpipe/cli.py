@@ -188,12 +188,14 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
         fg_iou_threshold=args.fg_iou_threshold,
         seed=args.seed,
     )
+    gt_boxes: dict[str, list] = {}
+    for g in gts:
+        gt_boxes.setdefault(g.image_id, []).append(g.box)
     samples: dict[str, list[int]] = {}
     for image_id in sorted(pool.images):
         boxes = [roi.box for roi in pool.images[image_id]]
-        gt_boxes = [g.box for g in gts if g.image_id == image_id]
         per_image = replace(config, seed=config.seed ^ fnv1a64(image_id))
-        samples[image_id] = sample_rois(boxes, gt_boxes, per_image)
+        samples[image_id] = sample_rois(boxes, gt_boxes.get(image_id, []), per_image)
     _write_bytes_atomic(args.out, fileio.write_sampled_indices(samples))
     return 0
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, cycle, groupby, repeat
+from itertools import chain, count, cycle, groupby, islice, repeat
 from math import isfinite
 from operator import itemgetter
 
@@ -145,15 +145,22 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _data_lines(data: bytes | str, header: str) -> list[str]:
-    """The lines after the header, the first being line 2, once the file is
-    valid UTF-8 without carriage returns and its header matches."""
+def _lines(data: bytes | str) -> list[str]:
+    """A file's lines, without their LFs, once it is valid UTF-8 without
+    carriage returns."""
     text = _decode(data)
     if "\r" in text:
         raise ParseError(1, "carriage returns are not allowed; files are LF-terminated")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    return lines
+
+
+def _data_lines(data: bytes | str, header: str) -> list[str]:
+    """The lines after the header, the first being line 2, once the file is
+    valid UTF-8 without carriage returns and its header matches."""
+    lines = _lines(data)
     if not lines:
         raise ParseError(1, f"missing header; expected {header!r}")
     if lines[0] != header:
@@ -273,36 +280,14 @@ def _mask_fields(mask: BinaryMask | None) -> str:
     return f"{mask.width},{mask.height},{' '.join(map(str, mask.runs))}"
 
 
-def _check_mask_dimensions(
-    mask: BinaryMask | None,
-    image_id: str,
-    image_sizes: Mapping[str, tuple[int, int]] | None,
-    line_number: int,
-) -> None:
-    if mask is None or image_sizes is None:
-        return
-    if image_id not in image_sizes:
-        raise ParseError(line_number, f"no recorded dimensions for image {image_id!r}")
-    expected = tuple(image_sizes[image_id])
-    if (mask.width, mask.height) != expected:
-        raise ParseError(
-            line_number,
-            f"mask is {mask.width}x{mask.height} but image {image_id!r} "
-            f"is {expected[0]}x{expected[1]}",
-        )
-
-
 # -- predictions --------------------------------------------------------------
 
-def _parse_prediction_line(
-    number: int, line: str, image_sizes: Mapping[str, tuple[int, int]] | None
-) -> Prediction:
+def _parse_prediction_line(number: int, line: str) -> Prediction:
     """One row, field by field: the source of every row's ParseError."""
     if line == "":
         raise ParseError(number, "empty line")
     parts = _split(line, number, 10)
     mask = _parse_mask_fields(parts[7:10], number)
-    _check_mask_dimensions(mask, parts[0], image_sizes, number)
     box = _parse_box(parts[3:7], number)
     score = _parse_float(parts[2], number, "score")
     try:
@@ -343,12 +328,8 @@ def _parse_box_only_chunk(lines: list[str]) -> PredictionTable | None:
     return PredictionTable.from_columns(images, categories, score, numbers[1:].T, [None] * n)
 
 
-def parse_prediction_table(
-    data: bytes | str,
-    image_sizes: Mapping[str, tuple[int, int]] | None = None,
-) -> PredictionTable:
-    """Parse a predictions file into a table; mask dimensions are
-    cross-checked against image_sizes when a table is supplied.
+def parse_prediction_table(data: bytes | str) -> PredictionTable:
+    """Parse a predictions file into a table.
 
     Rows are parsed a chunk at a time.  A chunk of valid box-only rows is
     parsed column by column; any other chunk (one with masks, or one that
@@ -360,7 +341,7 @@ def parse_prediction_table(
         if table is None:
             table = PredictionTable.from_rows(
                 [
-                    _parse_prediction_line(number, line, image_sizes)
+                    _parse_prediction_line(number, line)
                     for number, line in enumerate(chunk, first)
                 ]
             )
@@ -368,12 +349,9 @@ def parse_prediction_table(
     return PredictionTable.concat(tables or [PredictionTable.from_rows([])])
 
 
-def parse_predictions(
-    data: bytes | str,
-    image_sizes: Mapping[str, tuple[int, int]] | None = None,
-) -> list[Prediction]:
+def parse_predictions(data: bytes | str) -> list[Prediction]:
     """Parse a predictions file into rows; see parse_prediction_table."""
-    return parse_prediction_table(data, image_sizes).rows()
+    return parse_prediction_table(data).rows()
 
 
 def _prediction_lines(table: PredictionTable) -> list[str]:
@@ -420,15 +398,12 @@ def serialized_size(predictions: Predictions) -> int:
 # -- ground truth --------------------------------------------------------------
 
 
-def _ground_truth_rows(
-    lines: list[str], first: int, image_sizes: Mapping[str, tuple[int, int]] | None
-) -> list[GroundTruthInstance]:
+def _ground_truth_rows(lines: list[str], first: int) -> list[GroundTruthInstance]:
     """Row by row, field by field: the source of every row's ParseError."""
     out: list[GroundTruthInstance] = []
     for number, line in _numbered(lines, first):
         parts = _split(line, number, 9)
         mask = _parse_mask_fields(parts[6:9], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
         box = _parse_box(parts[2:6], number)
         try:
             out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
@@ -453,17 +428,13 @@ def _box_only_ground_truth(lines: list[str]) -> list[GroundTruthInstance] | None
         return None
 
 
-def parse_ground_truth(
-    data: bytes | str,
-    image_sizes: Mapping[str, tuple[int, int]] | None = None,
-) -> list[GroundTruthInstance]:
-    """Parse a ground-truth file; mask dimensions are cross-checked against
-    image_sizes when a table is supplied.  A chunk of valid box-only rows is
-    parsed column by column, any other chunk row by row."""
+def parse_ground_truth(data: bytes | str) -> list[GroundTruthInstance]:
+    """Parse a ground-truth file.  A chunk of valid box-only rows is parsed
+    column by column, any other chunk row by row."""
     out: list[GroundTruthInstance] = []
     for first, chunk in _chunks(_data_lines(data, GROUND_TRUTH_HEADER)):
         records = _box_only_ground_truth(chunk)
-        out += _ground_truth_rows(chunk, first, image_sizes) if records is None else records
+        out += _ground_truth_rows(chunk, first) if records is None else records
     return out
 
 
@@ -678,12 +649,7 @@ def write_roi_pool(pool: RoiPool) -> bytes:
 
 
 def parse_embeddings(data: bytes | str) -> EmbeddingTable:
-    text = _decode(data)
-    if "\r" in text:
-        raise ParseError(1, "carriage returns are not allowed; files are LF-terminated")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _lines(data)
     if not lines:
         raise ParseError(1, "missing embeddings header")
     header = lines[0].split(",")
@@ -828,127 +794,136 @@ def write_sampled_indices(samples: Mapping[str, Sequence[int]]) -> bytes:
 
 # The text of each label, indexed by the label: -1 reads the last entry.
 _LABEL_TEXT = ("0", "1", "-1")
-
-
-def _matrix_rows(lines: list[str], parse_value, value_name: str):
-    """Row by row, cell by cell: the source of every matrix ParseError.
-    Every row is parsed before the layout is checked."""
-    entries: list[tuple[int, str, object, int]] = []
-    for number, line in _numbered(lines, 2):
-        parts = _split(line, number, 3)
-        roi_index = _parse_int(parts[0], number, "roi_index")
-        value = parse_value(parts[2], number, value_name)
-        entries.append((roi_index, parts[1], value, number))
-    if not entries:
-        return np.empty((0, 0)), ()
-    # The category order is defined by the rows of RoI 0.
-    categories: list[str] = []
-    for roi_index, category_id, _, number in entries:
-        if roi_index != 0:
-            break
-        if category_id in categories:
-            raise ParseError(number, f"duplicate category {category_id!r} for roi 0")
-        categories.append(category_id)
-    if not categories:
-        raise ParseError(entries[0][3], "first roi_index must be 0")
-    n_categories = len(categories)
-    if len(entries) % n_categories != 0:
-        raise ParseError(entries[-1][3], "matrix ends mid-row")
-    rows: list[list] = []
-    for r in range(len(entries) // n_categories):
-        row = []
-        for c in range(n_categories):
-            roi_index, category_id, value, number = entries[r * n_categories + c]
-            if roi_index != r:
-                raise ParseError(number, f"expected roi_index {r}, got {roi_index}")
-            if category_id != categories[c]:
-                raise ParseError(
-                    number, f"expected category {categories[c]!r}, got {category_id!r}"
-                )
-            row.append(value)
-        rows.append(row)
-    return np.array(rows), tuple(categories)
-
-
-def _matches_cycle(names: list[str], categories: list[str], start: int) -> bool:
-    """Whether names reads as categories repeated endlessly, from index start."""
-    done = 0
-    while done < len(names):
-        piece = categories[start : start + len(names) - done]
-        if names[done : done + len(piece)] != piece:
-            return False
-        done += len(piece)
-        start = 0
-    return True
-
-
-def _matrix_columns(lines: list[str], convert):
-    """The (RoI x category) values and the categories of a matrix whose rows
-    all parse with convert and whose layout holds, checked a chunk of columns
-    at a time; None for any other matrix."""
-    value_chunks = []
-    categories: list[str] = []
-    n_categories = 0  # set by RoI 1's first row, which ends RoI 0's rows
-    cells = 0
-    for _, chunk in _chunks(lines):
-        tokens = _split_chunk(chunk, 3)
-        if tokens is None:
-            return None
-        try:
-            rois = np.array(list(map(int, tokens[0::3])), dtype=np.int64)
-            # dtype=int is int64 and dtype=float float64; a value out of
-            # range raises OverflowError.
-            value_chunks.append(np.array(list(map(convert, tokens[2::3])), dtype=convert))
-        except (ValueError, OverflowError):
-            return None
-        names = tokens[1::3]
-        if not n_categories:
-            nonzero = np.flatnonzero(rois)
-            if nonzero.size == 0:
-                categories += names
-                cells += len(names)
-                continue
-            categories += names[: nonzero[0]]
-            n_categories = len(categories)
-            if not n_categories or len(set(categories)) != n_categories:
-                return None
-        if not (
-            np.array_equal(rois, np.arange(cells, cells + len(names)) // n_categories)
-            and _matches_cycle(names, categories, cells % n_categories)
-        ):
-            return None
-        cells += len(names)
-    if not cells:
-        return np.empty((0, 0)), ()
-    if not n_categories:
-        # Every row is RoI 0's.
-        n_categories = len(categories)
-        if len(set(categories)) != n_categories:
-            return None
-    if cells % n_categories:
-        return None
-    return np.concatenate(value_chunks).reshape(-1, n_categories), tuple(categories)
+_LABELS = frozenset((-1, 0, 1))
 
 
 def _parse_label(text: str, number: int, name: str) -> int:
     value = _parse_int(text, number, name)
-    if value not in (-1, 0, 1):
+    if value not in _LABELS:
         raise ParseError(number, f"label must be -1, 0 or 1, got {value}")
     return value
 
 
+def _label_column(texts: list[str]) -> np.ndarray:
+    """A chunk's labels; ValueError unless each reads -1, 0 or 1."""
+    labels = list(map(int, texts))
+    if not _LABELS.issuperset(labels):
+        raise ValueError("label out of range")
+    return np.array(labels, dtype=np.int8)
+
+
+def _logit_column(texts: list[str]) -> np.ndarray:
+    return np.array(list(map(float, texts)))
+
+
+def _matrix_chunk(lines: list[str], value_column):
+    """A chunk's RoI indices, category ids and values, each column converted
+    whole; None when some row has a field error."""
+    tokens = _split_chunk(lines, 3)
+    if tokens is None:
+        return None
+    try:
+        return list(map(int, tokens[0::3])), tokens[1::3], value_column(tokens[2::3])
+    except ValueError:
+        return None
+
+
+def _matrix_field_error(lines: list[str], first: int, parse_value, value_name: str) -> None:
+    """Raise the first field error of a chunk that _matrix_chunk rejected,
+    row by row: empty line, field count, roi_index, then the value."""
+    for number, line in _numbered(lines, first):
+        parts = _split(line, number, 3)
+        _parse_int(parts[0], number, "roi_index")
+        parse_value(parts[2], number, value_name)
+
+
+def _matrix_layout(chunks) -> tuple[str, ...]:
+    """RoI 0's categories, from the (RoI indices, category ids) of a matrix's
+    cells, a chunk at a time in file order; () when there are no cells.
+
+    The layout rule: the cells run RoI by RoI from 0, and every RoI names
+    RoI 0's categories, none twice, in RoI 0's order.  Only RoI 0's
+    categories and the first cell out of place are kept, and every chunk is
+    read before an error is raised, so a field error in a later chunk wins.
+    The error names, in this order, a category repeated in RoI 0, a first
+    cell not in RoI 0, the last cell of a matrix that ends mid-row, or the
+    first cell out of place, its RoI index checked before its category.
+    Cell k is on line k + 2."""
+    categories: list[str] = []
+    # Once RoI 0's cells end: the RoI index and the category due in each
+    # later cell.  They are read only while categories is not empty.
+    expected = None
+    misplaced = None
+    cells = 0
+    for rois, names in chunks:
+        first_line = cells + 2
+        cells += len(rois)
+        start = 0
+        if expected is None:
+            start = next((k for k, roi in enumerate(rois) if roi != 0), len(rois))
+            categories += names[:start]
+            if start < len(rois):
+                n = len(categories)
+                expected = chain.from_iterable(map(repeat, count(1), repeat(n))), cycle(categories)
+        if expected and categories and misplaced is None:
+            want_rois, want_names = (list(islice(it, len(rois) - start)) for it in expected)
+            rois, names = rois[start:], names[start:]
+            if rois != want_rois or names != want_names:
+                k = next(
+                    k
+                    for k, cell in enumerate(zip(rois, names))
+                    if cell != (want_rois[k], want_names[k])
+                )
+                misplaced = ParseError(
+                    first_line + start + k,
+                    f"expected roi_index {want_rois[k]}, got {rois[k]}"
+                    if rois[k] != want_rois[k]
+                    else f"expected category {want_names[k]!r}, got {names[k]!r}",
+                )
+    if not cells:
+        return ()
+    seen: set[str] = set()
+    for line, name in enumerate(categories, 2):
+        if name in seen:
+            raise ParseError(line, f"duplicate category {name!r} for roi 0")
+        seen.add(name)
+    if not categories:
+        raise ParseError(2, "first roi_index must be 0")
+    if cells % len(categories):
+        raise ParseError(cells + 1, "matrix ends mid-row")
+    if misplaced is not None:
+        raise misplaced
+    return tuple(categories)
+
+
+def _parse_matrix(data: bytes | str, header: str, value_column, parse_value, value_name: str):
+    """The (RoI x category) values of a matrix file and its categories.
+    Each chunk's columns are converted whole; a chunk that fails is parsed
+    row by row, that chunk alone, for its field error.  The layout is
+    checked over every chunk's cells once all have parsed."""
+    lines = _data_lines(data, header)
+    values: list[np.ndarray] = []
+
+    def cells():
+        for first, chunk in _chunks(lines):
+            columns = _matrix_chunk(chunk, value_column)
+            if columns is None:
+                _matrix_field_error(chunk, first, parse_value, value_name)
+            rois, names, chunk_values = columns
+            values.append(chunk_values)
+            yield rois, names
+
+    categories = _matrix_layout(cells())
+    if not categories:
+        raise ParseError(1, f"{value_name} matrix has no rows")
+    return np.concatenate(values).reshape(-1, len(categories)), categories
+
+
 def parse_label_matrix(data: bytes | str):
-    """Parse a label CSV into a LabelMatrix.  The file is checked column by
-    column; one that fails any check is parsed row by row for its error."""
+    """Parse a label CSV into a LabelMatrix."""
     from .federated import LabelMatrix
 
-    lines = _data_lines(data, LABELS_HEADER)
-    matrix = _matrix_columns(lines, int)
-    if matrix is None or not ((matrix[0] >= -1) & (matrix[0] <= 1)).all():
-        matrix = _matrix_rows(lines, _parse_label, "label")
-    values, categories = matrix
-    if not categories:
-        raise ParseError(1, "label matrix has no rows")
+    values, categories = _parse_matrix(data, LABELS_HEADER, _label_column, _parse_label, "label")
     ones = values == 1
     doubled = np.flatnonzero(ones.sum(axis=1) > 1)
     if doubled.size:
@@ -981,15 +956,8 @@ def write_label_matrix(matrix) -> bytes:
 
 def parse_logit_matrix(data: bytes | str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a logit CSV into a float64 (RoI x category) array and its
-    categories, column by column as parse_label_matrix."""
-    lines = _data_lines(data, LOGITS_HEADER)
-    matrix = _matrix_columns(lines, float)
-    if matrix is None:
-        matrix = _matrix_rows(lines, _parse_float, "logit")
-    values, categories = matrix
-    if not categories:
-        raise ParseError(1, "logit matrix has no rows")
-    return values, categories
+    categories."""
+    return _parse_matrix(data, LOGITS_HEADER, _logit_column, _parse_float, "logit")
 
 
 def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:

@@ -43,16 +43,9 @@ _set = object.__setattr__
 DEFAULT_POOL_LIMIT = 16000
 
 
-def _check_id(name: str, value: str) -> None:
-    # Identifiers end up as CSV fields, so the separator characters are banned.
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
-    if "," in value or "\n" in value or "\r" in value:
-        raise ValidationError(f"{name} must not contain commas or newlines: {value!r}")
-
-
 def _is_id(value: object) -> bool:
-    """Whether _check_id accepts value."""
+    """The id rule: a non-empty string with no comma, LF or CR, since ids
+    end up as CSV fields."""
     return (
         isinstance(value, str)
         and value != ""
@@ -60,6 +53,13 @@ def _is_id(value: object) -> bool:
         and "\n" not in value
         and "\r" not in value
     )
+
+
+def _check_id(name: str, value: str) -> None:
+    if not _is_id(value):
+        if not isinstance(value, str) or not value:
+            raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
+        raise ValidationError(f"{name} must not contain commas or newlines: {value!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -83,11 +83,8 @@ class Prediction:
         # Plain ids and a float score in range are stored as given; anything
         # else is converted and checked field by field.
         if not (
-            type(image_id) is type(category_id) is str
-            and image_id
-            and category_id
-            and "," not in image_id and "\n" not in image_id and "\r" not in image_id
-            and "," not in category_id and "\n" not in category_id and "\r" not in category_id
+            _is_id(image_id)
+            and _is_id(category_id)
             and type(score) is float
             and 0.0 <= score <= 1.0
         ):
@@ -116,14 +113,7 @@ class GroundTruthInstance:
     def __init__(
         self, image_id: str, category_id: str, box: Box, mask: BinaryMask | None = None
     ) -> None:
-        # The same accept test for the ids as in Prediction.
-        if not (
-            type(image_id) is type(category_id) is str
-            and image_id
-            and category_id
-            and "," not in image_id and "\n" not in image_id and "\r" not in image_id
-            and "," not in category_id and "\n" not in category_id and "\r" not in category_id
-        ):
+        if not (_is_id(image_id) and _is_id(category_id)):
             _check_id("image_id", image_id)
             _check_id("category_id", category_id)
         _set(self, "image_id", image_id)

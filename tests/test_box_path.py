@@ -37,7 +37,6 @@ from detpipe.evaluation import (
 from detpipe.fileio import (
     GROUND_TRUTH_HEADER,
     PREDICTIONS_HEADER,
-    _check_mask_dimensions,
     _csv_lines,
     _parse_float,
     _parse_int,
@@ -69,13 +68,12 @@ def parse_mask_fields_ref(parts, line_number):
         raise ParseError(line_number, str(exc)) from exc
 
 
-def parse_predictions_ref(data, image_sizes=None):
+def parse_predictions_ref(data):
     """Reference: every row through the validating constructors."""
     out = []
     for number, line in _csv_lines(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
         mask = parse_mask_fields_ref(parts[7:10], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
         try:
             box = Box(
                 _parse_float(parts[3], number, "x_min"),
@@ -99,13 +97,12 @@ def parse_predictions_ref(data, image_sizes=None):
     return out
 
 
-def parse_ground_truth_ref(data, image_sizes=None):
+def parse_ground_truth_ref(data):
     """Reference: every row through the validating constructors."""
     out = []
     for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
         mask = parse_mask_fields_ref(parts[6:9], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
         try:
             box = Box(
                 _parse_float(parts[2], number, "x_min"),

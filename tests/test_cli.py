@@ -1,8 +1,11 @@
+import gc
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +426,44 @@ class TestSubcommands:
         for image_id, indices in samples.items():
             assert len(indices) == 5
             assert len(set(indices)) == 5
+        capsys.readouterr()
+
+    def test_sample_rois_time_is_linear(self, tmp_path, capsys):
+        # One RoI and two ground truths per image: about 2x for twice the
+        # images when each image looks up only its own boxes, 4x when each
+        # image scans every ground truth.
+        def argv(n_images):
+            pool = RoiPool({f"im{i}": (Roi(Box(0.0, 0.0, 10.0, 10.0)),) for i in range(n_images)})
+            gts = [
+                GroundTruthInstance(f"im{i}", "c", Box(float(k), 0.0, 10.0 + k, 10.0))
+                for i in range(n_images)
+                for k in range(2)
+            ]
+            folder = tmp_path / str(n_images)
+            folder.mkdir()
+            return [
+                "sample-rois",
+                "--rois", str(write(folder / "pool.csv", fileio.write_roi_pool(pool))),
+                "--ground-truth", str(write(folder / "gt.csv", fileio.write_ground_truth(gts))),
+                "--n-sample", "1",
+                "--out", str(folder / "sampled.csv"),
+            ]
+
+        def seconds(args) -> float:
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                assert cli.run(args) == 0
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+
+        # The sizes alternate and each pair is compared on its own, so a
+        # slow spell on a shared machine slows both sides of a pair.
+        small, large = argv(2000), argv(4000)
+        seconds(small)
+        ratios = [seconds(large) / seconds(small) for _ in range(7)]
+        assert statistics.median(ratios) <= 2.5
         capsys.readouterr()
 
     def test_partition_pool_outputs_cover_input(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import contextlib
 import gc
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,6 @@ from detpipe.fileio import (
     LOGITS_HEADER,
     ROI_POOL_HEADER,
     VERIFICATION_HEADER,
-    _check_mask_dimensions,
     _csv_lines,
     _fmt_float,
     _parse_box,
@@ -170,12 +170,11 @@ def parse_verification_ref(data):
     return verification_entries_ref(entries)
 
 
-def parse_ground_truth_ref(data, image_sizes=None):
+def parse_ground_truth_ref(data):
     out = []
     for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
         mask = _parse_mask_fields(parts[6:9], number)
-        _check_mask_dimensions(mask, parts[0], image_sizes, number)
         box = _parse_box(parts[2:6], number)
         try:
             out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
@@ -422,6 +421,35 @@ class TestMatrices:
                     same_array(actual.values, expected.values)
                     assert actual.categories == expected.categories
 
+    def test_failing_chunk_is_parsed_alone(self):
+        # A field error in the third chunk sends that chunk alone to the row
+        # path, and wins over a misplaced cell in the first chunk; a file
+        # whose only fault is its layout reaches the row path not at all.
+        categories = [f"c{j:03d}" for j in range(500)]
+        chunk = fileio._CHUNK_LINES
+        index = 2 * chunk + 500
+        for parse, header, bad_value, reason in (
+            (fileio.parse_label_matrix, LABELS_HEADER, "2", "label must be -1, 0 or 1, got 2"),
+            (fileio.parse_logit_matrix, LOGITS_HEADER, "x", "bad logit 'x'"),
+        ):
+            misplaced = [f"{r},{c},0" for r in range(20) for c in categories]
+            misplaced[600] = f"1,{categories[1]},0"
+            field_error = list(misplaced)
+            field_error[index] = f"{index // 500},{categories[index % 500]},{bad_value}"
+            for rows, calls, message in (
+                (field_error, 1, f"line {index + 2}: {reason}"),
+                (misplaced, 0, "line 602: expected category 'c100', got 'c001'"),
+            ):
+                spy = mock.patch.object(
+                    fileio, "_matrix_field_error", wraps=fileio._matrix_field_error
+                )
+                with spy as row_path:
+                    assert outcome(parse, as_file(header, rows)) == ("ParseError", message)
+                assert row_path.call_count == calls
+                if calls:
+                    chunk_rows = rows[2 * chunk : 3 * chunk]
+                    assert row_path.call_args.args[:2] == (chunk_rows, 2 * chunk + 2)
+
     def test_empty_files(self):
         for parse, reference, header in (
             (fileio.parse_label_matrix, parse_label_matrix_ref, LABELS_HEADER),
@@ -607,16 +635,15 @@ def same_records(actual, expected):
 
 
 class TestGroundTruthAndPools:
-    @given(ground_truth_rows(), st.integers(1, 4), st.booleans())
+    @given(ground_truth_rows(), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    @example([",c,0,0,1,1,,,", "a,c,0,0,1,1,,,"], 1, False)
-    @example(["a,c,0,0,1,1,,,", "a,c,0,0,1,inf,,,"], 1, False)
-    @example(["a,c,0,0,1e308,1e308,,,", "a,c,1e308,1e308,1e308,1e308,,,"], 2, False)
-    def test_parse_ground_truth(self, rows, chunk_lines, with_sizes):
-        sizes = {"a": (2, 2), "b": (2, 2), "é": (3, 2)} if with_sizes else None
+    @example([",c,0,0,1,1,,,", "a,c,0,0,1,1,,,"], 1)
+    @example(["a,c,0,0,1,1,,,", "a,c,0,0,1,inf,,,"], 1)
+    @example(["a,c,0,0,1e308,1e308,,,", "a,c,1e308,1e308,1e308,1e308,,,"], 2)
+    def test_parse_ground_truth(self, rows, chunk_lines):
         data = as_file(GROUND_TRUTH_HEADER, rows)
         actual, expected = patched_outcomes(
-            fileio.parse_ground_truth, parse_ground_truth_ref, data, chunk_lines, sizes
+            fileio.parse_ground_truth, parse_ground_truth_ref, data, chunk_lines
         )
         if expected[0] == "ok":
             same_records(actual[1], expected[1])
@@ -692,7 +719,7 @@ def test_valid_files_never_take_the_row_path():
         for name in ("verification.csv", "ground_truth.csv", "rois.csv", "expert_0.csv", "logits_im0.csv")
     }
     labels = (FIXTURE / "expected" / "labels_im0.csv").read_bytes()
-    row_paths = ("_matrix_rows", "_verification_rows", "_ground_truth_rows", "_roi_pool_rows", "_parse_prediction_line")
+    row_paths = ("_matrix_field_error", "_verification_rows", "_ground_truth_rows", "_roi_pool_rows", "_parse_prediction_line")
     for chunk_lines in (*range(1, 13), 4096):
         with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines), contextlib.ExitStack() as stack:
             for name in row_paths:
@@ -762,3 +789,25 @@ def test_parse_label_matrix_time_is_linear():
 
     small, large = matrix_file(40), matrix_file(80)
     assert median_ratio(small, large, fileio.parse_label_matrix) <= 2.5
+
+
+def test_parse_label_matrix_memory_per_cell():
+    # The parse holds the file's lines and one chunk's tokens, not a token
+    # per cell.  Before the matrices shared one parse path this file peaked
+    # at 90.3 B/cell (Python 3.11, numpy 2.4); the bound is 1.25x that.
+    categories = [f"c{j:03d}" for j in range(500)]
+    rows = [
+        f"{r},{c},{1 if j == r % 500 else -1 if (r + j) % 3 else 0}"
+        for r in range(200)
+        for j, c in enumerate(categories)
+    ]
+    data = as_file(LABELS_HEADER, rows)
+    del rows
+    fileio.parse_label_matrix(data)
+    tracemalloc.start()
+    try:
+        fileio.parse_label_matrix(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 100_000 <= 113

@@ -112,18 +112,6 @@ class TestPredictions:
         with pytest.raises(ParseError):
             fileio.parse_predictions(fileio.PREDICTIONS_HEADER + "\r\n")
 
-    def test_dimension_table_check(self):
-        data = (
-            fileio.PREDICTIONS_HEADER + "\n"
-            "im1,c1,0.5,0.0,0.0,4.0,3.0,4,3,0 12\n"
-        )
-        sizes = {"im1": (4, 3)}
-        assert len(fileio.parse_predictions(data, image_sizes=sizes)) == 1
-        with pytest.raises(ParseError):
-            fileio.parse_predictions(data, image_sizes={"im1": (5, 3)})
-        with pytest.raises(ParseError):
-            fileio.parse_predictions(data, image_sizes={"other": (4, 3)})
-
 
 class TestSerializedSize:
     def test_empty_is_header(self):
