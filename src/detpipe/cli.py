@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Every pipeline operation is a subcommand; ``pipeline`` chains them from a
-plain-text configuration file.  Outputs are written atomically (to a
-temporary file in the destination directory, then renamed).  Exit status: 0
-on success, 1 on validation or I/O errors (one machine-parsable line on
-stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
+plain-text configuration file.  Within one pipeline run, a file that several
+stages read is parsed once and released after its last reader; a stage that
+reads it again after an earlier stage rewrote it parses the new bytes.
+``assign`` checks the whole verification table for conflicts once per run
+and expands only its own image's entries.  Outputs are written atomically
+(to a temporary file in the destination directory, then renamed).  Exit
+status: 0 on success, 1 on validation or I/O errors (one machine-parsable
+line on stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,7 +44,7 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import DEFAULT_POOL_LIMIT, Roi, RoiPool
+from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
 __all__ = ["run", "main", "build_parser"]
@@ -69,6 +74,53 @@ def _write_bytes_atomic(path: str, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+# -- parsed inputs ------------------------------------------------------------------
+
+
+@dataclass
+class _Parsed:
+    """A parse kept for a later stage: the parser, the bytes it parsed and
+    its result.  ``conflict_free_with`` is the hierarchy over which `assign`
+    expanded this result, a verification table, without a conflict."""
+
+    parse: Callable
+    data: bytes
+    result: object
+    conflict_free_with: Hierarchy | None = None
+
+
+# A pipeline run parses a file that several of its stages read once.
+# `_readers` counts, per input path, the stages that list it and have not
+# finished, the running one included; a single subcommand counts none.
+# `_parsed` keeps a path's parse only while a later stage still reads it.
+# Both are emptied when the run ends.  So a stage never mutates what `_load`
+# gives it.
+_readers: Counter[str] = Counter()
+_parsed: dict[str, _Parsed] = {}
+
+
+def _load(parse: Callable[[bytes], object], path: str):
+    """parse(the bytes at path), or the result that a stage of this run got
+    from the same parser on the same bytes at that path."""
+    data = _read_bytes(path)
+    kept = _parsed.get(path)
+    if kept is not None and kept.parse is parse and kept.data == data:
+        return kept.result
+    result = parse(data)
+    if _readers[path] > 1:
+        _parsed[path] = _Parsed(parse, data, result)
+    return result
+
+
+def _finished(inputs: list[str]) -> None:
+    """Count a finished stage out of its inputs' readers, and drop each
+    parse that no later stage reads."""
+    for path in set(inputs):
+        _readers[path] -= 1
+        if not _readers[path]:
+            _parsed.pop(path, None)
 
 
 # -- stage declarations -------------------------------------------------------------
@@ -137,39 +189,55 @@ class Stage:
 
 
 def _cmd_nms(args: argparse.Namespace) -> int:
-    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    table = _load(fileio.parse_prediction_table, args.input)
     kept = nms(table, args.iou_threshold)
     _write_bytes_atomic(args.out, fileio.write_predictions(kept))
     return 0
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    tables = [fileio.parse_prediction_table(_read_bytes(p)) for p in args.inputs]
+    tables = [_load(fileio.parse_prediction_table, p) for p in args.inputs]
     fused = ensemble(tables, args.iou_threshold)
     _write_bytes_atomic(args.out, fileio.write_predictions(fused))
     return 0
 
 
 def _cmd_assign(args: argparse.Namespace) -> int:
-    pool = fileio.parse_roi_pool(_read_bytes(args.rois))
-    gts = fileio.parse_ground_truth(_read_bytes(args.ground_truth))
-    verification = fileio.parse_verification(_read_bytes(args.verification))
-    hierarchy = fileio.parse_hierarchy(_read_bytes(args.hierarchy))
-    categories = fileio.parse_category_list(_read_bytes(args.categories))
+    pool = _load(fileio.parse_roi_pool, args.rois)
+    gts = _load(fileio.parse_ground_truth, args.ground_truth)
+    verification = _load(fileio.parse_verification, args.verification)
+    hierarchy = _load(fileio.parse_hierarchy, args.hierarchy)
+    categories = _load(fileio.parse_category_list, args.categories)
     if args.image_id not in pool.images:
         raise ValidationError(f"image {args.image_id!r} is not in the RoI pool")
     boxes = [roi.box for roi in pool.images[args.image_id]]
     image_gts = [g for g in gts if g.image_id == args.image_id]
-    expanded = expand_verification(verification, hierarchy)
+    _check_conflicts(args.verification, verification, hierarchy)
+    # An image's entries expand independently of every other image's.
+    own = {key: sign for key, sign in verification.items() if key[0] == args.image_id}
+    expanded = expand_verification(VerificationTable(own), hierarchy)
     assignment = assign_rois(boxes, image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
     _write_bytes_atomic(args.out, fileio.write_label_matrix(matrix))
     return 0
 
 
+def _check_conflicts(path: str, verification: VerificationTable, hierarchy: Hierarchy) -> None:
+    """Raise when expanding the whole table at path over the hierarchy gives
+    a conflict on any image.  The expansion is thrown away; a pipeline run
+    makes it once for the same parsed table and hierarchy."""
+    kept = _parsed.get(path)
+    shared = kept is not None and kept.result is verification
+    if shared and kept.conflict_free_with is hierarchy:
+        return
+    expand_verification(verification, hierarchy)
+    if shared:
+        kept.conflict_free_with = hierarchy
+
+
 def _cmd_loss(args: argparse.Namespace) -> int:
-    labels = fileio.parse_label_matrix(_read_bytes(args.labels))
-    logits, categories = fileio.parse_logit_matrix(_read_bytes(args.logits))
+    labels = _load(fileio.parse_label_matrix, args.labels)
+    logits, categories = _load(fileio.parse_logit_matrix, args.logits)
     if categories != labels.categories:
         raise ValidationError(
             "logit matrix categories do not match the label matrix"
@@ -180,8 +248,8 @@ def _cmd_loss(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_rois(args: argparse.Namespace) -> int:
-    pool = fileio.parse_roi_pool(_read_bytes(args.rois))
-    gts = fileio.parse_ground_truth(_read_bytes(args.ground_truth))
+    pool = _load(fileio.parse_roi_pool, args.rois)
+    gts = _load(fileio.parse_ground_truth, args.ground_truth)
     config = SamplerConfig(
         n_sample=args.n_sample,
         fg_fraction=args.fg_fraction,
@@ -201,10 +269,8 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition_pool(args: argparse.Namespace) -> int:
-    pool = fileio.parse_roi_pool(_read_bytes(args.rois))
-    if args.k < 1:
-        raise ValidationError(f"number of partitions must be >= 1, got {args.k}")
     paths = _partition_paths(args)
+    pool = _load(fileio.parse_roi_pool, args.rois)
     parts: list[dict[str, tuple[Roi, ...]]] = [{} for _ in paths]
     for image_id in sorted(pool.images):
         for index, chunk in enumerate(partition_pool(pool.images[image_id], args.k)):
@@ -217,6 +283,8 @@ def _cmd_partition_pool(args: argparse.Namespace) -> int:
 
 
 def _partition_paths(args: argparse.Namespace) -> list[str]:
+    if args.k < 1:
+        raise ValidationError(f"number of partitions must be >= 1, got {args.k}")
     # A pool holds at most DEFAULT_POOL_LIMIT RoIs per image, so any further
     # partition would be empty for every image.
     if args.k > DEFAULT_POOL_LIMIT:
@@ -242,7 +310,7 @@ def _cmd_split_experts(args: argparse.Namespace) -> int:
             raise ValidationError(
                 "--start-rank, --end-rank and --num-experts are required with --by rank"
             )
-        stats = fileio.parse_category_stats(_read_bytes(args.stats))
+        stats = _load(fileio.parse_category_stats, args.stats)
         ranking = rarity_ranking(stats)
         groups = split_by_rank(ranking, args.start_rank, args.end_rank, args.num_experts)
     else:
@@ -250,14 +318,14 @@ def _cmd_split_experts(args: argparse.Namespace) -> int:
             raise ValidationError("--embeddings is required with --by embedding")
         if args.k is None:
             raise ValidationError("--k is required with --by embedding")
-        table = fileio.parse_embeddings(_read_bytes(args.embeddings))
+        table = _load(fileio.parse_embeddings, args.embeddings)
         groups = split_by_embedding(table, args.k, seed=args.seed)
     _write_bytes_atomic(args.out, fileio.write_category_groups(groups))
     return 0
 
 
 def _select_group(path: str, group_index: int | None):
-    groups = fileio.parse_category_groups(_read_bytes(path))
+    groups = _load(fileio.parse_category_groups, path)
     if not groups:
         raise ValidationError(f"group file {path} contains no groups")
     if group_index is None:
@@ -274,8 +342,8 @@ def _select_group(path: str, group_index: int | None):
 
 
 def _cmd_filter_expert(args: argparse.Namespace) -> int:
-    gts = fileio.parse_ground_truth(_read_bytes(args.ground_truth))
-    verification = fileio.parse_verification(_read_bytes(args.verification))
+    gts = _load(fileio.parse_ground_truth, args.ground_truth)
+    verification = _load(fileio.parse_verification, args.verification)
     group = _select_group(args.group_file, args.group_index)
     kept_gts, kept_verification, kept_images = filter_for_expert(gts, verification, group)
     _write_bytes_atomic(args.out_ground_truth, fileio.write_ground_truth(kept_gts))
@@ -285,21 +353,21 @@ def _cmd_filter_expert(args: argparse.Namespace) -> int:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
-    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    table = _load(fileio.parse_prediction_table, args.input)
     group = _select_group(args.group_file, args.group_index)
     _write_bytes_atomic(args.out, fileio.write_predictions(restrict_predictions(table, group)))
     return 0
 
 
 def _cmd_drop_small_masks(args: argparse.Namespace) -> int:
-    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    table = _load(fileio.parse_prediction_table, args.input)
     kept = drop_small_masks(table, args.min_area)
     _write_bytes_atomic(args.out, fileio.write_predictions(kept))
     return 0
 
 
 def _cmd_trim(args: argparse.Namespace) -> int:
-    table = fileio.parse_prediction_table(_read_bytes(args.input))
+    table = _load(fileio.parse_prediction_table, args.input)
     survivors, report = trim_to_budget(table, args.max_bytes)
     _write_bytes_atomic(args.out, fileio.write_predictions(survivors))
     _write_bytes_atomic(args.report, fileio.write_trim_report(report))
@@ -307,10 +375,10 @@ def _cmd_trim(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    predictions = fileio.parse_predictions(_read_bytes(args.predictions))
-    gts = fileio.parse_ground_truth(_read_bytes(args.ground_truth))
-    verification = fileio.parse_verification(_read_bytes(args.verification))
-    hierarchy = fileio.parse_hierarchy(_read_bytes(args.hierarchy))
+    predictions = _load(fileio.parse_predictions, args.predictions)
+    gts = _load(fileio.parse_ground_truth, args.ground_truth)
+    verification = _load(fileio.parse_verification, args.verification)
+    hierarchy = _load(fileio.parse_hierarchy, args.hierarchy)
     report = evaluate(
         predictions, gts, verification, hierarchy, args.iou_threshold, args.mode
     )
@@ -447,25 +515,31 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
         )
 
-    for plan in plans:
-        entry = {
-            "section": plan.section,
-            "stage": plan.stage.name,
-            "argv": plan.argv,
-            "inputs": plan.inputs,
-            "outputs": plan.outputs,
-            "status": "ok",
-        }
-        try:
-            plan.stage.run(plan.args)
-        except (ValidationError, OSError) as exc:
-            entry["status"] = "failed"
-            entry["error"] = str(exc)
+    try:
+        _readers.update(path for plan in plans for path in set(plan.inputs))
+        for plan in plans:
+            entry = {
+                "section": plan.section,
+                "stage": plan.stage.name,
+                "argv": plan.argv,
+                "inputs": plan.inputs,
+                "outputs": plan.outputs,
+                "status": "ok",
+            }
+            try:
+                plan.stage.run(plan.args)
+            except (ValidationError, OSError) as exc:
+                entry["status"] = "failed"
+                entry["error"] = str(exc)
+                manifest["stages"].append(entry)
+                flush_manifest()
+                raise ValidationError(f"stage {plan.section!r} failed: {exc}") from exc
+            _finished(plan.inputs)
             manifest["stages"].append(entry)
             flush_manifest()
-            raise ValidationError(f"stage {plan.section!r} failed: {exc}") from exc
-        manifest["stages"].append(entry)
-        flush_manifest()
+    finally:
+        _readers.clear()
+        _parsed.clear()
     return 0
 
 

@@ -355,29 +355,28 @@ def parse_predictions(data: bytes | str) -> list[Prediction]:
 
 
 def _prediction_lines(table: PredictionTable) -> list[str]:
-    """Each row's CSV line, without its LF.  Formatted once per table and
-    kept in ``table.lines``; floats are written with repr(), the shortest
-    string that round-trips."""
-    if table.lines is None:
-        coordinates = map(repr, table.boxes.ravel().tolist())
-        table.lines = list(
-            map(
-                ",".join,
-                zip(
-                    map(table.image_ids.__getitem__, table.image_codes.tolist()),
-                    map(table.category_ids.__getitem__, table.category_codes.tolist()),
-                    map(repr, table.scores.tolist()),
-                    map(",".join, zip(*[coordinates] * 4)),
-                    map(_mask_fields, table.masks),
-                ),
-            )
+    """Each row's CSV line, without its LF: ``table.lines`` when set, else
+    formatted here and not kept, since the table may be shared.  Floats are
+    written with repr(), the shortest string that round-trips."""
+    if table.lines is not None:
+        return table.lines
+    coordinates = map(repr, table.boxes.ravel().tolist())
+    return list(
+        map(
+            ",".join,
+            zip(
+                map(table.image_ids.__getitem__, table.image_codes.tolist()),
+                map(table.category_ids.__getitem__, table.category_codes.tolist()),
+                map(repr, table.scores.tolist()),
+                map(",".join, zip(*[coordinates] * 4)),
+                map(_mask_fields, table.masks),
+            ),
         )
-    return table.lines
+    )
 
 
-def _prediction_row_sizes(table: PredictionTable) -> np.ndarray:
-    """Byte length each row contributes to the serialized file."""
-    lines = _prediction_lines(table)
+def _line_sizes(lines: list[str]) -> np.ndarray:
+    """Byte length each line contributes to the serialized file."""
     return np.fromiter(map(len, map(str.encode, lines)), np.int64, len(lines)) + 1
 
 
@@ -392,7 +391,8 @@ def empty_predictions_size() -> int:
 
 def serialized_size(predictions: Predictions) -> int:
     """Exact byte length write_predictions() would produce."""
-    return empty_predictions_size() + int(_prediction_row_sizes(as_table(predictions)).sum())
+    sizes = _line_sizes(_prediction_lines(as_table(predictions)))
+    return empty_predictions_size() + int(sizes.sum())
 
 
 # -- ground truth --------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _prediction_row_sizes, empty_predictions_size
+from .fileio import _line_sizes, _prediction_lines, empty_predictions_size
 from .geometry import mask_area
 from .records import Prediction
 from .table import PredictionTable, Predictions, as_table, select
@@ -63,8 +63,11 @@ def drop_small_masks(
     return select(predictions, _kept_mask_rows(as_table(predictions), min_area))
 
 
-def _trim(table: PredictionTable, max_bytes: int) -> tuple[np.ndarray, TrimReport]:
-    """The rows trim_to_budget keeps, in row order, and its report.
+def _trim(
+    table: PredictionTable, sizes: np.ndarray, max_bytes: int
+) -> tuple[np.ndarray, TrimReport]:
+    """The rows trim_to_budget keeps, in row order, and its report, given
+    each row's byte length in the written file.
 
     The greedy removal order is known up front: a category's k-th lowest
     prediction leaves when k predictions of it remain, and among removals at
@@ -77,7 +80,6 @@ def _trim(table: PredictionTable, max_bytes: int) -> tuple[np.ndarray, TrimRepor
         raise ValidationError(
             f"byte budget {max_bytes} is smaller than the header ({header_bytes} bytes)"
         )
-    sizes = _prediction_row_sizes(table)
     total = header_bytes + int(sizes.sum())
     n = len(table)
     codes = table.category_codes
@@ -119,5 +121,12 @@ def trim_to_budget(
     lowest-score prediction goes first (ties: latest in input order).
     Survivors keep their input order: a table for a table, else a list.
     """
-    kept, report = _trim(as_table(predictions), max_bytes)
-    return select(predictions, kept), report
+    table = as_table(predictions)
+    # Rows are sized from the lines the writer joins.  The survivors carry
+    # them; the given table may be shared, so it is left as it is.
+    lines = _prediction_lines(table)
+    kept, report = _trim(table, _line_sizes(lines), max_bytes)
+    survivors = select(predictions, kept)
+    if isinstance(survivors, PredictionTable):
+        survivors.lines = [lines[i] for i in kept.tolist()]
+    return survivors, report

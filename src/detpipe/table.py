@@ -37,9 +37,9 @@ class PredictionTable:
     checks, ``from_rows`` takes rows that are records already, and ``take``
     and ``concat`` take rows of other tables.
 
-    ``lines`` is the CSV line of each row once ``fileio`` has formatted
-    them, and None before; ``take`` carries it along, so ``trim`` sizes rows
-    from the same lines the writer joins.
+    ``lines`` is the CSV line of each row when ``trim`` has formatted them
+    for its survivors, and None otherwise; ``take`` carries it along, so the
+    writer joins the lines ``trim`` sized the rows from.
     """
 
     __slots__ = (

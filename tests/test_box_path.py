@@ -25,6 +25,10 @@ from detpipe import (
     evaluate,
     expand_verification,
     fileio,
+    group_predictions,
+    nms,
+    serialized_size,
+    trim_to_budget,
 )
 from detpipe.evaluation import (
     IGNORED,
@@ -43,6 +47,7 @@ from detpipe.fileio import (
     _split,
 )
 from detpipe.records import NEGATIVE, POSITIVE
+from detpipe.table import PredictionTable
 
 from generators import random_box
 
@@ -501,3 +506,67 @@ def test_evaluate_time_is_linear():
     for _ in range(7):
         ratios.append(seconds(large) / seconds(small))
     assert statistics.median(ratios) <= 2.5
+
+
+def stratified_table(n_strata: int, members: int = 4) -> PredictionTable:
+    """n_strata (image, category) strata of `members` rows each, jittered
+    copies of one box, so that greedy overlap resolution takes several steps
+    within a stratum.  Ten categories per image: twice the strata is twice
+    the images, and each category holds a tenth of the rows."""
+    rng = np.random.default_rng(12)
+    n = n_strata * members
+    strata = np.repeat(np.arange(n_strata), members).tolist()
+    corners = rng.uniform(0.0, 500.0, (n_strata, 2)).repeat(members, axis=0)
+    corners += rng.uniform(0.0, 20.0, (n, 2))
+    boxes = np.hstack([corners, corners + rng.uniform(20.0, 60.0, (n, 2))])
+    return PredictionTable.from_columns(
+        [f"im{s // 10}" for s in strata],
+        [f"c{s % 10}" for s in strata],
+        rng.uniform(0.01, 0.99, n),
+        boxes,
+        [None] * n,
+    )
+
+
+def median_time_ratio(run, small, large) -> float:
+    """Median over seven pairs of run(large)'s time over run(small)'s.  Each
+    pair is compared on its own, so a slow spell on a shared machine slows
+    both sides of a pair."""
+
+    def seconds(arg) -> float:
+        # A collection triggered by earlier allocations would be charged to
+        # whichever size happens to run when it fires.
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            run(arg)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
+
+    seconds(small)
+    return statistics.median(seconds(large) / seconds(small) for _ in range(7))
+
+
+# Twice the rows in twice the strata: about 2x when each stratum costs only
+# its own rows, 4x when each stratum scans every row.
+
+
+def test_nms_time_is_linear():
+    small, large = stratified_table(10000), stratified_table(20000)
+    assert median_time_ratio(lambda table: nms(table, 0.5), small, large) <= 2.5
+
+
+def test_group_predictions_time_is_linear():
+    small, large = stratified_table(2500), stratified_table(5000)
+    assert median_time_ratio(lambda table: group_predictions(table, 0.5), small, large) <= 2.5
+
+
+def test_trim_to_budget_time_is_linear():
+    # Half of each file's bytes must go, so about half the rows leave.
+    small, large = stratified_table(2500), stratified_table(5000)
+    budgets = {id(table): serialized_size(table) // 2 for table in (small, large)}
+    ratio = median_time_ratio(
+        lambda table: trim_to_budget(table, budgets[id(table)]), small, large
+    )
+    assert ratio <= 2.5

@@ -1,12 +1,17 @@
 import gc
+import inspect
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,6 +165,31 @@ class TestExitCodes:
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == f"error\tValidationError\tstage 'partition-pool': {message}\n"
         assert sorted(tmp_path.iterdir()) == sorted([pool, config])
+
+    def test_partition_count_below_one_before_the_pool_is_read(self, tmp_path, capsys):
+        pool = write(tmp_path / "pool.csv", b"not an RoI pool\n")
+        argv = ["partition-pool", "--rois", str(pool), "--k", "0", "--out-prefix", "part_"]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error\tValidationError\tnumber of partitions must be >= 1, got 0\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [pool]
+
+    def test_partition_count_below_one_before_any_stage(self, tmp_path, capsys):
+        preds = FIXTURES / "pipeline" / "preds_a.csv"
+        pool = write(tmp_path / "pool.csv", fileio.write_roi_pool(RoiPool({})))
+        config = write(
+            tmp_path / "config.ini",
+            f"[nms]\nin = {preds}\nout = kept.csv\n\n"
+            f"[partition-pool]\nrois = {pool}\nk = 0\nout-prefix = part_\n".encode(),
+        )
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error\tValidationError\tstage 'partition-pool': "
+            "number of partitions must be >= 1, got 0\n"
+        )
+        assert not run_dir.exists()
 
 
 class TestParseErrors:
@@ -917,4 +947,247 @@ class TestPipeline:
         assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
         assert (run_dir / "a.csv").exists()
         assert (run_dir / "b.csv").exists()
+        capsys.readouterr()
+
+
+def counting_fileio(monkeypatch) -> Counter:
+    """Point cli.fileio at wrappers that count each public function's calls,
+    as the benchmark's traced run wraps it."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        cli,
+        "fileio",
+        SimpleNamespace(
+            **{
+                name: counted(name, obj) if inspect.isfunction(obj) else obj
+                for name, obj in vars(fileio).items()
+                if not name.startswith("_")
+            }
+        ),
+    )
+    return calls
+
+
+class TestSharedInputs:
+    """A file that several stages of one pipeline run read is parsed once."""
+
+    EXPERT = FIXTURES / "expert_pipeline"
+
+    def test_parsed_once_per_run(self, tmp_path, monkeypatch, capsys):
+        # filter-expert, sample-rois and assign all read ground_truth.csv;
+        # filter-expert and assign read verification.csv, sample-rois and
+        # assign rois.csv.
+        fixture = self.EXPERT
+        config = write(
+            tmp_path / "config.ini",
+            f"[filter-expert]\nground-truth = {fixture / 'ground_truth.csv'}\n"
+            f"verification = {fixture / 'verification.csv'}\n"
+            f"group-file = {fixture / 'expected' / 'groups.csv'}\ngroup-index = 0\n"
+            "out-ground-truth = gt_0.csv\nout-verification = ver_0.csv\n"
+            "out-images = images_0.csv\n\n"
+            f"[sample-rois]\nrois = {fixture / 'rois.csv'}\n"
+            f"ground-truth = {fixture / 'ground_truth.csv'}\nn-sample = 2\nout = sampled.csv\n\n"
+            f"[assign]\nimage-id = im0\nrois = {fixture / 'rois.csv'}\n"
+            f"ground-truth = {fixture / 'ground_truth.csv'}\n"
+            f"verification = {fixture / 'verification.csv'}\n"
+            f"hierarchy = {fixture / 'hierarchy.json'}\n"
+            f"categories = {fixture / 'categories.csv'}\nout = labels.csv\n".encode(),
+        )
+        calls = counting_fileio(monkeypatch)
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        parses = {name: n for name, n in calls.items() if name.startswith("parse_")}
+        assert parses == {
+            "parse_ground_truth": 1,
+            "parse_verification": 1,
+            "parse_category_groups": 1,
+            "parse_roi_pool": 1,
+            "parse_hierarchy": 1,
+            "parse_category_list": 1,
+        }
+        # A single subcommand has no later reader: each run parses its inputs.
+        calls.clear()
+        plan = json.loads((run_dir / "manifest.json").read_text())["stages"][2]
+        assert cli.run(plan["argv"]) == 0
+        assert cli.run(plan["argv"]) == 0
+        assert {name: n for name, n in calls.items() if name.startswith("parse_")} == {
+            "parse_ground_truth": 2,
+            "parse_verification": 2,
+            "parse_roi_pool": 2,
+            "parse_hierarchy": 2,
+            "parse_category_list": 2,
+        }
+        assert cli._parsed == {} and not cli._readers
+        capsys.readouterr()
+
+    def test_a_rewritten_file_is_parsed_again(self, tmp_path, capsys):
+        # The run directory is the config directory, so the middle stage's
+        # out-ground-truth overwrites the ground_truth.csv that the first
+        # stage read and the last reads.  The run must match the same stages
+        # run one by one.
+        config = "\n".join(
+            f"[filter-expert.{label}]\nground-truth = ground_truth.csv\n"
+            "verification = verification.csv\ngroup-file = groups.csv\n"
+            f"group-index = {index}\nout-ground-truth = {out_gt}\n"
+            f"out-verification = {label}_ver.csv\nout-images = {label}_images.csv\n"
+            for label, index, out_gt in (
+                ("first", 1, "first_gt.csv"),
+                ("middle", 0, "ground_truth.csv"),
+                ("last", 1, "last_gt.csv"),
+            )
+        )
+        folders = {}
+        for name in ("pipeline", "manual"):
+            folder = tmp_path / name
+            folder.mkdir()
+            for source in ("ground_truth.csv", "verification.csv", "expected/groups.csv"):
+                write(folder / Path(source).name, (self.EXPERT / source).read_bytes())
+            write(folder / "config.ini", config.encode())
+            folders[name] = folder
+        run = folders["pipeline"]
+        config_path = str(run / "config.ini")
+        assert cli.run(["pipeline", "--config", config_path, "--run-dir", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manual = folders["manual"]
+        for stage in manifest["stages"]:
+            argv = [arg.replace(str(run), str(manual)) for arg in stage["argv"]]
+            assert cli.run(argv) == 0
+        for name in ("ground_truth.csv", "first_gt.csv", "last_gt.csv", "last_ver.csv"):
+            assert (run / name).read_bytes() == (manual / name).read_bytes(), name
+        assert (run / "last_gt.csv").read_bytes() != (run / "first_gt.csv").read_bytes()
+        capsys.readouterr()
+
+    def record_store(self, monkeypatch) -> list[tuple[str, set[str]]]:
+        """Wrap every stage so that it records, as it starts, its subcommand
+        and the paths whose parse the store keeps."""
+        seen: list[tuple[str, set[str]]] = []
+        for name, stage in list(cli._STAGES.items()):
+            if not stage.in_config:
+                continue
+
+            def run(args, real=stage.run):
+                seen.append((args.command, set(cli._parsed)))
+                return real(args)
+
+            monkeypatch.setitem(cli._STAGES, name, replace(stage, run=run))
+        return seen
+
+    def check_store(self, seen, plans) -> None:
+        # As each stage starts, the store holds only paths that this stage
+        # or a later one reads, and that some other stage read before it.
+        assert len(seen) <= len(plans)
+        for index, (command, kept) in enumerate(seen):
+            assert command == plans[index]["stage"]
+            later = {p for plan in plans[index:] for p in plan["inputs"]}
+            earlier = {p for plan in plans[:index] for p in plan["inputs"]}
+            assert kept <= later & earlier, plans[index]["section"]
+
+    def test_store_is_emptied(self, tmp_path, monkeypatch, capsys):
+        seen = self.record_store(monkeypatch)
+        config = self.EXPERT / "config.ini"
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        assert cli._parsed == {} and not cli._readers
+        plans = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        self.check_store(seen, plans)
+        assert any(kept for _, kept in seen)
+
+        # A stage that fails while parses are kept for later stages: an
+        # assign of an image that is not in the pool, before the first one.
+        seen.clear()
+        text = config.read_text()
+        cut = text.index("[assign.im0]")
+        failing = (
+            "[assign.missing]\nimage-id = nowhere\nrois = part_0.csv\n"
+            "ground-truth = ground_truth.csv\nverification = verification.csv\n"
+            "hierarchy = hierarchy.json\ncategories = categories.csv\nout = labels_x.csv\n\n"
+        )
+        inputs = shutil.copytree(
+            self.EXPERT, tmp_path / "inputs", ignore=shutil.ignore_patterns("expected")
+        )
+        bad = write(inputs / "config.ini", (text[:cut] + failing + text[cut:]).encode())
+        run_dir = tmp_path / "failed"
+        assert cli.run(["pipeline", "--config", str(bad), "--run-dir", str(run_dir)]) == 1
+        assert "image 'nowhere' is not in the RoI pool" in capsys.readouterr().err
+        assert cli._parsed == {} and not cli._readers
+        stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        assert stages[-1]["section"] == "assign.missing"
+        assert seen[-1][1], "parses were kept when the stage failed"
+
+    def test_conflict_on_another_image_fails_every_assign(self, tmp_path, monkeypatch, capsys):
+        # im9's verifications conflict once dog is a kind of animal; im1,
+        # the image assigned, is clean under either hierarchy.
+        verification = VerificationTable(
+            {("im1", "dog"): 1, ("im9", "dog"): 1, ("im9", "animal"): -1}
+        )
+        paths = {
+            "rois": write(tmp_path / "pool.csv", fileio.write_roi_pool(
+                RoiPool({"im1": (Roi(Box(0, 0, 10, 10)), Roi(Box(20, 20, 30, 30)))})
+            )),
+            "ground-truth": write(tmp_path / "gt.csv", fileio.write_ground_truth(
+                [GroundTruthInstance("im1", "dog", Box(0, 0, 10, 10))]
+            )),
+            "verification": write(tmp_path / "ver.csv", fileio.write_verification(verification)),
+            "categories": write(
+                tmp_path / "categories.csv", fileio.write_category_list(["animal", "dog"])
+            ),
+        }
+        flat = write(tmp_path / "flat.json", fileio.write_hierarchy(Hierarchy(())))
+        tree = write(tmp_path / "tree.json", fileio.write_hierarchy(Hierarchy([("dog", "animal")])))
+        conflict = (
+            "hierarchy expansion produces conflicting verifications: "
+            "image 'im9', category 'animal'; image 'im9', category 'dog'"
+        )
+
+        def section(label: str, hierarchy: Path) -> str:
+            keys = "".join(f"{key} = {path}\n" for key, path in paths.items())
+            return (
+                f"[assign.{label}]\nimage-id = im1\n{keys}"
+                f"hierarchy = {hierarchy}\nout = {label}.csv\n"
+            )
+
+        def pipeline(*sections: str) -> int:
+            config = write(tmp_path / "config.ini", "\n".join(sections).encode())
+            run_dir = str(tmp_path / "run")
+            return cli.run(["pipeline", "--config", str(config), "--run-dir", run_dir])
+
+        argv = ["assign", "--image-id", "im1", "--hierarchy", str(tree)]
+        argv += ["--out", str(tmp_path / "x.csv")]
+        for key, path in paths.items():
+            argv += [f"--{key}", str(path)]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == f"error\tValidationError\t{conflict}\n"
+        assert pipeline(section("first", tree), section("second", tree)) == 1
+        assert capsys.readouterr().err == (
+            f"error\tValidationError\tstage 'assign.first' failed: {conflict}\n"
+        )
+        # The first assign checks the shared table over the flat hierarchy;
+        # the second gets the same table but another hierarchy.
+        assert pipeline(section("first", flat), section("second", tree)) == 1
+        assert capsys.readouterr().err == (
+            f"error\tValidationError\tstage 'assign.second' failed: {conflict}\n"
+        )
+
+        # Over one table and one hierarchy, the whole table expands once.
+        sizes = []
+        real = cli.expand_verification
+
+        def expand(table, hierarchy):
+            sizes.append(len(table))
+            return real(table, hierarchy)
+
+        monkeypatch.setattr(cli, "expand_verification", expand)
+        assert pipeline(section("first", flat), section("second", flat)) == 0
+        assert sizes == [3, 1, 1]
+        assert (tmp_path / "run" / "first.csv").read_bytes() == (
+            tmp_path / "run" / "second.csv"
+        ).read_bytes()
         capsys.readouterr()

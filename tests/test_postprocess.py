@@ -7,6 +7,7 @@ from detpipe import (
     Prediction,
     ValidationError,
     drop_small_masks,
+    fileio,
     serialized_size,
     trim_to_budget,
 )
@@ -134,6 +135,17 @@ class TestTrimToBudget:
         for category, scores in removed.items():
             if category in surviving:
                 assert max(scores) <= min(surviving[category])
+
+    def test_given_table_is_left_as_it_is(self):
+        # A pipeline may hand one parsed table to several stages, so trim
+        # keeps the lines it formats on its survivors only.
+        rng = np.random.default_rng(58)
+        table = fileio.parse_prediction_table(
+            fileio.write_predictions(random_predictions(rng, 30, n_images=3))
+        )
+        survivors, _ = trim_to_budget(table, serialized_size(table) // 2)
+        assert table.lines is None
+        assert fileio.write_predictions(survivors) == fileio.write_predictions(survivors.rows())
 
     def test_commutes_with_drop_small_masks(self):
         records = [
