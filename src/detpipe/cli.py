@@ -3,12 +3,16 @@
 Every pipeline operation is a subcommand; ``pipeline`` chains them from a
 plain-text configuration file.  Within one pipeline run, a file that several
 stages read is parsed once and released after its last reader; a stage that
-reads it again after an earlier stage rewrote it parses the new bytes.
-``assign`` checks the whole verification table for conflicts once per run
-and expands only its own image's entries.  Outputs are written atomically
-(to a temporary file in the destination directory, then renamed).  Exit
-status: 0 on success, 1 on validation or I/O errors (one machine-parsable
-line on stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
+reads it again after an earlier stage rewrote it parses the new bytes.  A
+predictions file that a stage of the run wrote is read back with its own
+lines when its bytes still match the SHA-256 taken at the write, so its rows
+are not formatted again.  ``assign`` checks the whole verification table for
+conflicts once per run, over integer keys, and expands only its own image's
+entries.  ``eval`` works on the predictions table and builds no row views.
+Outputs are written atomically (to a temporary file in the destination
+directory, then renamed).  Exit status: 0 on success, 1 on validation or
+I/O errors (one machine-parsable line on stderr:
+``error<TAB>type<TAB>message``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -36,7 +40,13 @@ from .experts import (
     split_by_embedding,
     split_by_rank,
 )
-from .federated import assign_rois, build_label_matrix, classification_loss, expand_verification
+from .federated import (
+    assign_rois,
+    build_label_matrix,
+    classification_loss,
+    expand_verification,
+    expand_verification_codes,
+)
 from .fileio import _decode
 from .postprocess import (
     DEFAULT_BYTE_BUDGET,
@@ -45,7 +55,18 @@ from .postprocess import (
     trim_to_budget,
 )
 from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
+from .table import PredictionTable, Predictions
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
+
+# CPython's own SHA-256 module (named _sha2 from Python 3.12).  hashlib
+# would load OpenSSL: about 7 ms of start-up and 1.7 MB of peak RSS.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -94,33 +115,54 @@ class _Parsed:
 # A pipeline run parses a file that several of its stages read once.
 # `_readers` counts, per input path, the stages that list it and have not
 # finished, the running one included; a single subcommand counts none.
-# `_parsed` keeps a path's parse only while a later stage still reads it.
-# Both are emptied when the run ends.  So a stage never mutates what `_load`
-# gives it.
+# `_parsed` keeps a path's parse only while a later stage still reads it,
+# and `_written` the SHA-256 of a predictions file a stage wrote only while
+# a later stage still reads that path.  All three are emptied when the run
+# ends.  So a stage never mutates what `_load` gives it.
 _readers: Counter[str] = Counter()
 _parsed: dict[str, _Parsed] = {}
+_written: dict[str, bytes] = {}
 
 
 def _load(parse: Callable[[bytes], object], path: str):
     """parse(the bytes at path), or the result that a stage of this run got
-    from the same parser on the same bytes at that path."""
+    from the same parser on the same bytes at that path.  A predictions
+    table of bytes that a stage of this run wrote gets the file's lines as
+    its rows' lines: the writer formats every row one way, so parsing and
+    formatting a row again gives its line back."""
     data = _read_bytes(path)
     kept = _parsed.get(path)
     if kept is not None and kept.parse is parse and kept.data == data:
         return kept.result
     result = parse(data)
+    if (
+        isinstance(result, PredictionTable)
+        and path in _written
+        and sha256(data).digest() == _written[path]
+    ):
+        result.lines = data.decode("utf-8").split("\n")[1:-1]
     if _readers[path] > 1:
         _parsed[path] = _Parsed(parse, data, result)
     return result
 
 
+def _write_predictions(path: str, predictions: Predictions) -> None:
+    """Write a predictions file, and keep its digest for a later stage of
+    this run that reads it."""
+    data = fileio.write_predictions(predictions)
+    _write_bytes_atomic(path, data)
+    if _readers[path]:
+        _written[path] = sha256(data).digest()
+
+
 def _finished(inputs: list[str]) -> None:
     """Count a finished stage out of its inputs' readers, and drop each
-    parse that no later stage reads."""
+    parse and digest that no later stage reads."""
     for path in set(inputs):
         _readers[path] -= 1
         if not _readers[path]:
             _parsed.pop(path, None)
+            _written.pop(path, None)
 
 
 # -- stage declarations -------------------------------------------------------------
@@ -190,15 +232,13 @@ class Stage:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     table = _load(fileio.parse_prediction_table, args.input)
-    kept = nms(table, args.iou_threshold)
-    _write_bytes_atomic(args.out, fileio.write_predictions(kept))
+    _write_predictions(args.out, nms(table, args.iou_threshold))
     return 0
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     tables = [_load(fileio.parse_prediction_table, p) for p in args.inputs]
-    fused = ensemble(tables, args.iou_threshold)
-    _write_bytes_atomic(args.out, fileio.write_predictions(fused))
+    _write_predictions(args.out, ensemble(tables, args.iou_threshold))
     return 0
 
 
@@ -224,13 +264,13 @@ def _cmd_assign(args: argparse.Namespace) -> int:
 
 def _check_conflicts(path: str, verification: VerificationTable, hierarchy: Hierarchy) -> None:
     """Raise when expanding the whole table at path over the hierarchy gives
-    a conflict on any image.  The expansion is thrown away; a pipeline run
-    makes it once for the same parsed table and hierarchy."""
+    a conflict on any image.  The expansion, over codes, is thrown away; a
+    pipeline run makes it once for the same parsed table and hierarchy."""
     kept = _parsed.get(path)
     shared = kept is not None and kept.result is verification
     if shared and kept.conflict_free_with is hierarchy:
         return
-    expand_verification(verification, hierarchy)
+    expand_verification_codes(verification, hierarchy)
     if shared:
         kept.conflict_free_with = hierarchy
 
@@ -355,27 +395,26 @@ def _cmd_filter_expert(args: argparse.Namespace) -> int:
 def _cmd_restrict(args: argparse.Namespace) -> int:
     table = _load(fileio.parse_prediction_table, args.input)
     group = _select_group(args.group_file, args.group_index)
-    _write_bytes_atomic(args.out, fileio.write_predictions(restrict_predictions(table, group)))
+    _write_predictions(args.out, restrict_predictions(table, group))
     return 0
 
 
 def _cmd_drop_small_masks(args: argparse.Namespace) -> int:
     table = _load(fileio.parse_prediction_table, args.input)
-    kept = drop_small_masks(table, args.min_area)
-    _write_bytes_atomic(args.out, fileio.write_predictions(kept))
+    _write_predictions(args.out, drop_small_masks(table, args.min_area))
     return 0
 
 
 def _cmd_trim(args: argparse.Namespace) -> int:
     table = _load(fileio.parse_prediction_table, args.input)
     survivors, report = trim_to_budget(table, args.max_bytes)
-    _write_bytes_atomic(args.out, fileio.write_predictions(survivors))
+    _write_predictions(args.out, survivors)
     _write_bytes_atomic(args.report, fileio.write_trim_report(report))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    predictions = _load(fileio.parse_predictions, args.predictions)
+    predictions = _load(fileio.parse_prediction_table, args.predictions)
     gts = _load(fileio.parse_ground_truth, args.ground_truth)
     verification = _load(fileio.parse_verification, args.verification)
     hierarchy = _load(fileio.parse_hierarchy, args.hierarchy)
@@ -540,6 +579,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     finally:
         _readers.clear()
         _parsed.clear()
+        _written.clear()
     return 0
 
 

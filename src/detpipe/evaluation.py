@@ -11,8 +11,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from .ensemble import _iou
 from .errors import ValidationError
-from .federated import expand_verification
+from .federated import expand_verification_codes
 from .geometry import _check_iou_threshold, box_iou, mask_iou
 from .records import (
     POSITIVE,
@@ -22,6 +25,7 @@ from .records import (
     Prediction,
     VerificationTable,
 )
+from .table import Predictions, _intern, _merge_codes, as_table
 
 __all__ = [
     "TRUE_POSITIVE",
@@ -176,8 +180,80 @@ def _mask_overlap(p: Prediction, g: GroundTruthInstance) -> float:
     return mask_iou(p.mask, g.mask)
 
 
+# Match flags of evaluate's prediction rows.
+_TP, _FP, _IGNORED = 1, 0, -1
+
+
+def _match(
+    strata: np.ndarray,
+    scores: np.ndarray,
+    gt_strata: np.ndarray,
+    flags: np.ndarray,
+    overlap: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    iou_threshold: float,
+) -> None:
+    """Set flags[i] to _TP for each prediction row that match_category
+    matches, with every (category, image) stratum walked at once.
+
+    At step k, the k-th prediction of each stratum that is not _IGNORED, by
+    descending score (ties in row order), takes the unmatched ground truth
+    of its stratum with the greatest overlap (ties to the earliest row),
+    when that overlap is above 0 and reaches the threshold.  overlap gives
+    the values of (prediction row, ground-truth row) pairs.
+    """
+    live = np.flatnonzero(flags != _IGNORED)
+    order = live[np.lexsort((-scores[live], strata[live]))]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = strata[order[1:]] != strata[order[:-1]]
+    positions = np.arange(len(order))
+    step = positions - np.maximum.accumulate(np.where(starts, positions, 0))
+    by_step = order[np.argsort(step, kind="stable")]
+    ends = np.cumsum(np.bincount(step)).tolist()
+    gt_order = np.argsort(gt_strata, kind="stable")
+    gt_sorted = gt_strata[gt_order]
+    matched = np.zeros(len(gt_order), dtype=bool)
+    for first, end in zip([0, *ends], ends):
+        rows = by_step[first:end]
+        lo = np.searchsorted(gt_sorted, strata[rows], "left")
+        counts = np.searchsorted(gt_sorted, strata[rows], "right") - lo
+        # Each prediction paired with its stratum's unmatched ground truths,
+        # in row order; a slot is a position in gt_order.
+        pair_ends = np.cumsum(counts)
+        pair = np.repeat(np.arange(len(rows)), counts)
+        slot = np.repeat(lo - pair_ends + counts, counts) + np.arange(len(pair))
+        free = ~matched[slot]
+        pair, slot = pair[free], slot[free]
+        if not len(pair):
+            continue
+        values = overlap(rows[pair], gt_order[slot])
+        # Per prediction, its greatest overlap, the earliest ground truth
+        # first.  A nan overlap (of two boxes whose areas overflow) sorts
+        # last and fails the test below.
+        best = np.lexsort((slot, -values, pair))
+        best = best[np.concatenate(([True], pair[best[1:]] != pair[best[:-1]]))]
+        best = best[(values[best] > 0.0) & (values[best] >= iou_threshold)]
+        matched[slot[best]] = True
+        flags[rows[pair[best]]] = _TP
+
+
+def _average_precision(hits: np.ndarray, gt_count: int) -> float:
+    """average_precision of one category's scored predictions in rank
+    order, hits[i] true for a true positive.  The divisions, the reversed
+    running maximum and the sequential sum are average_precision's, so the
+    value is equal bit for bit."""
+    if not len(hits):
+        return 0.0
+    tp = np.cumsum(hits)
+    precisions = tp / np.arange(1, len(hits) + 1)
+    recalls = tp / gt_count
+    precisions = np.maximum.accumulate(precisions[::-1])[::-1]
+    steps = recalls.copy()
+    steps[1:] -= recalls[:-1]
+    return float(np.cumsum(steps * precisions)[-1])
+
+
 def evaluate(
-    predictions: Sequence[Prediction],
+    predictions: Predictions,
     gts: Sequence[GroundTruthInstance],
     verification: VerificationTable,
     hierarchy: Hierarchy,
@@ -187,53 +263,115 @@ def evaluate(
     """Per-category AP and the mean over categories with at least one GT.
 
     The verification table is hierarchy-expanded before matching, and every
-    ground truth must then be positively verified on its image.
+    ground truth must then be positively verified on its image.  Each
+    category is matched as match_category would and scored as
+    average_precision would; since a prediction can only match a ground
+    truth on its own image, all (category, image) strata are matched
+    together.
     """
     if mode not in ("box", "mask"):
         raise ValidationError(f"mode must be 'box' or 'mask', got {mode!r}")
+    table = as_table(predictions)
     if mode == "mask":
-        for record in (*predictions, *gts):
-            if record.mask is None:
-                raise ValidationError(
-                    f"mask-mode evaluation requires masks; missing on image "
-                    f"{record.image_id!r}, category {record.category_id!r}"
-                )
-    expanded = expand_verification(verification, hierarchy)
-    for gt in gts:
-        if expanded.status(gt.image_id, gt.category_id) != POSITIVE:
+        missing = [
+            (table.image_ids[table.image_codes[i]], table.category_ids[table.category_codes[i]])
+            for i, mask in enumerate(table.masks)
+            if mask is None
+        ]
+        missing += [(g.image_id, g.category_id) for g in gts if g.mask is None]
+        if missing:
             raise ValidationError(
-                f"ground-truth category {gt.category_id!r} on image "
-                f"{gt.image_id!r} is not positively verified"
+                f"mask-mode evaluation requires masks; missing on image "
+                f"{missing[0][0]!r}, category {missing[0][1]!r}"
             )
+    expanded = expand_verification_codes(verification, hierarchy)
+    gt_images, gt_image_codes = _intern([g.image_id for g in gts])
+    gt_categories, gt_category_codes = _intern([g.category_id for g in gts])
+    unverified = np.flatnonzero(
+        expanded.statuses(gt_images, gt_image_codes, gt_categories, gt_category_codes)
+        != POSITIVE
+    )
+    if len(unverified):
+        gt = gts[unverified[0]]
+        raise ValidationError(
+            f"ground-truth category {gt.category_id!r} on image "
+            f"{gt.image_id!r} is not positively verified"
+        )
     if not gts:
         raise ValidationError("cannot evaluate with no ground-truth instances")
-    # One pass buckets the records by category; each bucket keeps input order.
-    preds_by_category: dict[str, list[Prediction]] = {}
-    for p in predictions:
-        preds_by_category.setdefault(p.category_id, []).append(p)
-    gts_by_category: dict[str, list[GroundTruthInstance]] = {}
-    for g in gts:
-        gts_by_category.setdefault(g.category_id, []).append(g)
+    _check_iou_threshold(iou_threshold)
+
+    # Codes over the predictions' and ground truths' ids together.
+    n = len(table)
+    categories, category_codes = _merge_codes(
+        [table.category_ids, gt_categories], [table.category_codes, gt_category_codes]
+    )
+    images, image_codes = _merge_codes(
+        [table.image_ids, gt_images], [table.image_codes, gt_image_codes]
+    )
+    strata = category_codes.astype(np.int64) * len(images) + image_codes
+    statuses = expanded.statuses(
+        table.image_ids, table.image_codes, table.category_ids, table.category_codes
+    )
+    flags = np.where(statuses == UNVERIFIED, _IGNORED, _FP).astype(np.int8)
+    mismatches: list[tuple[int, int]] = []
+    if mode == "mask":
+
+        def overlap(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+            # A pair of masks whose sizes differ is recorded and gets 0.0.
+            values = np.zeros(len(p))
+            for k, (i, j) in enumerate(zip(p.tolist(), g.tolist())):
+                a, b = table.masks[i], gts[j].mask
+                if (a.width, a.height) != (b.width, b.height):
+                    mismatches.append((i, j))
+                else:
+                    values[k] = mask_iou(a, b)
+            return values
+
+    else:
+        gt_boxes = np.array([(g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max) for g in gts])
+        with np.errstate(all="ignore"):
+            areas = [(b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) for b in (table.boxes, gt_boxes)]
+
+        def overlap(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+            return _iou(table.boxes[p], areas[0][p], gt_boxes[g], areas[1][g])
+
+    _match(strata[:n], table.scores, strata[n:], flags, overlap, iou_threshold)
+    # Each category's predictions by descending score, ties in row order.
+    ranked = np.lexsort((-table.scores, category_codes[:n]))
+    if mismatches:
+        # The first mismatch match_category meets, walking the categories in
+        # order and each category's predictions in rank order.
+        rank = np.empty(n, dtype=np.int64)
+        rank[ranked] = np.arange(n)
+        p, g = min(mismatches, key=lambda pair: (rank[pair[0]], pair[1]))
+        _mask_overlap(table.row(p), gts[g])
+
+    n_categories = len(categories)
+    prediction_counts = np.bincount(category_codes[:n], minlength=n_categories).tolist()
+    ignored_counts = np.bincount(
+        category_codes[:n][flags == _IGNORED], minlength=n_categories
+    ).tolist()
+    gt_counts = np.bincount(category_codes[n:], minlength=n_categories).tolist()
+    scored = ranked[flags[ranked] != _IGNORED]
+    bounds = np.searchsorted(category_codes[scored], np.arange(n_categories + 1)).tolist()
+    hits = flags[scored] == _TP
     results: list[CategoryResult] = []
     ap_values: list[float] = []
-    for category_id in sorted(preds_by_category.keys() | gts_by_category.keys()):
-        preds_c = preds_by_category.get(category_id, [])
-        gts_c = gts_by_category.get(category_id, [])
-        overlap = _mask_overlap if mode == "mask" else None
-        match = match_category(preds_c, gts_c, expanded, iou_threshold, overlap)
-        ignored = sum(1 for flag in match.flags if flag == IGNORED)
-        if gts_c:
-            ap = average_precision(match, len(gts_c))
+    for c, category_id in enumerate(categories):
+        if not prediction_counts[c] and not gt_counts[c]:
+            continue  # in a taken table's vocabulary, but on none of its rows
+        ap = None
+        if gt_counts[c]:
+            ap = _average_precision(hits[bounds[c] : bounds[c + 1]], gt_counts[c])
             ap_values.append(ap)
-        else:
-            ap = None
         results.append(
             CategoryResult(
                 category_id=category_id,
                 ap=ap,
-                gt_count=len(gts_c),
-                prediction_count=len(preds_c),
-                ignored_count=ignored,
+                gt_count=gt_counts[c],
+                prediction_count=prediction_counts[c],
+                ignored_count=ignored_counts[c],
             )
         )
     mean_ap = sum(ap_values) / len(ap_values)

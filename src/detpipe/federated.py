@@ -19,14 +19,18 @@ from .geometry import Box, _check_iou_threshold, box_iou
 from .records import (
     NEGATIVE,
     POSITIVE,
+    UNVERIFIED,
     GroundTruthInstance,
     Hierarchy,
     VerificationTable,
 )
+from .table import _intern
 
 __all__ = [
     "Assignment",
     "LabelMatrix",
+    "VerificationCodes",
+    "expand_verification_codes",
     "expand_verification",
     "assign_rois",
     "build_label_matrix",
@@ -77,43 +81,123 @@ class LabelMatrix:
         object.__setattr__(self, "categories", categories)
 
 
-def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> VerificationTable:
-    """Close a verification table over the category hierarchy.
+@dataclass(frozen=True, eq=False)
+class VerificationCodes:
+    """A verification table closed over the hierarchy, as integer keys.
+
+    Image and category codes index ``images`` and ``categories``, both in
+    sorted id order.  A key is ``image code * len(categories) + category
+    code``, so key order is (image_id, category_id) order.  ``positives``
+    and ``negatives`` are sorted, distinct int64 keys.
+    """
+
+    images: tuple[str, ...]
+    categories: tuple[str, ...]
+    positives: np.ndarray
+    negatives: np.ndarray
+
+    def pairs(self, keys: np.ndarray) -> list[tuple[str, str]]:
+        """The (image_id, category_id) of each key."""
+        n = len(self.categories)
+        return list(
+            zip(
+                map(self.images.__getitem__, (keys // n).tolist()),
+                map(self.categories.__getitem__, (keys % n).tolist()),
+            )
+        )
+
+    def statuses(
+        self,
+        image_ids: Sequence[str],
+        image_codes: np.ndarray,
+        category_ids: Sequence[str],
+        category_codes: np.ndarray,
+    ) -> np.ndarray:
+        """POSITIVE, NEGATIVE or UNVERIFIED, as int8, of each pair
+        (image_ids[image_codes[i]], category_ids[category_codes[i]])."""
+        images = _recode(image_ids, self.images)[image_codes]
+        categories = _recode(category_ids, self.categories)[category_codes]
+        known = (images >= 0) & (categories >= 0)
+        keys = images * len(self.categories) + categories
+        statuses = np.full(len(keys), UNVERIFIED, dtype=np.int8)
+        statuses[known & _contains(self.positives, keys)] = POSITIVE
+        statuses[known & _contains(self.negatives, keys)] = NEGATIVE
+        return statuses
+
+
+def _recode(ids: Sequence[str], vocabulary: tuple[str, ...]) -> np.ndarray:
+    """Each id's index in vocabulary, or -1."""
+    code = {value: index for index, value in enumerate(vocabulary)}
+    return np.fromiter((code.get(value, -1) for value in ids), np.int64, len(ids))
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def expand_verification_codes(table: VerificationTable, hierarchy: Hierarchy) -> VerificationCodes:
+    """Close a verification table over the category hierarchy, over codes.
 
     A positive verification implies positives for all ancestors (the present
     subclass entails the superclass); a negative implies negatives for all
-    descendants (an absent superclass rules out every subclass).  The result
-    is a fixed point: expanding it again changes nothing.
+    descendants (an absent superclass rules out every subclass).  A key
+    with both signs is a conflict, and every conflict is reported in key
+    order.
     """
-    positives: set[tuple[str, str]] = set()
-    negatives: set[tuple[str, str]] = set()
-    # Each category's closure is walked once per call, not once per entry.
-    ancestors: dict[str, frozenset[str]] = {}
-    descendants: dict[str, frozenset[str]] = {}
-    for (image_id, category_id), sign in table.items():
-        if sign == POSITIVE:
-            positives.add((image_id, category_id))
-            if category_id not in ancestors:
-                ancestors[category_id] = hierarchy.ancestors(category_id)
-            for ancestor in ancestors[category_id]:
-                positives.add((image_id, ancestor))
-        else:
-            negatives.add((image_id, category_id))
-            if category_id not in descendants:
-                descendants[category_id] = hierarchy.descendants(category_id)
-            for descendant in descendants[category_id]:
-                negatives.add((image_id, descendant))
-    # Building the result table below is this function's memory peak; the
-    # closures are not needed for it.
-    del ancestors, descendants
-    conflicts = sorted(positives & negatives)
-    if conflicts:
-        listing = "; ".join(f"image {img!r}, category {cat!r}" for img, cat in conflicts)
+    images, image_codes = _intern([image_id for image_id, _ in table.entries])
+    named, named_codes = _intern([category_id for _, category_id in table.entries])
+    positive = np.fromiter(table.entries.values(), np.int8, len(table)) == POSITIVE
+    # Closure 2c + 1 is named[c] and its ancestors, closure 2c named[c] and
+    # its descendants; each closure an entry uses is walked once.
+    closure = named_codes.astype(np.int64) * 2 + positive
+    closures: list[tuple[str, ...]] = [()] * (2 * len(named))
+    for k in _distinct(closure).tolist():
+        c = named[k // 2]
+        closures[k] = (c, *(hierarchy.ancestors(c) if k % 2 else hierarchy.descendants(c)))
+    categories = tuple(sorted({c for members in closures for c in members}))
+    code = {value: index for index, value in enumerate(categories)}
+    lengths = np.fromiter(map(len, closures), np.int64, len(closures))
+    flat = np.fromiter(
+        (code[c] for members in closures for c in members), np.int64, int(lengths.sum())
+    )
+    # Entry e expands to its image with each code of its closure.
+    counts = lengths[closure]
+    ends = np.cumsum(counts)
+    within = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+    keys = np.repeat(image_codes.astype(np.int64) * len(categories), counts)
+    keys += flat[np.repeat((np.cumsum(lengths) - lengths)[closure], counts) + within]
+    positive = np.repeat(positive, counts)
+    expanded = VerificationCodes(
+        images, categories, _distinct(keys[positive]), _distinct(keys[~positive])
+    )
+    conflicts = expanded.positives[_contains(expanded.negatives, expanded.positives)]
+    if len(conflicts):
+        listing = "; ".join(
+            f"image {img!r}, category {cat!r}" for img, cat in expanded.pairs(conflicts)
+        )
         raise ValidationError(
             f"hierarchy expansion produces conflicting verifications: {listing}"
         )
-    entries: dict[tuple[str, str], int] = {key: POSITIVE for key in positives}
-    entries.update({key: NEGATIVE for key in negatives})
+    return expanded
+
+
+def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> VerificationTable:
+    """Close a verification table over the category hierarchy; see
+    expand_verification_codes.  The result is a fixed point: expanding it
+    again changes nothing."""
+    expanded = expand_verification_codes(table, hierarchy)
+    entries = dict.fromkeys(expanded.pairs(expanded.positives), POSITIVE)
+    entries.update(dict.fromkeys(expanded.pairs(expanded.negatives), NEGATIVE))
     return VerificationTable(entries)
 
 

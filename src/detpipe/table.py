@@ -37,9 +37,11 @@ class PredictionTable:
     checks, ``from_rows`` takes rows that are records already, and ``take``
     and ``concat`` take rows of other tables.
 
-    ``lines`` is the CSV line of each row when ``trim`` has formatted them
-    for its survivors, and None otherwise; ``take`` carries it along, so the
-    writer joins the lines ``trim`` sized the rows from.
+    ``lines`` is the CSV line of each row, without its LF, or None.  It is
+    set when ``trim`` has formatted the lines for its survivors, and when a
+    pipeline reads back a file that one of its stages wrote (``cli._load``);
+    ``take`` carries it along, and the writer joins it instead of
+    formatting the rows.
     """
 
     __slots__ = (

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import inspect
 import json
 import os
@@ -33,6 +34,9 @@ from detpipe import (
 )
 from detpipe import cli, fileio
 from detpipe.fileio import serialized_size
+from detpipe.table import PredictionTable
+
+postprocess = importlib.import_module("detpipe.postprocess")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -696,6 +700,17 @@ class TestEvalCommand:
         assert "c1,0.7333333333333334,3,6,1" in report
         assert "c2,0.5,1,3,1" in report
 
+    def test_box_mode_builds_no_row_views(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built row views")
+
+        monkeypatch.setattr(PredictionTable, "rows", refuse)
+        monkeypatch.setattr(fileio, "parse_predictions", refuse)
+        code = self.run_eval(FIXTURES / "golden_eval", tmp_path / "report.csv")
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "mAP,0.616667"
+        assert "c1,0.7333333333333334,3,6,1" in (tmp_path / "report.csv").read_text()
+
 
 class TestPipeline:
     def test_matches_manual_subcommands(self, tmp_path, capsys):
@@ -1176,18 +1191,194 @@ class TestSharedInputs:
             f"error\tValidationError\tstage 'assign.second' failed: {conflict}\n"
         )
 
-        # Over one table and one hierarchy, the whole table expands once.
-        sizes = []
-        real = cli.expand_verification
+        # Over one table and one hierarchy, the whole table is checked once,
+        # and each assign expands its own image's one entry.
+        sizes = {"check": [], "expand": []}
 
-        def expand(table, hierarchy):
-            sizes.append(len(table))
-            return real(table, hierarchy)
+        def counting(kind, real):
+            def call(table, hierarchy):
+                sizes[kind].append(len(table))
+                return real(table, hierarchy)
 
-        monkeypatch.setattr(cli, "expand_verification", expand)
+            return call
+
+        monkeypatch.setattr(
+            cli, "expand_verification_codes", counting("check", cli.expand_verification_codes)
+        )
+        monkeypatch.setattr(cli, "expand_verification", counting("expand", cli.expand_verification))
         assert pipeline(section("first", flat), section("second", flat)) == 0
-        assert sizes == [3, 1, 1]
+        assert sizes == {"check": [3], "expand": [1, 1]}
         assert (tmp_path / "run" / "first.csv").read_bytes() == (
             tmp_path / "run" / "second.csv"
         ).read_bytes()
         capsys.readouterr()
+
+
+class TestLineReuse:
+    """A predictions file that a stage of the run wrote is read back with its
+    own lines, so a later stage does not format its rows again."""
+
+    def formatting(self, monkeypatch) -> list[int]:
+        """Record the row count of each table whose rows get formatted, in
+        the writer or in trim."""
+        formatted: list[int] = []
+        real = fileio._prediction_lines
+
+        def lines(table):
+            if table.lines is None:
+                formatted.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(fileio, "_prediction_lines", lines)
+        monkeypatch.setattr(postprocess, "_prediction_lines", lines)
+        return formatted
+
+    def one_by_one(self, manifest: Path, run_dir: Path, copy_dir: Path) -> None:
+        """Run a pipeline's stages again as single subcommands in copy_dir."""
+        for stage in json.loads(manifest.read_text())["stages"]:
+            assert cli.run([arg.replace(str(run_dir), str(copy_dir)) for arg in stage["argv"]]) == 0
+
+    def test_only_ensemble_formats_rows(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built row views")
+
+        monkeypatch.setattr(fileio, "parse_predictions", refuse)
+        formatted = self.formatting(monkeypatch)
+        run_dir = tmp_path / "run"
+        config = FIXTURES / "pipeline" / "config.ini"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        ensembled = (run_dir / "ensembled.csv").read_bytes().count(b"\n") - 1
+        assert formatted == [ensembled]
+        assert cli._written == {}
+        stdout = capsys.readouterr().out
+        # Single subcommands keep no digests: ensemble, drop-small-masks and
+        # trim each format the rows they write.
+        formatted.clear()
+        copy_dir = tmp_path / "copy"
+        self.one_by_one(run_dir / "manifest.json", run_dir, copy_dir)
+        assert len(formatted) == 3
+        assert cli._written == {}
+        assert capsys.readouterr().out == stdout
+        for path in sorted(copy_dir.iterdir()):
+            assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
+
+    def test_external_input_is_formatted(self, tmp_path, monkeypatch, capsys):
+        # Spellings that the writer never emits, and a mask run with zeros.
+        text = (
+            f"{fileio.PREDICTIONS_HEADER}\n"
+            "im1,c1,0.50,0,0,1e2,1e2,,,\n"
+            "im1,c2,0.9,0.0,0,10,10.0,4,3,007 5\n"
+        )
+        source = write(tmp_path / "preds.csv", text.encode())
+        config = write(
+            tmp_path / "config.ini",
+            b"[drop-small-masks]\nin = preds.csv\nmin-area = 1\nout = kept.csv\n\n"
+            b"[trim]\nin = kept.csv\nout = trimmed.csv\nreport = report.csv\n",
+        )
+        formatted = self.formatting(monkeypatch)
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        # drop-small-masks formats the external rows; trim reads its output.
+        assert formatted == [2]
+        expected = fileio.write_predictions(fileio.parse_prediction_table(source.read_bytes()))
+        assert expected.splitlines()[1:] == [
+            b"im1,c1,0.5,0.0,0.0,100.0,100.0,,,",
+            b"im1,c2,0.9,0.0,0.0,10.0,10.0,4,3,7 5",
+        ]
+        assert (run_dir / "kept.csv").read_bytes() == expected
+        assert (run_dir / "trimmed.csv").read_bytes() == expected
+        capsys.readouterr()
+
+    def rewrite_config(self, folder: Path) -> Path:
+        # The run directory is the config directory: the middle stage's
+        # output overwrites preds.csv, which the first stage read and the
+        # last stage reads.
+        return write(
+            folder / "config.ini",
+            b"[drop-small-masks.first]\nin = preds.csv\nmin-area = 1\nout = first.csv\n\n"
+            b"[trim.middle]\nin = first.csv\nmax-bytes = 250\nout = preds.csv\n"
+            b"report = report.csv\n\n"
+            b"[drop-small-masks.last]\nin = preds.csv\nmin-area = 1\nout = last.csv\n",
+        )
+
+    def rewrite_inputs(self, folder: Path) -> bytes:
+        folder.mkdir()
+        rows = "".join(
+            f"im{i % 3},c{i % 2},0.{i + 1}0,{i},0,{i + 10},1e1,,,\n" for i in range(8)
+        )
+        data = f"{fileio.PREDICTIONS_HEADER}\n{rows}".encode()
+        write(folder / "preds.csv", data)
+        return data
+
+    def test_a_rewritten_file_is_read_as_rewritten(self, tmp_path, monkeypatch, capsys):
+        formatted = self.formatting(monkeypatch)
+        run, manual = tmp_path / "pipeline", tmp_path / "manual"
+        for folder in (run, manual):
+            self.rewrite_inputs(folder)
+            self.rewrite_config(folder)
+        config = str(run / "config.ini")
+        assert cli.run(["pipeline", "--config", config, "--run-dir", str(run)]) == 0
+        # The first stage formats the external rows; trim and the last
+        # stage read files the run wrote.
+        assert formatted == [8]
+        self.one_by_one(run / "manifest.json", run, manual)
+        for name in ("first.csv", "preds.csv", "last.csv", "report.csv"):
+            assert (run / name).read_bytes() == (manual / name).read_bytes(), name
+        assert (run / "last.csv").read_bytes() == (run / "preds.csv").read_bytes()
+        assert (run / "last.csv").read_bytes() != (run / "first.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_a_file_changed_after_its_write_is_formatted_again(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # After the middle stage writes preds.csv, something else rewrites
+        # it with spellings the writer never emits: the last stage must not
+        # take that file's lines as its rows' lines.
+        formatted = self.formatting(monkeypatch)
+        run = tmp_path / "pipeline"
+        original = self.rewrite_inputs(run)
+        config = self.rewrite_config(run)
+        stage = cli._STAGES["trim"]
+
+        def trim_then_rewrite(args):
+            status = stage.run(args)
+            write(Path(args.out), original.replace(b",0,", b",0.00,"))
+            return status
+
+        monkeypatch.setitem(cli._STAGES, "trim", replace(stage, run=trim_then_rewrite))
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run)]) == 0
+        assert formatted == [8, 8]
+        rewritten = (run / "preds.csv").read_bytes()
+        assert (run / "last.csv").read_bytes() == fileio.write_predictions(
+            fileio.parse_prediction_table(rewritten)
+        )
+        assert b",0.00," not in (run / "last.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_digests_are_dropped_after_the_last_reader(self, tmp_path, monkeypatch, capsys):
+        # Each stage records, as it starts, the paths whose digests are kept.
+        seen: list[list[str]] = []
+        for name in ("trim", "drop-small-masks"):
+            stage = cli._STAGES[name]
+
+            def run_stage(args, real=stage.run):
+                seen.append(sorted(Path(path).name for path in cli._written))
+                return real(args)
+
+            monkeypatch.setitem(cli._STAGES, name, replace(stage, run=run_stage))
+        run = tmp_path / "pipeline"
+        self.rewrite_inputs(run)
+        config = self.rewrite_config(run)
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run)]) == 0
+        # first.csv's digest is kept until trim, its last reader, finishes.
+        assert seen == [[], ["first.csv"], ["preds.csv"]]
+        assert cli._written == {} and cli._parsed == {} and not cli._readers
+
+        # A run whose trim fails, after first.csv's digest was kept.
+        seen.clear()
+        failing = run / "failing.ini"
+        write(failing, config.read_bytes().replace(b"max-bytes = 250", b"max-bytes = 1"))
+        assert cli.run(["pipeline", "--config", str(failing), "--run-dir", str(run)]) == 1
+        assert "smaller than the header" in capsys.readouterr().err
+        assert seen == [[], ["first.csv"]]
+        assert cli._written == {} and cli._parsed == {} and not cli._readers
