@@ -2,16 +2,18 @@
 
 Every pipeline operation is a subcommand; ``pipeline`` chains them from a
 plain-text configuration file.  Within one pipeline run, a file that several
-stages read is parsed once and released after its last reader; a stage that
-reads it again after an earlier stage rewrote it parses the new bytes.  A
-predictions file that a stage of the run wrote is read back with its own
-lines when its bytes still match the SHA-256 taken at the write, so its rows
-are not formatted again.  ``assign`` checks the whole verification table for
-conflicts once per run, over integer keys, and expands only its own image's
-entries.  ``eval`` works on the predictions table and builds no row views.
-Outputs are written atomically (to a temporary file in the destination
-directory, then renamed).  Exit status: 0 on success, 1 on validation or
-I/O errors (one machine-parsable line on stderr:
+stages read is parsed once and released after its last reader, and a
+predictions table that a stage writes is handed, with the lines formatted
+for the write, to the later stages that read its file.  The run keeps one
+BLAKE2b digest per path, of the bytes last parsed or written there, and no
+bytes: a stage that reads a file whose bytes no longer match parses them.
+``assign`` checks the whole verification table for conflicts once per run,
+over integer keys, and expands only its own image's entries.  ``eval``
+works on the predictions table and builds no row views.  A stage may not
+name one file for two of its outputs, nor a pipeline stage the run's
+manifest.  Outputs are written atomically (to a temporary file in the
+destination directory, then renamed).  Exit status: 0 on success, 1 on
+validation or I/O errors (one machine-parsable line on stderr:
 ``error<TAB>type<TAB>message``), 2 on usage errors.
 """
 
@@ -24,6 +26,8 @@ import json
 import os
 import sys
 import tempfile
+# CPython's own BLAKE2; hashlib would load OpenSSL (about 7 ms and 1.7 MB).
+from _blake2 import blake2b
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -47,7 +51,7 @@ from .federated import (
     expand_verification,
     expand_verification_codes,
 )
-from .fileio import _decode
+from .fileio import _decode, _prediction_lines
 from .postprocess import (
     DEFAULT_BYTE_BUDGET,
     DEFAULT_MIN_MASK_AREA,
@@ -55,18 +59,8 @@ from .postprocess import (
     trim_to_budget,
 )
 from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
-from .table import PredictionTable, Predictions
+from .table import PredictionTable
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
-
-# CPython's own SHA-256 module (named _sha2 from Python 3.12).  hashlib
-# would load OpenSSL: about 7 ms of start-up and 1.7 MB of peak RSS.
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -97,72 +91,70 @@ def _write_bytes_atomic(path: str, data: bytes) -> None:
         raise
 
 
-# -- parsed inputs ------------------------------------------------------------------
+# -- the run's store ----------------------------------------------------------------
 
 
 @dataclass
-class _Parsed:
-    """A parse kept for a later stage: the parser, the bytes it parsed and
-    its result.  ``conflict_free_with`` is the hierarchy over which `assign`
-    expanded this result, a verification table, without a conflict."""
+class _Record:
+    """What a pipeline run keeps for one path that its stages read.
+    ``readers`` counts the stages that list the path and have not finished,
+    the running one included.  ``digest`` is the BLAKE2b digest of the bytes
+    this run last parsed or wrote at the path, and ``result`` what ``parse``
+    gives for those bytes; they are kept only for a later reader.
+    ``conflict_free_with`` is the hierarchy over which `assign` expanded
+    ``result``, a verification table, without a conflict."""
 
-    parse: Callable
-    data: bytes
-    result: object
+    readers: int
+    digest: bytes = b""
+    parse: Callable | None = None
+    result: object = None
     conflict_free_with: Hierarchy | None = None
 
 
-# A pipeline run parses a file that several of its stages read once.
-# `_readers` counts, per input path, the stages that list it and have not
-# finished, the running one included; a single subcommand counts none.
-# `_parsed` keeps a path's parse only while a later stage still reads it,
-# and `_written` the SHA-256 of a predictions file a stage wrote only while
-# a later stage still reads that path.  All three are emptied when the run
-# ends.  So a stage never mutates what `_load` gives it.
-_readers: Counter[str] = Counter()
-_parsed: dict[str, _Parsed] = {}
-_written: dict[str, bytes] = {}
+# A record for each path that a stage of the running pipeline reads, from
+# the start of the run until the path's last reader finishes; a single
+# subcommand keeps none.  No file's bytes are kept, and a stage never
+# mutates what `_load` gives it.
+_store: dict[str, _Record] = {}
 
 
 def _load(parse: Callable[[bytes], object], path: str):
-    """parse(the bytes at path), or the result that a stage of this run got
-    from the same parser on the same bytes at that path.  A predictions
-    table of bytes that a stage of this run wrote gets the file's lines as
-    its rows' lines: the writer formats every row one way, so parsing and
-    formatting a row again gives its line back."""
+    """parse(the bytes at path), or what this run kept for the same parser
+    and the same bytes at that path: an earlier stage's parse, or the
+    predictions table that a stage wrote there."""
     data = _read_bytes(path)
-    kept = _parsed.get(path)
-    if kept is not None and kept.parse is parse and kept.data == data:
-        return kept.result
+    record = _store.get(path)
+    if record is None or (record.parse is None and record.readers == 1):
+        return parse(data)
+    digest = blake2b(data).digest()
+    if record.parse is parse and record.digest == digest:
+        return record.result
     result = parse(data)
-    if (
-        isinstance(result, PredictionTable)
-        and path in _written
-        and sha256(data).digest() == _written[path]
-    ):
-        result.lines = data.decode("utf-8").split("\n")[1:-1]
-    if _readers[path] > 1:
-        _parsed[path] = _Parsed(parse, data, result)
+    if record.readers > 1:
+        _store[path] = _Record(record.readers, digest, parse, result)
     return result
 
 
-def _write_predictions(path: str, predictions: Predictions) -> None:
-    """Write a predictions file, and keep its digest for a later stage of
-    this run that reads it."""
-    data = fileio.write_predictions(predictions)
+def _write_predictions(path: str, table: PredictionTable) -> None:
+    """Write a predictions table, formatting its rows once, and hand the
+    table to the later stages of this run that read the path: it is what
+    parse_prediction_table gives for the bytes written."""
+    table.lines = _prediction_lines(table)
+    data = fileio.write_predictions(table)
     _write_bytes_atomic(path, data)
-    if _readers[path]:
-        _written[path] = sha256(data).digest()
+    record = _store.get(path)
+    if record is not None:
+        digest = blake2b(data).digest()
+        _store[path] = _Record(record.readers, digest, fileio.parse_prediction_table, table)
 
 
 def _finished(inputs: list[str]) -> None:
-    """Count a finished stage out of its inputs' readers, and drop each
-    parse and digest that no later stage reads."""
+    """Count a finished stage out of its inputs' readers, and drop the
+    record of each path that no later stage reads."""
     for path in set(inputs):
-        _readers[path] -= 1
-        if not _readers[path]:
-            _parsed.pop(path, None)
-            _written.pop(path, None)
+        _store[path].readers -= 1
+        if not _store[path].readers:
+            del _store[path]
 
 
 # -- stage declarations -------------------------------------------------------------
@@ -217,6 +209,19 @@ class Stage:
     outputs: Callable[[argparse.Namespace], list[str]] | None = None
     in_config: bool = True
 
+    def output_paths(self, args: argparse.Namespace) -> list[str]:
+        """The files a run writes.  One file named for two of them, compared
+        as real paths, is an error: the later write would replace the
+        earlier."""
+        paths = self.outputs(args) if self.outputs else self.paths(args, OUTPUT)
+        named: dict[str, str] = {}
+        for path in paths:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValidationError(f"outputs {named[real]} and {path} are one file")
+            named[real] = path
+        return paths
+
     def paths(self, args: argparse.Namespace, role: str) -> list[str]:
         """The values given to this stage's flags of one role, in flag order."""
         found: list[str] = []
@@ -266,13 +271,13 @@ def _check_conflicts(path: str, verification: VerificationTable, hierarchy: Hier
     """Raise when expanding the whole table at path over the hierarchy gives
     a conflict on any image.  The expansion, over codes, is thrown away; a
     pipeline run makes it once for the same parsed table and hierarchy."""
-    kept = _parsed.get(path)
-    shared = kept is not None and kept.result is verification
-    if shared and kept.conflict_free_with is hierarchy:
+    record = _store.get(path)
+    shared = record is not None and record.result is verification
+    if shared and record.conflict_free_with is hierarchy:
         return
     expand_verification_codes(verification, hierarchy)
     if shared:
-        kept.conflict_free_with = hierarchy
+        record.conflict_free_with = hierarchy
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
@@ -522,9 +527,13 @@ def _plan_stage(
         if path not in produced and not os.path.exists(path):
             raise ValidationError(f"stage {label!r}: input file not found: {path}")
     try:
-        outputs = stage.outputs(args) if stage.outputs else stage.paths(args, OUTPUT)
+        outputs = stage.output_paths(args)
     except ValidationError as exc:
         raise ValidationError(f"stage {label!r}: {exc}") from exc
+    manifest = os.path.realpath(run_dir / "manifest.json")
+    for path in outputs:
+        if os.path.realpath(path) == manifest:
+            raise ValidationError(f"stage {label!r}: output {path} is the run's manifest")
     produced.update(outputs)
     return _StagePlan(label, stage, argv, inputs, outputs, args)
 
@@ -555,7 +564,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     try:
-        _readers.update(path for plan in plans for path in set(plan.inputs))
+        readers = Counter(path for plan in plans for path in set(plan.inputs))
+        _store.update((path, _Record(count)) for path, count in readers.items())
         for plan in plans:
             entry = {
                 "section": plan.section,
@@ -577,9 +587,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             manifest["stages"].append(entry)
             flush_manifest()
     finally:
-        _readers.clear()
-        _parsed.clear()
-        _written.clear()
+        _store.clear()
     return 0
 
 
@@ -719,8 +727,10 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    stage = _STAGES[args.command]
     try:
-        return int(_STAGES[args.command].run(args) or 0)
+        stage.output_paths(args)
+        return int(stage.run(args) or 0)
     except (ValidationError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error\t{type(exc).__name__}\t{message}", file=sys.stderr)

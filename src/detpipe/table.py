@@ -37,11 +37,11 @@ class PredictionTable:
     checks, ``from_rows`` takes rows that are records already, and ``take``
     and ``concat`` take rows of other tables.
 
-    ``lines`` is the CSV line of each row, without its LF, or None.  It is
-    set when ``trim`` has formatted the lines for its survivors, and when a
-    pipeline reads back a file that one of its stages wrote (``cli._load``);
-    ``take`` carries it along, and the writer joins it instead of
-    formatting the rows.
+    ``lines`` is the CSV line of each row, without its LF, or None.  Only
+    the formatter sets it: ``trim`` on its survivors, and the CLI on each
+    table it writes, which a pipeline hands to the later stages that read
+    the file.  ``take`` carries it along, and the writer joins it instead
+    of formatting the rows.
     """
 
     __slots__ = (

@@ -195,6 +195,36 @@ class TestExitCodes:
         )
         assert not run_dir.exists()
 
+    def test_one_file_named_for_two_outputs(self, tmp_path, monkeypatch, capsys):
+        # The later write would replace the earlier: trim's report its
+        # predictions, or one of filter-expert's three outputs another.
+        monkeypatch.chdir(tmp_path)
+        _, _, _, paths = small_world(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        before = sorted(tmp_path.iterdir())
+        expert = FIXTURES / "expert_pipeline"
+        for argv, first, second in (
+            (["trim", "--in", str(paths["preds"]), "--out", "t.csv", "--report", "t.csv"],
+             "t.csv", "t.csv"),
+            (["trim", "--in", str(paths["preds"]), "--out", "t.csv",
+              "--report", str(tmp_path / "sub" / ".." / "t.csv")],
+             "t.csv", str(tmp_path / "sub" / ".." / "t.csv")),
+            (["trim", "--in", str(paths["preds"]), "--out", "t.csv",
+              "--report", str(tmp_path / "link" / "t.csv")],
+             "t.csv", str(tmp_path / "link" / "t.csv")),
+            (["filter-expert", "--ground-truth", str(expert / "ground_truth.csv"),
+              "--verification", str(expert / "verification.csv"),
+              "--group-file", str(expert / "expected" / "groups.csv"), "--group-index", "0",
+              "--out-ground-truth", "a.csv", "--out-verification", "b.csv",
+              "--out-images", "./a.csv"],
+             "a.csv", "./a.csv"),
+        ):
+            assert cli.run(argv) == 1
+            assert capsys.readouterr() == (
+                "", f"error\tValidationError\toutputs {first} and {second} are one file\n"
+            )
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestParseErrors:
     """A bad field is reported with its line, once."""
@@ -905,6 +935,60 @@ class TestPipeline:
             capsys,
         )
 
+    def test_one_file_named_for_two_outputs(self, tmp_path, capsys):
+        preds = FIXTURES / "pipeline" / "preds_a.csv"
+        expert = FIXTURES / "expert_pipeline"
+        run_dir = (tmp_path / "run").resolve()
+        for label, section, first, second in (
+            ("trim", "in = kept.csv\nout = t.csv\nreport = t.csv\n", "t.csv", "t.csv"),
+            (
+                "trim",
+                "in = kept.csv\nout = t.csv\nreport = sub/../t.csv\n",
+                "t.csv",
+                "sub/../t.csv",
+            ),
+            (
+                "filter-expert",
+                f"ground-truth = {expert / 'ground_truth.csv'}\n"
+                f"verification = {expert / 'verification.csv'}\n"
+                f"group-file = {expert / 'expected' / 'groups.csv'}\ngroup-index = 0\n"
+                "out-ground-truth = a.csv\nout-verification = b.csv\nout-images = ./a.csv\n",
+                "a.csv",
+                "a.csv",
+            ),
+        ):
+            config = f"[nms]\nin = {preds}\nout = kept.csv\n\n[{label}]\n{section}"
+            err = self.assert_fails_before_any_stage(config.encode(), tmp_path, capsys)
+            assert err == (
+                f"error\tValidationError\tstage {label!r}: "
+                f"outputs {run_dir / first} and {run_dir / second} are one file\n"
+            )
+            assert not run_dir.exists()
+
+    def test_output_at_the_manifest(self, tmp_path, capsys):
+        # The manifest would replace the stage's output, and a later reader
+        # of that path would fail on the JSON.
+        preds = FIXTURES / "pipeline" / "preds_a.csv"
+        run_dir = (tmp_path / "run").resolve()
+        for out in ("manifest.json", "sub/../manifest.json", str(run_dir / "manifest.json")):
+            err = self.assert_fails_before_any_stage(
+                f"[nms]\nin = {preds}\nout = {out}\n".encode(), tmp_path, capsys
+            )
+            assert err == (
+                f"error\tValidationError\tstage 'nms': "
+                f"output {run_dir / out} is the run's manifest\n"
+            )
+            assert not run_dir.exists()
+        # The same file through a link to the run directory.
+        run_dir.mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(run_dir, target_is_directory=True)
+        err = self.assert_fails_before_any_stage(
+            f"[nms]\nin = {preds}\nout = {link / 'manifest.json'}\n".encode(), tmp_path, capsys
+        )
+        assert "is the run's manifest" in err
+        assert list(run_dir.iterdir()) == []
+
     def test_failing_stage_recorded_in_manifest(self, tmp_path, capsys):
         fixture = FIXTURES / "pipeline"
         config = tmp_path / "config.ini"
@@ -1040,7 +1124,7 @@ class TestSharedInputs:
             "parse_hierarchy": 2,
             "parse_category_list": 2,
         }
-        assert cli._parsed == {} and not cli._readers
+        assert cli._store == {}
         capsys.readouterr()
 
     def test_a_rewritten_file_is_parsed_again(self, tmp_path, capsys):
@@ -1080,29 +1164,63 @@ class TestSharedInputs:
         assert (run / "last_gt.csv").read_bytes() != (run / "first_gt.csv").read_bytes()
         capsys.readouterr()
 
+    def test_an_input_rewritten_between_its_readers(self, tmp_path, monkeypatch, capsys):
+        # Both stages read preds.csv, and after the first one something else
+        # writes it again.  The digest, not the file's name or time, decides
+        # whether the second stage gets the first stage's parse.
+        old = [Prediction("im1", "c1", 0.9, Box(0, 0, 10, 10))] * 2
+        new = [Prediction("im2", "c2", 0.7, Box(1, 1, 5, 5))]
+        source = write(tmp_path / "preds.csv", fileio.write_predictions(old))
+        config = write(
+            tmp_path / "config.ini",
+            b"[nms.first]\nin = preds.csv\nout = first.csv\n\n"
+            b"[nms.last]\nin = preds.csv\nout = last.csv\n",
+        )
+        stage = cli._STAGES["nms"]
+        for rewritten, parses in ((old, 1), (new, 2)):
+
+            def nms_then_rewrite(args, rewritten=rewritten):
+                status = stage.run(args)
+                if args.out.endswith("first.csv"):
+                    write(source, fileio.write_predictions(rewritten))
+                return status
+
+            monkeypatch.setitem(cli._STAGES, "nms", replace(stage, run=nms_then_rewrite))
+            calls = counting_fileio(monkeypatch)
+            run_dir = tmp_path / "run"
+            assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+            assert calls["parse_prediction_table"] == parses
+            assert (run_dir / "first.csv").read_bytes() == fileio.write_predictions(nms(old))
+            assert (run_dir / "last.csv").read_bytes() == fileio.write_predictions(nms(rewritten))
+            assert cli._store == {}
+            write(source, fileio.write_predictions(old))
+        capsys.readouterr()
+
     def record_store(self, monkeypatch) -> list[tuple[str, set[str]]]:
         """Wrap every stage so that it records, as it starts, its subcommand
-        and the paths whose parse the store keeps."""
+        and the paths whose result the store keeps."""
         seen: list[tuple[str, set[str]]] = []
         for name, stage in list(cli._STAGES.items()):
             if not stage.in_config:
                 continue
 
             def run(args, real=stage.run):
-                seen.append((args.command, set(cli._parsed)))
+                kept = {path for path, record in cli._store.items() if record.parse}
+                seen.append((args.command, kept))
                 return real(args)
 
             monkeypatch.setitem(cli._STAGES, name, replace(stage, run=run))
         return seen
 
     def check_store(self, seen, plans) -> None:
-        # As each stage starts, the store holds only paths that this stage
-        # or a later one reads, and that some other stage read before it.
+        # As each stage starts, the store keeps results only for paths that
+        # this stage or a later one reads, and that some other stage read or
+        # wrote before it.
         assert len(seen) <= len(plans)
         for index, (command, kept) in enumerate(seen):
             assert command == plans[index]["stage"]
             later = {p for plan in plans[index:] for p in plan["inputs"]}
-            earlier = {p for plan in plans[:index] for p in plan["inputs"]}
+            earlier = {p for plan in plans[:index] for p in plan["inputs"] + plan["outputs"]}
             assert kept <= later & earlier, plans[index]["section"]
 
     def test_store_is_emptied(self, tmp_path, monkeypatch, capsys):
@@ -1110,7 +1228,7 @@ class TestSharedInputs:
         config = self.EXPERT / "config.ini"
         run_dir = tmp_path / "run"
         assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
-        assert cli._parsed == {} and not cli._readers
+        assert cli._store == {}
         plans = json.loads((run_dir / "manifest.json").read_text())["stages"]
         self.check_store(seen, plans)
         assert any(kept for _, kept in seen)
@@ -1132,7 +1250,7 @@ class TestSharedInputs:
         run_dir = tmp_path / "failed"
         assert cli.run(["pipeline", "--config", str(bad), "--run-dir", str(run_dir)]) == 1
         assert "image 'nowhere' is not in the RoI pool" in capsys.readouterr().err
-        assert cli._parsed == {} and not cli._readers
+        assert cli._store == {}
         stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
         assert stages[-1]["section"] == "assign.missing"
         assert seen[-1][1], "parses were kept when the stage failed"
@@ -1213,6 +1331,56 @@ class TestSharedInputs:
         ).read_bytes()
         capsys.readouterr()
 
+    def test_a_rewritten_table_is_checked_again(self, tmp_path, monkeypatch, capsys):
+        # Three assigns read ver.csv.  After the first has checked it,
+        # something else writes a table with a conflict on another image;
+        # the second assign keeps that table for the third, and must check
+        # it, not take the first table's check.
+        clean = VerificationTable({("im1", "dog"): 1})
+        conflicting = VerificationTable(
+            {("im1", "dog"): 1, ("im9", "dog"): 1, ("im9", "animal"): -1}
+        )
+        paths = {
+            "rois": write(tmp_path / "pool.csv", fileio.write_roi_pool(
+                RoiPool({"im1": (Roi(Box(0, 0, 10, 10)),)})
+            )),
+            "ground-truth": write(tmp_path / "gt.csv", fileio.write_ground_truth(
+                [GroundTruthInstance("im1", "dog", Box(0, 0, 10, 10))]
+            )),
+            "verification": write(tmp_path / "ver.csv", fileio.write_verification(clean)),
+            "hierarchy": write(
+                tmp_path / "tree.json", fileio.write_hierarchy(Hierarchy([("dog", "animal")]))
+            ),
+            "categories": write(
+                tmp_path / "categories.csv", fileio.write_category_list(["animal", "dog"])
+            ),
+        }
+        keys = "".join(f"{key} = {path}\n" for key, path in paths.items())
+        config = write(
+            tmp_path / "config.ini",
+            "\n".join(
+                f"[assign.{label}]\nimage-id = im1\n{keys}out = {label}.csv\n"
+                for label in ("first", "second", "third")
+            ).encode(),
+        )
+        stage = cli._STAGES["assign"]
+
+        def assign_then_rewrite(args):
+            status = stage.run(args)
+            if args.out.endswith("first.csv"):
+                write(paths["verification"], fileio.write_verification(conflicting))
+            return status
+
+        monkeypatch.setitem(cli._STAGES, "assign", replace(stage, run=assign_then_rewrite))
+        run_dir = str(tmp_path / "run")
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", run_dir]) == 1
+        assert capsys.readouterr().err == (
+            "error\tValidationError\tstage 'assign.second' failed: "
+            "hierarchy expansion produces conflicting verifications: "
+            "image 'im9', category 'animal'; image 'im9', category 'dog'\n"
+        )
+        assert cli._store == {}
+
 
 class TestLineReuse:
     """A predictions file that a stage of the run wrote is read back with its
@@ -1220,7 +1388,7 @@ class TestLineReuse:
 
     def formatting(self, monkeypatch) -> list[int]:
         """Record the row count of each table whose rows get formatted, in
-        the writer or in trim."""
+        the CLI's writer, in fileio's or in trim."""
         formatted: list[int] = []
         real = fileio._prediction_lines
 
@@ -1229,6 +1397,7 @@ class TestLineReuse:
                 formatted.append(len(table))
             return real(table)
 
+        monkeypatch.setattr(cli, "_prediction_lines", lines)
         monkeypatch.setattr(fileio, "_prediction_lines", lines)
         monkeypatch.setattr(postprocess, "_prediction_lines", lines)
         return formatted
@@ -1237,6 +1406,24 @@ class TestLineReuse:
         """Run a pipeline's stages again as single subcommands in copy_dir."""
         for stage in json.loads(manifest.read_text())["stages"]:
             assert cli.run([arg.replace(str(run_dir), str(copy_dir)) for arg in stage["argv"]]) == 0
+
+    @pytest.mark.parametrize("fixture", ["pipeline", "expert_pipeline"])
+    def test_only_files_from_outside_are_parsed(self, fixture, tmp_path, monkeypatch, capsys):
+        # Each predictions table a stage writes is handed to the later
+        # stages that read its file: only the fixture's two are parsed.
+        config = FIXTURES / fixture / "config.ini"
+        calls = counting_fileio(monkeypatch)
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+        assert calls["parse_prediction_table"] == 2
+        stdout = capsys.readouterr().out
+        copy_dir = tmp_path / "copy"
+        self.one_by_one(run_dir / "manifest.json", run_dir, copy_dir)
+        assert capsys.readouterr().out == stdout
+        names = sorted(path.name for path in copy_dir.iterdir())
+        assert sorted([*names, "manifest.json"]) == sorted(p.name for p in run_dir.iterdir())
+        for path in copy_dir.iterdir():
+            assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
 
     def test_only_ensemble_formats_rows(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -1249,7 +1436,7 @@ class TestLineReuse:
         assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
         ensembled = (run_dir / "ensembled.csv").read_bytes().count(b"\n") - 1
         assert formatted == [ensembled]
-        assert cli._written == {}
+        assert cli._store == {}
         stdout = capsys.readouterr().out
         # Single subcommands keep no digests: ensemble, drop-small-masks and
         # trim each format the rows they write.
@@ -1257,10 +1444,31 @@ class TestLineReuse:
         copy_dir = tmp_path / "copy"
         self.one_by_one(run_dir / "manifest.json", run_dir, copy_dir)
         assert len(formatted) == 3
-        assert cli._written == {}
+        assert cli._store == {}
         assert capsys.readouterr().out == stdout
         for path in sorted(copy_dir.iterdir()):
             assert path.read_bytes() == (run_dir / path.name).read_bytes(), path.name
+
+    def test_a_written_table_is_handed_to_every_reader(self, tmp_path, monkeypatch, capsys):
+        # kept.csv has two later readers: both get the table nms wrote, and
+        # neither parses it nor formats its rows.
+        run = tmp_path / "pipeline"
+        self.rewrite_inputs(run)
+        config = write(
+            run / "config.ini",
+            b"[nms]\nin = preds.csv\nout = kept.csv\n\n"
+            b"[drop-small-masks]\nin = kept.csv\nmin-area = 1\nout = a.csv\n\n"
+            b"[trim]\nin = kept.csv\nout = b.csv\nreport = report.csv\n",
+        )
+        calls = counting_fileio(monkeypatch)
+        formatted = self.formatting(monkeypatch)
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run)]) == 0
+        assert calls["parse_prediction_table"] == 1
+        kept = (run / "kept.csv").read_bytes()
+        assert formatted == [kept.count(b"\n") - 1]
+        assert (run / "a.csv").read_bytes() == (run / "b.csv").read_bytes() == kept
+        assert cli._store == {}
+        capsys.readouterr()
 
     def test_external_input_is_formatted(self, tmp_path, monkeypatch, capsys):
         # Spellings that the writer never emits, and a mask run with zeros.
@@ -1356,13 +1564,19 @@ class TestLineReuse:
         capsys.readouterr()
 
     def test_digests_are_dropped_after_the_last_reader(self, tmp_path, monkeypatch, capsys):
-        # Each stage records, as it starts, the paths whose digests are kept.
+        # Each stage records, as it starts, the paths whose written table and
+        # digest are kept: a handed table carries the lines of its write.
         seen: list[list[str]] = []
         for name in ("trim", "drop-small-masks"):
             stage = cli._STAGES[name]
 
             def run_stage(args, real=stage.run):
-                seen.append(sorted(Path(path).name for path in cli._written))
+                kept = [
+                    path
+                    for path, record in cli._store.items()
+                    if record.digest and getattr(record.result, "lines", None) is not None
+                ]
+                seen.append(sorted(Path(path).name for path in kept))
                 return real(args)
 
             monkeypatch.setitem(cli._STAGES, name, replace(stage, run=run_stage))
@@ -1372,7 +1586,7 @@ class TestLineReuse:
         assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run)]) == 0
         # first.csv's digest is kept until trim, its last reader, finishes.
         assert seen == [[], ["first.csv"], ["preds.csv"]]
-        assert cli._written == {} and cli._parsed == {} and not cli._readers
+        assert cli._store == {}
 
         # A run whose trim fails, after first.csv's digest was kept.
         seen.clear()
@@ -1381,4 +1595,15 @@ class TestLineReuse:
         assert cli.run(["pipeline", "--config", str(failing), "--run-dir", str(run)]) == 1
         assert "smaller than the header" in capsys.readouterr().err
         assert seen == [[], ["first.csv"]]
-        assert cli._written == {} and cli._parsed == {} and not cli._readers
+        assert cli._store == {}
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # hashlib loads OpenSSL, about 7 ms of start-up and 1.7 MB of peak RSS
+    # in every run of the CLI.
+    code = "import sys, detpipe.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")

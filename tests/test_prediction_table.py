@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from detpipe import (
     Box,
     CategoryGroup,
+    GroundTruthInstance,
+    Hierarchy,
     ParseError,
     Prediction,
     PredictionGroup,
@@ -33,6 +35,7 @@ from detpipe import (
     restrict_predictions,
     trim_to_budget,
 )
+from detpipe.evaluation import evaluate
 from detpipe.fileio import (
     PREDICTIONS_HEADER,
     _box_fields,
@@ -41,10 +44,12 @@ from detpipe.fileio import (
     _parse_box,
     _parse_float,
     _parse_mask_fields,
+    _prediction_lines,
     _split,
     _table,
 )
 from detpipe.geometry import _check_iou_threshold
+from detpipe.records import NEGATIVE, POSITIVE, VerificationTable
 from detpipe.table import PredictionTable
 
 # -- references ------------------------------------------------------------------
@@ -542,3 +547,150 @@ class TestOperations:
             data = fileio.write_predictions(survivors)
         assert len(calls) == len(predictions)
         assert data == write_predictions_ref(trim_to_budget_ref(predictions, len(data))[0])
+
+
+# -- a table handed on in a pipeline run --------------------------------------------
+
+# Signed zeros and the smallest subnormal, whose reprs must read back as
+# the same floats.
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 0.5, 1.0])
+EDGE_COORDINATES = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 2.5])
+
+
+@st.composite
+def edge_rows(draw, masked=None):
+    x = sorted(draw(st.lists(EDGE_COORDINATES, min_size=2, max_size=2)))
+    y = sorted(draw(st.lists(EDGE_COORDINATES, min_size=2, max_size=2)))
+    is_masked = draw(st.booleans()) if masked is None else masked
+    return Prediction(
+        draw(st.sampled_from(["a", "b", "é"])),
+        draw(st.sampled_from(["x", "y", "日"])),
+        draw(EDGE_SCORES),
+        Box(x[0], y[0], x[1], y[1]),
+        draw(masks()) if is_masked else None,
+    )
+
+
+@st.composite
+def handed_tables(draw, masked=None, max_size=14):
+    """(T, P): T = U.take(idx) with its lines set by the formatter, as the
+    CLI writes it and hands it on, and P the parse of the bytes written.
+    U's rows outside idx leave ids in T's vocabularies that no row of T
+    has, and idx is in any order."""
+    handed = draw(prediction_lists(masked, max_size)) + draw(
+        st.lists(edge_rows(masked), max_size=4)
+    )
+    dropped = draw(
+        st.lists(
+            st.builds(
+                Prediction,
+                st.sampled_from(["a", "gone"]),
+                st.sampled_from(["x", "ω"]),
+                EDGE_SCORES,
+                boxes,
+            ),
+            max_size=3,
+        )
+    )
+    rows = handed + dropped
+    order = draw(st.permutations(range(len(rows))))
+    position = {row: index for index, row in enumerate(order)}
+    idx = draw(st.permutations([position[row] for row in range(len(handed))]))
+    table = PredictionTable.from_rows([rows[row] for row in order]).take(
+        np.array(idx, dtype=np.intp)
+    )
+    table.lines = _prediction_lines(table)
+    return table, fileio.parse_prediction_table(fileio.write_predictions(table))
+
+
+@st.composite
+def eval_inputs(draw, masked: bool):
+    """Ground truths, a verification table and a hierarchy over the ids of
+    handed_tables."""
+    images, categories = ["a", "b", "é"], ["x", "y", "日"]
+    gts = [
+        GroundTruthInstance(
+            draw(st.sampled_from(images)),
+            draw(st.sampled_from(categories)),
+            draw(boxes),
+            draw(masks()) if masked else None,
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    entries = {(g.image_id, g.category_id): POSITIVE for g in gts}
+    for image_id in images:
+        for category_id in categories:
+            sign = draw(st.sampled_from([None, NEGATIVE, POSITIVE]))
+            if sign is not None:
+                entries.setdefault((image_id, category_id), sign)
+    hierarchy = draw(st.sampled_from([Hierarchy(()), Hierarchy([("x", "日")])]))
+    return gts, VerificationTable(entries), hierarchy
+
+
+class TestHandedTable:
+    """A pipeline stage gets the table that an earlier stage wrote in place
+    of the parse of its file.  Every stage that reads a predictions file
+    must give the same bytes, or the same error, for both."""
+
+    @staticmethod
+    def same(stage, tables):
+        handed, parsed = tables
+        assert outcome(stage, handed) == outcome(stage, parsed)
+
+    @given(handed_tables(), thresholds)
+    @settings(max_examples=150, deadline=None)
+    def test_nms(self, tables, threshold):
+        self.same(lambda t: fileio.write_predictions(nms(t, threshold)), tables)
+
+    @given(handed_tables(), st.sets(st.sampled_from(["x", "y", "日", "ω"]), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_restrict(self, tables, categories):
+        group = CategoryGroup(tuple(sorted(categories)))
+        self.same(lambda t: fileio.write_predictions(restrict_predictions(t, group)), tables)
+
+    @given(handed_tables(), st.sampled_from([0, 1, 4, 6, 13]))
+    @settings(max_examples=100, deadline=None)
+    def test_drop_small_masks(self, tables, min_area):
+        self.same(lambda t: fileio.write_predictions(drop_small_masks(t, min_area)), tables)
+
+    @given(handed_tables(max_size=20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trim_to_budget(self, tables, data):
+        full = len(fileio.write_predictions(tables[0]))
+        budget = data.draw(st.integers(fileio.empty_predictions_size() - 1, full + 10))
+
+        def trim(table):
+            survivors, report = trim_to_budget(table, budget)
+            return fileio.write_predictions(survivors), fileio.write_trim_report(report)
+
+        self.same(trim, tables)
+
+    @given(handed_tables(), st.lists(prediction_lists(), max_size=2), st.data(), thresholds)
+    @settings(max_examples=150, deadline=None)
+    def test_ensemble(self, tables, others, data, threshold):
+        others = [PredictionTable.from_rows(rows) for rows in others]
+        at = data.draw(st.integers(0, len(others)))
+
+        def fuse(table):
+            sets = [*others[:at], table, *others[at:]]
+            return fileio.write_predictions(ensemble(sets, threshold))
+
+        self.same(fuse, tables)
+
+    @given(
+        st.sampled_from(["box", "mask"]).flatmap(
+            lambda mode: st.tuples(
+                st.just(mode), handed_tables(mode == "mask" or None), eval_inputs(mode == "mask")
+            )
+        ),
+        thresholds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate(self, world, threshold):
+        mode, tables, (gts, verification, hierarchy) = world
+
+        def evaluated(table):
+            report = evaluate(table, gts, verification, hierarchy, threshold, mode)
+            return fileio.write_eval_report(report), report.mean_ap.hex()
+
+        self.same(evaluated, tables)
