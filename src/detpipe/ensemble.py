@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _check_iou_threshold, _mask_from_segments, _segments, box_iou
+from .geometry import _areas, _check_iou_threshold, _iou, _mask_from_segments, _segments, box_iou
 from .records import Prediction
 from .table import PredictionTable, Predictions, as_table, select
 
@@ -57,17 +57,6 @@ class PredictionGroup:
         return self.members[self.seed_index]
 
 
-def _iou(a: np.ndarray, area_a: np.ndarray, b: np.ndarray, area_b: np.ndarray) -> np.ndarray:
-    """box_iou of each row of a with the same row of b, in box_iou's order of
-    operations, so every value equals box_iou's bit for bit."""
-    with np.errstate(all="ignore"):
-        inter_w = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-        inter_h = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-        inter = np.where((inter_w > 0.0) & (inter_h > 0.0), inter_w * inter_h, 0.0)
-        union = area_a + area_b - inter
-        return np.where(union <= 0.0, 0.0, inter / union)
-
-
 def _suppresses(iou: np.ndarray, iou_threshold: float) -> np.ndarray:
     # A candidate survives only an IoU below the threshold with every kept box.
     return ~(iou < iou_threshold)
@@ -95,8 +84,7 @@ def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.nd
     starts[1:] = (images[1:] != images[:-1]) | (categories[1:] != categories[:-1])
     stratum = np.cumsum(starts)
     boxes = table.boxes[order]
-    with np.errstate(all="ignore"):
-        areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    areas = _areas(boxes)
     owner = np.arange(n)
     uncovered = np.arange(n)
     while len(uncovered):

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _iou
 from .errors import ValidationError
 from .federated import expand_verification_codes
-from .geometry import _check_iou_threshold, box_iou, mask_iou
+from .geometry import _areas, _check_iou_threshold, _corners, _iou, box_iou, mask_iou
 from .records import (
     POSITIVE,
     UNVERIFIED,
@@ -329,9 +328,8 @@ def evaluate(
             return values
 
     else:
-        gt_boxes = np.array([(g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max) for g in gts])
-        with np.errstate(all="ignore"):
-            areas = [(b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) for b in (table.boxes, gt_boxes)]
+        gt_boxes = _corners([g.box for g in gts])
+        areas = [_areas(table.boxes), _areas(gt_boxes)]
 
         def overlap(p: np.ndarray, g: np.ndarray) -> np.ndarray:
             return _iou(table.boxes[p], areas[0][p], gt_boxes[g], areas[1][g])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Box, _check_iou_threshold, box_iou
+from .geometry import Box, _best_overlaps, _check_iou_threshold
 from .records import (
     NEGATIVE,
     POSITIVE,
@@ -209,23 +209,9 @@ def assign_rois(
     """Assign each RoI to the ground truth of maximal IoU, if it clears the
     threshold; ties break toward the smallest ground-truth index."""
     _check_iou_threshold(iou_threshold)
-    gt_indices: list[int | None] = []
-    ious: list[float] = []
-    for roi in rois:
-        best_index: int | None = None
-        best_iou = 0.0
-        for index, gt in enumerate(gts):
-            iou = box_iou(roi, gt.box)
-            if iou > best_iou:
-                best_iou = iou
-                best_index = index
-        if best_index is not None and best_iou >= iou_threshold:
-            gt_indices.append(best_index)
-            ious.append(best_iou)
-        else:
-            gt_indices.append(None)
-            ious.append(best_iou)
-    return Assignment(tuple(gt_indices), tuple(ious))
+    ious, indices = _best_overlaps(rois, [gt.box for gt in gts])
+    indices = np.where(ious >= iou_threshold, indices, -1).tolist()
+    return Assignment(tuple(i if i >= 0 else None for i in indices), tuple(ious.tolist()))
 
 
 def build_label_matrix(

@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic and run-length-encoded binary mask rasters.
+"""Axis-aligned boxes and their IoU, one box at a time or over arrays; the
+one best-IoU rule for RoIs; and run-length-encoded binary mask rasters.
 
 Everything else in the toolkit builds on these primitives. All operations are
 pure functions on immutable values and safe to call concurrently.
@@ -69,10 +70,18 @@ def _coordinate(name: str, value: float) -> float:
     return value
 
 
-def _check_dimension(name: str, value: int) -> int:
-    if isinstance(value, bool) or value != int(value):
+def _check_integer(name: str, value: int) -> int:
+    try:
+        integral = not isinstance(value, bool) and value == int(value)
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        integral = False
+    if not integral:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    return int(value)
+
+
+def _check_dimension(name: str, value: int) -> int:
+    value = _check_integer(name, value)
     if value < 1:
         raise ValidationError(f"{name} must be positive, got {value}")
     return value
@@ -94,7 +103,10 @@ class BinaryMask:
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         width = _check_dimension("mask width", width)
         height = _check_dimension("mask height", height)
-        runs = tuple(map(int, runs))
+        runs = tuple(runs)
+        # The parser passes ints; anything else is checked run by run.
+        if set(map(type, runs)) != {int}:
+            runs = tuple(_check_integer("mask run", run) for run in runs)
         if not runs:
             raise ValidationError("mask runs must not be empty")
         if runs[0] < 0 or min(runs[1:], default=1) < 1:
@@ -123,6 +135,41 @@ def box_iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def _iou(a: np.ndarray, area_a: np.ndarray, b: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """box_iou of each row of a with the same row of b, in box_iou's order of
+    operations, so every value equals box_iou's bit for bit."""
+    with np.errstate(all="ignore"):
+        inter_w = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+        inter_h = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+        inter = np.where((inter_w > 0.0) & (inter_h > 0.0), inter_w * inter_h, 0.0)
+        union = area_a + area_b - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
+
+
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]).reshape(-1, 4)
+
+
+def _areas(corners: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+
+
+def _best_overlaps(boxes: Sequence[Box], others: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's greatest box_iou with any of others, and the index of the
+    first of others to reach it (-1 for none).  The best starts at 0.0 and
+    moves only on a greater IoU: ties go to the earliest, 0 never matches and
+    nan never wins.  Memory grows with the boxes, not with the pairs."""
+    a, b = _corners(boxes), _corners(others)
+    area_a, area_b = _areas(a), _areas(b)
+    best, index = np.zeros(len(a)), np.full(len(a), -1)
+    for j in range(len(b)):
+        iou = _iou(a, area_a, b[j : j + 1], area_b[j : j + 1])
+        better = iou > best
+        best[better], index[better] = iou[better], j
+    return best, index
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:

@@ -20,7 +20,8 @@ import numpy as np
 from .ensemble import ensemble
 from .evaluation import evaluate
 from .experts import rarity_ranking, restrict_predictions, split_by_rank
-from .geometry import Box, box_iou
+from .federated import assign_rois
+from .geometry import Box
 from .records import (
     CategoryStats,
     GroundTruthInstance,
@@ -105,18 +106,12 @@ def roi_diversity_trial(
         shuffled = [pool[j] for j in rng.permutation(len(pool))]
         halves = partition_pool(shuffled, 2)
         for model_index, half in enumerate(halves):
-            for roi in half:
-                best_iou = 0.0
-                best_gt: GroundTruthInstance | None = None
-                for gt in image_gts:
-                    iou = box_iou(roi, gt.box)
-                    if iou > best_iou:
-                        best_iou = iou
-                        best_gt = gt
-                if best_gt is not None and best_iou >= iou_threshold:
+            assignment = assign_rois(half, image_gts, iou_threshold)
+            for roi, gt_index, best_iou in zip(half, assignment.gt_indices, assignment.ious):
+                if gt_index is not None:
                     score = _clipped_score(rng, 0.4 + 0.5 * best_iou, score_sigma)
                     model_predictions[model_index].append(
-                        Prediction(image_id, best_gt.category_id, score, roi)
+                        Prediction(image_id, image_gts[gt_index].category_id, score, roi)
                     )
                 else:
                     category_id = categories[int(rng.integers(n_categories))]

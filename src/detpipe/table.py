@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geometry import BinaryMask, Box
+from .geometry import BinaryMask, Box, _corners
 from .records import Prediction
 
 __all__ = ["PredictionTable", "Predictions", "as_table", "select"]
@@ -91,12 +91,11 @@ class PredictionTable:
 
     @classmethod
     def from_rows(cls, predictions: Sequence[Prediction]) -> PredictionTable:
-        boxes = [(p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max) for p in predictions]
         return cls.from_columns(
             [p.image_id for p in predictions],
             [p.category_id for p in predictions],
             np.fromiter((p.score for p in predictions), np.float64, len(predictions)),
-            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            _corners([p.box for p in predictions]),
             [p.mask for p in predictions],
         )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import ValidationError
-from .geometry import Box, box_iou
+from .geometry import Box, _best_overlaps, _check_integer
 
 __all__ = [
     "SplitMix64",
@@ -97,8 +97,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_sample < 1:
-            raise ValidationError(f"n_sample must be >= 1, got {self.n_sample}")
+        n_sample = _check_integer("n_sample", self.n_sample)
+        if n_sample < 1:
+            raise ValidationError(f"n_sample must be >= 1, got {n_sample}")
+        object.__setattr__(self, "n_sample", n_sample)
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         if not 0.0 < self.fg_fraction < 1.0:
             raise ValidationError(f"fg_fraction must be in (0, 1), got {self.fg_fraction}")
         if not 0.0 < self.fg_iou_threshold <= 1.0:
@@ -123,14 +126,9 @@ def sample_rois(
     if not rois:
         raise ValidationError("RoI pool for the image is empty")
     n_take = min(config.n_sample, len(rois))
-    foreground: list[int] = []
-    background: list[int] = []
-    for index, roi in enumerate(rois):
-        best = max((box_iou(roi, gt) for gt in gt_boxes), default=0.0)
-        if best >= config.fg_iou_threshold:
-            foreground.append(index)
-        else:
-            background.append(index)
+    is_foreground = _best_overlaps(rois, gt_boxes)[0] >= config.fg_iou_threshold
+    foreground = is_foreground.nonzero()[0].tolist()
+    background = (~is_foreground).nonzero()[0].tolist()
     fg_quota = math.ceil(config.fg_fraction * config.n_sample)
     fg_take = min(len(foreground), fg_quota, n_take)
     bg_take = min(len(background), n_take - fg_take)
@@ -143,12 +141,10 @@ def partition_pool(pool: Sequence[_T], k: int) -> list[list[_T]]:
     """Split a per-image RoI list into k disjoint lists, round-robin by index:
     element j goes to partition j mod k.  Order is preserved within each
     partition and the partitions together cover the pool exactly."""
+    k = _check_integer("number of partitions", k)
     if k < 1:
         raise ValidationError(f"number of partitions must be >= 1, got {k}")
-    partitions: list[list[_T]] = [[] for _ in range(k)]
-    for index, item in enumerate(pool):
-        partitions[index % k].append(item)
-    return partitions
+    return [list(pool[j::k]) for j in range(k)]
 
 
 def base_lr(batch_size: int) -> float:

@@ -1607,3 +1607,25 @@ def test_importing_the_cli_loads_no_openssl():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+def test_fixture_pipelines_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms of start-up
+    # in every run of the CLI; distinct values are found by sorting instead.
+    runs = [
+        (str(FIXTURES / name / "config.ini"), str(tmp_path / name))
+        for name in ("pipeline", "expert_pipeline")
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from detpipe import cli\n"
+        f"for config, run_dir in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(['pipeline', '--config', config, '--run-dir', run_dir]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")

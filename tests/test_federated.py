@@ -1,7 +1,13 @@
+import gc
 import math
+import statistics
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from detpipe import (
     Assignment,
@@ -16,7 +22,9 @@ from detpipe import (
     classification_loss,
     expand_verification,
 )
+from detpipe.geometry import _check_iou_threshold, box_iou
 
+from generators import HUGE_BOX, overlap_boxes, random_box
 from oracles import iou_ref, loss_ref
 
 
@@ -98,7 +106,90 @@ class TestExpandVerification:
                 assert expanded.entries[key] == sign
 
 
+def assign_rois_loop(
+    rois,
+    gts,
+    iou_threshold: float = 0.5,
+) -> Assignment:
+    """assign_rois as a loop over (RoI, ground truth) pairs; the body is the
+    one it had before the loop became geometry._best_overlaps."""
+    _check_iou_threshold(iou_threshold)
+    gt_indices: list[int | None] = []
+    ious: list[float] = []
+    for roi in rois:
+        best_index: int | None = None
+        best_iou = 0.0
+        for index, gt in enumerate(gts):
+            iou = box_iou(roi, gt.box)
+            if iou > best_iou:
+                best_iou = iou
+                best_index = index
+        if best_index is not None and best_iou >= iou_threshold:
+            gt_indices.append(best_index)
+            ious.append(best_iou)
+        else:
+            gt_indices.append(None)
+            ious.append(best_iou)
+    return Assignment(tuple(gt_indices), tuple(ious))
+
+
+# Its area overflows too, and its IoU with HUGE_BOX is nan.
+HALF_HUGE = Box(-1e308, 0.0, 1e308, 1e308)
+
+
 class TestAssignRois:
+    @given(
+        st.lists(overlap_boxes(), max_size=12),
+        st.lists(overlap_boxes(), max_size=6),
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    @example([Box(0, 0, 2, 2)], [Box(1, 0, 3, 2), Box(-1, 0, 1, 2)], 0.25)  # tied IoUs
+    @example([Box(1, 1, 1, 1), Box(0, 0, 1, 1)], [Box(1, 1, 1, 1)], 0.5)  # zero area
+    @example([Box(0, 0, 1, 1)], [Box(1, 0, 2, 1), Box(0, 1, 1, 2)], 0.5)  # touching
+    @example([Box(0, 0, 1, 1), HUGE_BOX], [], 0.5)
+    @example(
+        [HUGE_BOX, HALF_HUGE, Box(0, 0, 1, 1)], [HUGE_BOX, Box(0, 0, 1, 1), HALF_HUGE], 0.5
+    )
+    def test_matches_the_pair_loop(self, rois, gt_boxes, iou_threshold):
+        gts = [GroundTruthInstance("im1", f"c{i}", box) for i, box in enumerate(gt_boxes)]
+        ours = assign_rois(rois, gts, iou_threshold)
+        reference = assign_rois_loop(rois, gts, iou_threshold)
+        assert ours.gt_indices == reference.gt_indices
+        assert list(map(float.hex, ours.ious)) == list(map(float.hex, reference.ious))
+
+    def test_memory_grows_with_rois_not_pairs(self):
+        # One float64 matrix over these 16000 x 200 pairs alone is 25.6 MB.
+        rng = np.random.default_rng(5)
+        rois = [random_box(rng, 1000.0) for _ in range(16000)]
+        gts = [GroundTruthInstance("im1", "c1", random_box(rng, 1000.0)) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            assignment = assign_rois(rois, gts, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < sum(i is not None for i in assignment.gt_indices) < len(rois)
+        assert peak <= 8_000_000
+
+    def test_faster_than_the_pair_loop(self):
+        rng = np.random.default_rng(6)
+        rois = [random_box(rng, 1000.0) for _ in range(2000)]
+        gts = [GroundTruthInstance("im1", "c1", random_box(rng, 1000.0)) for _ in range(20)]
+
+        def seconds(assign) -> float:
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                assign(rois, gts, 0.5)
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+
+        seconds(assign_rois)
+        # Each pair is compared on its own, so a slow spell slows both sides.
+        ratios = [seconds(assign_rois_loop) / seconds(assign_rois) for _ in range(5)]
+        assert statistics.median(ratios) >= 5
+
     def test_no_ground_truth_all_background(self):
         assignment = assign_rois([Box(0, 0, 1, 1), Box(2, 2, 3, 3)], [], 0.5)
         assert assignment.gt_indices == (None, None)

@@ -113,6 +113,17 @@ class TestBinaryMask:
         with pytest.raises(ValidationError):
             BinaryMask(4, 1, (-1, 5))
 
+    def test_runs_must_be_integers(self):
+        # The rule width and height follow: a fraction or a bool is no length.
+        for runs in ([2.5, 2.5], [True, 3], [0, 2, 1.5, 0.5], ["4"], [float("inf")]):
+            with pytest.raises(ValidationError, match="mask run must be an integer"):
+                BinaryMask(2, 2, runs)
+
+    def test_dimensions_that_int_cannot_convert_rejected(self):
+        for width in (float("nan"), float("inf"), None, "x"):
+            with pytest.raises(ValidationError, match="mask width must be an integer"):
+                BinaryMask(width, 1, (1,))
+
     def test_decode_single_pixel(self):
         grid = mask_decode(BinaryMask(1, 1, (0, 1)))
         assert grid.tolist() == [[1]]

@@ -2,7 +2,8 @@
 replaced.  Those converted and checked every field in ``__post_init__`` on
 every construction; the constructors now store valid, well-typed fields after
 a few comparisons and run the same checks on anything else.  The references
-below keep the earlier ``__post_init__`` bodies as they were."""
+below keep the earlier ``__post_init__`` bodies as they were, but for one
+later rule: a mask run, like a mask width or height, must be an integer."""
 
 import math
 from dataclasses import dataclass, fields, replace
@@ -12,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detpipe import BinaryMask, Box, GroundTruthInstance, Prediction, Roi, ValidationError
-from detpipe.geometry import _check_dimension
+from detpipe.geometry import _check_dimension, _check_integer
 from detpipe.records import _check_id
 
 
@@ -48,7 +49,7 @@ class BinaryMaskRef:
     def __post_init__(self) -> None:
         object.__setattr__(self, "width", _check_dimension("mask width", self.width))
         object.__setattr__(self, "height", _check_dimension("mask height", self.height))
-        runs = tuple(int(r) for r in self.runs)
+        runs = tuple(_check_integer("mask run", r) for r in self.runs)
         if not runs:
             raise ValidationError("mask runs must not be empty")
         if runs[0] < 0 or any(r < 1 for r in runs[1:]):
@@ -207,6 +208,8 @@ class TestConstructorsMatchReference:
     @example({"width": 2, "height": 2, "runs": [1, 0, 3]})
     @example({"width": 2, "height": 2, "runs": [-1, 5]})
     @example({"width": 2, "height": 2, "runs": [1.5, 2.5]})
+    @example({"width": 2, "height": 2, "runs": [True, 3]})
+    @example({"width": 2, "height": 2, "runs": [np.int64(1), 3.0]})
     @example({"width": True, "height": 1, "runs": [1]})
     @example({"width": 0, "height": "x", "runs": [0]})
     def test_binary_mask(self, kwargs):

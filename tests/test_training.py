@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detpipe import (
@@ -13,6 +15,9 @@ from detpipe import (
     partition_pool,
     sample_rois,
 )
+from detpipe.geometry import box_iou
+
+from generators import HUGE_BOX, overlap_boxes
 
 
 class TestSplitMix64:
@@ -56,7 +61,56 @@ def boxes_at(*corners):
     return [Box(x, y, x + 10, y + 10) for x, y in corners]
 
 
+def sample_rois_loop(rois, gt_boxes, config: SamplerConfig) -> list[int]:
+    """sample_rois with a loop over (RoI, ground truth) pairs; the body is the
+    one it had before the loop became geometry._best_overlaps."""
+    if not rois:
+        raise ValidationError("RoI pool for the image is empty")
+    n_take = min(config.n_sample, len(rois))
+    foreground: list[int] = []
+    background: list[int] = []
+    for index, roi in enumerate(rois):
+        best = max((box_iou(roi, gt) for gt in gt_boxes), default=0.0)
+        if best >= config.fg_iou_threshold:
+            foreground.append(index)
+        else:
+            background.append(index)
+    fg_quota = math.ceil(config.fg_fraction * config.n_sample)
+    fg_take = min(len(foreground), fg_quota, n_take)
+    bg_take = min(len(background), n_take - fg_take)
+    fg_take = min(len(foreground), n_take - bg_take)
+    rng = SplitMix64(config.seed)
+    return rng.sample(foreground, fg_take) + rng.sample(background, bg_take)
+
+
+sampler_configs = st.builds(
+    SamplerConfig,
+    n_sample=st.integers(1, 16),
+    fg_fraction=st.sampled_from([0.05, 0.25, 0.5, 0.9]),
+    fg_iou_threshold=st.one_of(
+        st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0, exclude_min=True)
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
 class TestSampleRois:
+    @given(
+        st.lists(overlap_boxes(), min_size=1, max_size=16),
+        st.lists(overlap_boxes(), max_size=6),
+        sampler_configs,
+    )
+    # Tied IoUs, zero area, touching edges, no ground truth, and nan IoUs
+    # first (HUGE_BOX with itself) and later (after a box).
+    @example([Box(0, 0, 2, 2)], [Box(1, 0, 3, 2), Box(-1, 0, 1, 2)], SamplerConfig(4))
+    @example([Box(1, 1, 1, 1), Box(0, 0, 1, 1)], [Box(1, 1, 1, 1)], SamplerConfig(1))
+    @example([Box(0, 0, 1, 1)], [Box(1, 0, 2, 1), Box(0, 1, 1, 2)], SamplerConfig(2))
+    @example([Box(0, 0, 1, 1), HUGE_BOX], [], SamplerConfig(2))
+    @example([HUGE_BOX, Box(0, 0, 1, 1)], [HUGE_BOX, Box(0, 0, 1, 1)], SamplerConfig(2, 0.5))
+    @example([HUGE_BOX, Box(0, 0, 1, 1)], [Box(0, 0, 1, 1), HUGE_BOX], SamplerConfig(2, 0.5))
+    def test_matches_the_pair_loop(self, rois, gt_boxes, config):
+        assert sample_rois(rois, gt_boxes, config) == sample_rois_loop(rois, gt_boxes, config)
+
     def test_small_pool_returns_everything(self):
         pool = boxes_at((0, 0), (20, 20), (40, 40))
         picked = sample_rois(pool, [], SamplerConfig(n_sample=8, seed=1))
@@ -107,6 +161,23 @@ class TestSampleRois:
         with pytest.raises(ValidationError):
             SamplerConfig(fg_iou_threshold=0.0)
 
+    def test_counts_and_seeds_must_be_integers(self):
+        for fields in (
+            {"n_sample": 2.5},
+            {"n_sample": True},
+            {"n_sample": float("inf")},
+            {"seed": 1.5},
+            {"seed": False},
+            {"seed": None},
+        ):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                SamplerConfig(**fields)
+
+    def test_integral_counts_and_seeds_are_stored_as_ints(self):
+        config = SamplerConfig(n_sample=4.0, seed=7.0)
+        assert (config.n_sample, config.seed) == (4, 7)
+        assert (type(config.n_sample), type(config.seed)) == (int, int)
+
 
 class TestPartitionPool:
     def test_single_partition(self):
@@ -119,6 +190,13 @@ class TestPartitionPool:
     def test_zero_partitions_is_error(self):
         with pytest.raises(ValidationError):
             partition_pool([1], 0)
+
+    def test_partition_count_must_be_an_integer(self):
+        for k in (1.5, True):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                partition_pool([1, 2, 3], k)
+        # An integral float passes, as it does for a mask's width and height.
+        assert partition_pool([1, 2, 3], 2.0) == [[1, 3], [2]]
 
     @given(pool=st.lists(st.integers(), max_size=40), k=st.integers(1, 8))
     def test_partitions_cover_pool(self, pool, k):
