@@ -100,15 +100,19 @@ def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.nd
     return order, owner
 
 
-def _groups(order: np.ndarray, owner: np.ndarray) -> list[tuple[int, list[int]]]:
-    """(seed row, member rows in row order) of each group, in seed order."""
-    if not len(order):
+def _groups(
+    order: np.ndarray, owner: np.ndarray, positions: np.ndarray
+) -> list[tuple[int, list[int]]]:
+    """(seed row, member rows in row order) of each group that has a member
+    at one of `positions` in `order`, in seed order; only those members."""
+    if not len(positions):
         return []
-    by_group = np.lexsort((order, owner))
-    seeds = owner[by_group]
+    rows, owners = order[positions], owner[positions]
+    by_group = np.lexsort((rows, owners))
+    seeds = owners[by_group]
     cuts = (np.flatnonzero(seeds[1:] != seeds[:-1]) + 1).tolist()
-    firsts, ends = [0, *cuts], [*cuts, len(order)]
-    members = order[by_group].tolist()
+    firsts, ends = [0, *cuts], [*cuts, len(rows)]
+    members = rows[by_group].tolist()
     return [
         (seed, members[first:end])
         for seed, first, end in zip(order[seeds[firsts]].tolist(), firsts, ends)
@@ -147,7 +151,7 @@ def group_predictions(
     rows = table.rows() if table is predictions else predictions
     return [
         PredictionGroup(tuple(map(rows.__getitem__, members)), members.index(seed))
-        for seed, members in _groups(order, owner)
+        for seed, members in _groups(order, owner, np.arange(len(order)))
     ]
 
 
@@ -195,16 +199,29 @@ def ensemble(
     iou_threshold: float = 0.5,
 ) -> list[Prediction] | PredictionTable:
     """Suppress each model's predictions, concatenate in set order, group the
-    concatenation, and fuse each group.  Output is sorted by
+    concatenation as `group_predictions` does, and fuse each group as
+    `fuse_group` does.  A group without masks is its seed row, taken from the
+    concatenation; only a group with a masked member builds its rows and goes
+    through `fuse_group`, whose mask replaces the seed's.  Output is sorted by
     (image_id, category_id, descending score): a table when every set is a
-    table, else a list."""
+    table, else a list of its rows."""
     _check_iou_threshold(iou_threshold)
     if not prediction_sets:
         raise ValidationError("ensemble needs at least one prediction set")
     concatenated = PredictionTable.concat(
         [nms(as_table(predictions), iou_threshold) for predictions in prediction_sets]
     )
-    fused = [fuse_group(group) for group in group_predictions(concatenated, iou_threshold)]
+    order, owner = _greedy(concatenated, iou_threshold, _claims)
+    seeds = owner == np.arange(len(owner))
+    fused = concatenated.take(order[seeds])
+    has_mask = np.array([mask is not None for mask in concatenated.masks], dtype=bool)
+    # By position in `order`: whether the group seeded there has a masked member.
+    masked = np.zeros(len(owner), dtype=bool)
+    masked[owner[has_mask[order]]] = True
+    slots = np.flatnonzero(masked[seeds]).tolist()
+    for slot, (seed, rows) in zip(slots, _groups(order, owner, np.flatnonzero(masked[owner]))):
+        group = PredictionGroup(tuple(map(concatenated.row, rows)), rows.index(seed))
+        fused.masks[slot] = fuse_group(group).mask
     if all(isinstance(predictions, PredictionTable) for predictions in prediction_sets):
-        return PredictionTable.from_rows(fused)
-    return fused
+        return fused
+    return fused.rows()

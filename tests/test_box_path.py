@@ -22,6 +22,7 @@ from detpipe import (
     Prediction,
     ValidationError,
     VerificationTable,
+    ensemble,
     evaluate,
     expand_verification,
     fileio,
@@ -560,6 +561,12 @@ def test_nms_time_is_linear():
 def test_group_predictions_time_is_linear():
     small, large = stratified_table(2500), stratified_table(5000)
     assert median_time_ratio(lambda table: group_predictions(table, 0.5), small, large) <= 2.5
+
+
+def test_ensemble_time_is_linear():
+    small, large = stratified_table(10000), stratified_table(20000)
+    ratio = median_time_ratio(lambda table: ensemble([table, table], 0.5), small, large)
+    assert ratio <= 2.5
 
 
 def test_trim_to_budget_time_is_linear():

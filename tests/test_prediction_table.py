@@ -3,10 +3,13 @@ replaced.  The references below are the row-at-a-time bodies of
 parse_predictions, write_predictions, nms, group_predictions, ensemble,
 drop_small_masks, restrict_predictions and trim_to_budget as they were before
 the table; the library functions must give the same values, in the same
-order, the same bytes and the same ParseError line and message."""
+order, the same bytes and the same ParseError line and message.
+ensemble_groups_ref is ensemble's table body from before a box-only group was
+taken as its seed row: every group fused, and the table interned again."""
 
 import heapq
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -50,7 +53,7 @@ from detpipe.fileio import (
 )
 from detpipe.geometry import _check_iou_threshold
 from detpipe.records import NEGATIVE, POSITIVE, VerificationTable
-from detpipe.table import PredictionTable
+from detpipe.table import PredictionTable, as_table
 
 # -- references ------------------------------------------------------------------
 
@@ -138,6 +141,19 @@ def ensemble_ref(prediction_sets, iou_threshold=0.5):
         concatenated.extend(nms_ref(model_predictions, iou_threshold))
     groups = group_predictions_ref(concatenated, iou_threshold)
     return [fuse_group(group) for group in groups]
+
+
+def ensemble_groups_ref(prediction_sets, iou_threshold=0.5):
+    _check_iou_threshold(iou_threshold)
+    if not prediction_sets:
+        raise ValidationError("ensemble needs at least one prediction set")
+    concatenated = PredictionTable.concat(
+        [nms(as_table(predictions), iou_threshold) for predictions in prediction_sets]
+    )
+    fused = [fuse_group(group) for group in group_predictions(concatenated, iou_threshold)]
+    if all(isinstance(predictions, PredictionTable) for predictions in prediction_sets):
+        return PredictionTable.from_rows(fused)
+    return fused
 
 
 def drop_small_masks_ref(predictions, min_area):
@@ -489,7 +505,8 @@ class TestOperations:
 
             with mock.patch("detpipe.ensemble.fuse_group", counting):
                 fused = ensemble([predictions], 0.5)
-            assert [len(g.members) for g in seen] == [1, 1]
+            # Only the masked group is fused; the box-only group is its seed row.
+            assert [len(g.members) for g in seen] == [1]
             assert fileio.write_predictions(fused) == write_predictions_ref([masked[0], boxed[0]])
 
     @given(prediction_lists(), st.sampled_from([0, 1, 4, 6, 13]))
@@ -694,3 +711,163 @@ class TestHandedTable:
             return fileio.write_eval_report(report), report.mean_ap.hex()
 
         self.same(evaluated, tables)
+
+
+# -- ensemble groups as index arrays ------------------------------------------------
+
+
+def bits_mask(bits):
+    return mask_encode(np.array(bits, dtype=np.uint8).reshape(MASK_SIZE[1], MASK_SIZE[0]))
+
+
+def as_inputs(sets):
+    return sets, [PredictionTable.from_rows(rows) for rows in sets]
+
+
+CATEGORIES = ["x", "y", "日"]
+
+
+@st.composite
+def ensemble_inputs(draw):
+    """(1-4 prediction sets as rows, the same sets as tables).  Each table's
+    vocabularies may also hold ids that none of its rows has.  Every set masks
+    the rows of the same categories (none, all or some), so no group mixes
+    masked and mask-less rows.  Scores come from a few values, 0.0 and -0.0
+    among them, so they tie within and across sets."""
+    masked = draw(
+        st.sampled_from([set(), set(CATEGORIES)])
+        | st.sets(st.sampled_from(CATEGORIES), min_size=1, max_size=2)
+    )
+    sets, tables = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [
+            Prediction(
+                p.image_id, p.category_id, p.score, p.box,
+                draw(masks()) if p.category_id in masked else None,
+            )
+            for p in draw(prediction_lists(masked=False, max_size=10))
+        ]
+        unused = draw(
+            st.lists(
+                st.builds(
+                    Prediction, st.sampled_from(["a", "gone"]), st.sampled_from(["x", "ω"]),
+                    EDGE_SCORES, boxes,
+                ),
+                max_size=2,
+            )
+        )
+        sets.append(rows)
+        tables.append(PredictionTable.from_rows(rows + unused).take(np.arange(len(rows))))
+    return sets, tables
+
+
+class TestEnsembleSeeds:
+    """ensemble takes a box-only group's seed row from the concatenated table
+    and fuses only the groups that have a masked member."""
+
+    @given(ensemble_inputs(), thresholds)
+    @settings(max_examples=200, deadline=None)
+    # Tied zero scores across sets: the masked group's weights are all zero.
+    @example(
+        as_inputs(
+            [
+                [Prediction("a", "x", 0.0, Box(0, 0, 2, 2), bits_mask([1] * 6 + [0] * 6))],
+                [Prediction("a", "x", -0.0, Box(0, 0, 2, 2), bits_mask([0] * 6 + [1] * 6))],
+                [Prediction("a", "x", 0.0, Box(0, 0, 2, 2), bits_mask([1] * 12))],
+            ]
+        ),
+        0.5,
+    )
+    # A table whose category vocabulary holds an id that no row has.
+    @example(
+        (
+            [[Prediction("a", "x", 0.5, Box(0, 0, 2, 2))]],
+            [
+                PredictionTable.from_rows(
+                    [Prediction("a", "x", 0.5, Box(0, 0, 2, 2)), Prediction("a", "ω", 0.5, Box(0, 0, 1, 1))]
+                ).take(np.arange(1))
+            ],
+        ),
+        0.5,
+    )
+    def test_same_bytes_and_rows_as_fusing_every_group(self, inputs, threshold):
+        sets, tables = inputs
+        expected = ensemble_groups_ref(tables, threshold)
+        actual = ensemble(tables, threshold)
+        assert fileio.write_predictions(actual) == fileio.write_predictions(expected)
+        # The taken rows keep the concatenation's vocabularies, which hold
+        # every id of every input table.
+        assert set(actual.image_ids) >= set(expected.image_ids)
+        assert set(actual.category_ids) >= set(expected.category_ids)
+        same_rows(ensemble(sets, threshold), ensemble_groups_ref(sets, threshold))
+
+    def test_first_bad_group_in_seed_order_is_reported(self):
+        box = Box(0, 0, 2, 2)
+        square = bits_mask([1] * 12)
+        wide = mask_encode(np.ones((MASK_SIZE[1], MASK_SIZE[0] + 1), dtype=np.uint8))
+
+        def mixed(image):
+            return [Prediction(image, "x", 0.9, box, square)], [Prediction(image, "x", 0.8, box)]
+
+        def mismatched(image):
+            return (
+                [Prediction(image, "x", 0.9, box, square)],
+                [Prediction(image, "x", 0.8, box, wide)],
+            )
+
+        # A box-only group, seeded before both bad ones.
+        clean = [Prediction("a", "w", 0.7, box)], [Prediction("a", "w", 0.7, box)]
+        for first, second, message in (
+            (mixed, mismatched, "group mixes masked and mask-less predictions"),
+            (mismatched, mixed, "group mask dimensions differ: (4, 3) vs (5, 3)"),
+        ):
+            # The second group's rows come first in each set: seed order, not
+            # row order, decides which error is reported.
+            parts = [second("b"), clean, first("a")]
+            sets = [[row for part in parts for row in part[k]] for k in (0, 1)]
+            for prediction_sets in as_inputs(sets):
+                assert (
+                    outcome(ensemble, prediction_sets, 0.5)
+                    == outcome(ensemble_groups_ref, prediction_sets, 0.5)
+                    == ("ValidationError", message)
+                )
+
+    def test_box_only_groups_build_no_rows(self):
+        box = Box(0, 0, 2, 2)
+        boxed = [Prediction(image, "x", score, box) for image in "ab" for score in (0.9, 0.8)]
+        masked = [Prediction("c", "x", score, box, bits_mask([1] * 12)) for score in (0.9, 0.8)]
+        cases = (
+            ([boxed[0::2], boxed[1::2]], {}),
+            # Only the masked group's two rows are built, and its fused row.
+            (
+                [boxed[0::2] + masked[:1], boxed[1::2] + masked[1:]],
+                {"row": 2, "Prediction": 3, "fuse_group": 1},
+            ),
+        )
+        for sets, expected_calls in cases:
+            tables = [PredictionTable.from_rows(rows) for rows in sets]
+            expected = fileio.write_predictions(ensemble_groups_ref(tables, 0.5))
+            calls = Counter()
+
+            def counted(name, fn):
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+
+                return call
+
+            with (
+                mock.patch("detpipe.ensemble.fuse_group", counted("fuse_group", fuse_group)),
+                mock.patch(
+                    "detpipe.ensemble.group_predictions",
+                    counted("group_predictions", group_predictions),
+                ),
+                mock.patch.object(PredictionTable, "row", counted("row", PredictionTable.row)),
+                mock.patch.object(PredictionTable, "rows", counted("rows", PredictionTable.rows)),
+                mock.patch.object(
+                    Prediction, "__init__", counted("Prediction", Prediction.__init__)
+                ),
+            ):
+                fused = ensemble(tables, 0.5)
+            assert calls == expected_calls
+            assert fileio.write_predictions(fused) == expected
