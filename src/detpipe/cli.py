@@ -1,26 +1,32 @@
 """Command-line interface.
 
 Every pipeline operation is a subcommand; ``pipeline`` chains them from a
-plain-text configuration file.  Within one pipeline run, a file that several
-stages read is parsed once and released after its last reader, and a
-predictions table that a stage writes is handed, with the lines formatted
-for the write, to the later stages that read its file.  The run keeps one
-BLAKE2b digest per path, of the bytes last parsed or written there, and no
-bytes: a stage that reads a file whose bytes no longer match parses them.
-``assign`` checks the whole verification table for conflicts once per run,
-over integer keys, and expands only its own image's entries.  ``eval``
-works on the predictions table and builds no row views.  A stage may not
-name one file for two of its outputs, nor a pipeline stage the run's
-manifest.  Outputs are written atomically (to a temporary file in the
-destination directory, then renamed).  Exit status: 0 on success, 1 on
-validation or I/O errors (one machine-parsable line on stderr:
-``error<TAB>type<TAB>message``), 2 on usage errors.
+plain-text configuration file, with the parser that parsed its own
+arguments.  Within one pipeline run, a file that several stages read is
+parsed once, as a predictions, ground-truth or verification table, and
+released after its last reader, and a predictions table that a stage writes
+is handed, with the lines formatted for the write, to the later stages that
+read its file.  The run keeps one BLAKE2b digest per path, of the bytes last
+parsed or written there, and no bytes: a stage that reads a file whose bytes
+no longer match parses them.  ``assign`` checks the whole verification
+table for conflicts once per run, over integer keys, and expands only its
+own image's pairs, taken from the table by code; it, ``sample-rois``,
+``filter-expert`` and ``eval`` take ground-truth boxes and codes from the
+table and build no row views beyond one image's.  A stage may not name one
+file for two of its outputs, nor a pipeline stage the run's manifest.
+Outputs are written atomically (to a temporary file in the destination
+directory, then renamed).  ``main`` freezes the objects its imports left
+before it runs, so the collections that parsing triggers do not scan them
+again.  Exit status: 0 on success, 1 on validation or I/O errors (one
+machine-parsable line on stderr: ``error<TAB>type<TAB>message``), 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -32,6 +38,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import fileio
 from .ensemble import ensemble, nms
@@ -58,8 +66,8 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
-from .table import PredictionTable
+from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool
+from .table import PredictionTable, VerificationPairs
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
 __all__ = ["run", "main", "build_parser"]
@@ -256,18 +264,33 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     if args.image_id not in pool.images:
         raise ValidationError(f"image {args.image_id!r} is not in the RoI pool")
     boxes = [roi.box for roi in pool.images[args.image_id]]
-    image_gts = [g for g in gts if g.image_id == args.image_id]
+    gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
+    image_gts = gts.take(gt_rows.get(args.image_id, _NO_ROWS))
     _check_conflicts(args.verification, verification, hierarchy)
     # An image's entries expand independently of every other image's.
-    own = {key: sign for key, sign in verification.items() if key[0] == args.image_id}
-    expanded = expand_verification(VerificationTable(own), hierarchy)
+    own = _rows_by_image(verification.image_ids, verification.image_codes)
+    expanded = expand_verification(verification.take(own.get(args.image_id, _NO_ROWS)), hierarchy)
     assignment = assign_rois(boxes, image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
     _write_bytes_atomic(args.out, fileio.write_label_matrix(matrix))
     return 0
 
 
-def _check_conflicts(path: str, verification: VerificationTable, hierarchy: Hierarchy) -> None:
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _rows_by_image(image_ids: tuple[str, ...], image_codes: np.ndarray) -> dict[str, np.ndarray]:
+    """Each image's row indices, in row order, given the image vocabulary
+    and each row's code in it."""
+    order = np.argsort(image_codes, kind="stable")
+    bounds = np.searchsorted(image_codes[order], np.arange(len(image_ids) + 1)).tolist()
+    return {
+        image_id: order[bounds[code] : bounds[code + 1]]
+        for code, image_id in enumerate(image_ids)
+    }
+
+
+def _check_conflicts(path: str, verification: VerificationPairs, hierarchy: Hierarchy) -> None:
     """Raise when expanding the whole table at path over the hierarchy gives
     a conflict on any image.  The expansion, over codes, is thrown away; a
     pipeline run makes it once for the same parsed table and hierarchy."""
@@ -301,14 +324,13 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
         fg_iou_threshold=args.fg_iou_threshold,
         seed=args.seed,
     )
-    gt_boxes: dict[str, list] = {}
-    for g in gts:
-        gt_boxes.setdefault(g.image_id, []).append(g.box)
+    gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
     samples: dict[str, list[int]] = {}
     for image_id in sorted(pool.images):
         boxes = [roi.box for roi in pool.images[image_id]]
+        gt_boxes = gts.boxes[gt_rows.get(image_id, _NO_ROWS)]
         per_image = replace(config, seed=config.seed ^ fnv1a64(image_id))
-        samples[image_id] = sample_rois(boxes, gt_boxes.get(image_id, []), per_image)
+        samples[image_id] = sample_rois(boxes, gt_boxes, per_image)
     _write_bytes_atomic(args.out, fileio.write_sampled_indices(samples))
     return 0
 
@@ -539,14 +561,15 @@ def _plan_stage(
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    parser = build_parser()
     config_path = Path(args.config)
     config_text = _decode(_read_bytes(str(config_path)))
     run_dir = Path(args.run_dir)
     config_dir = config_path.resolve().parent
     produced: set[str] = set()
     plans = [
-        _plan_stage(label, _STAGES[stage], options, parser, config_dir, run_dir.resolve(), produced)
+        _plan_stage(
+            label, _STAGES[stage], options, args.parser, config_dir, run_dir.resolve(), produced
+        )
         for label, stage, options in _parse_config_sections(config_text)
     ]
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -710,6 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Detection prediction post-processing toolkit.",
     )
+    # Every parse carries its parser, with which `pipeline` parses the
+    # argv of each of its stages.
+    parser.set_defaults(parser=parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for stage in _STAGES.values():
         sub = subparsers.add_parser(stage.name, help=stage.help)
@@ -738,6 +764,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # What the imports left behind lives as long as the process: freezing it
+    # keeps the collections that parsing triggers from scanning it again.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

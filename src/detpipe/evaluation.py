@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .federated import expand_verification_codes
-from .geometry import _areas, _check_iou_threshold, _corners, _iou, box_iou, mask_iou
+from .geometry import _areas, _check_iou_threshold, _iou, box_iou, mask_iou
 from .records import (
     POSITIVE,
     UNVERIFIED,
@@ -24,7 +24,16 @@ from .records import (
     Prediction,
     VerificationTable,
 )
-from .table import Predictions, _intern, _merge_codes, as_table
+from .table import (
+    GroundTruth,
+    Predictions,
+    VerificationPairs,
+    _merge_codes,
+    as_ground_truth,
+    as_table,
+    ground_truth_rows,
+    verification_table,
+)
 
 __all__ = [
     "TRUE_POSITIVE",
@@ -82,8 +91,8 @@ class EvalReport:
 
 def match_category(
     predictions: Sequence[Prediction],
-    gts: Sequence[GroundTruthInstance],
-    verification: VerificationTable,
+    gts: GroundTruth,
+    verification: VerificationTable | VerificationPairs,
     iou_threshold: float = 0.5,
     overlap: Callable[[Prediction, GroundTruthInstance], float] | None = None,
 ) -> MatchResult:
@@ -93,9 +102,12 @@ def match_category(
     A prediction on an image where the category is unverified is ignored;
     otherwise it becomes a true positive if the best unmatched ground truth
     on its image reaches the IoU threshold (ties to the earliest ground
-    truth), else a false positive.
+    truth), else a false positive.  Ground truth and verifications may each
+    be given as a table or as records.
     """
     _check_iou_threshold(iou_threshold)
+    gts = ground_truth_rows(gts)
+    verification = verification_table(verification)
     categories = {p.category_id for p in predictions} | {g.category_id for g in gts}
     if len(categories) > 1:
         raise ValidationError(
@@ -253,8 +265,8 @@ def _average_precision(hits: np.ndarray, gt_count: int) -> float:
 
 def evaluate(
     predictions: Predictions,
-    gts: Sequence[GroundTruthInstance],
-    verification: VerificationTable,
+    gts: GroundTruth,
+    verification: VerificationTable | VerificationPairs,
     hierarchy: Hierarchy,
     iou_threshold: float = 0.5,
     mode: str = "box",
@@ -266,47 +278,47 @@ def evaluate(
     category is matched as match_category would and scored as
     average_precision would; since a prediction can only match a ground
     truth on its own image, all (category, image) strata are matched
-    together.
+    together.  Predictions, ground truth and verifications may each be
+    given as a table or as records.
     """
     if mode not in ("box", "mask"):
         raise ValidationError(f"mode must be 'box' or 'mask', got {mode!r}")
     table = as_table(predictions)
+    gts = as_ground_truth(gts)
     if mode == "mask":
         missing = [
-            (table.image_ids[table.image_codes[i]], table.category_ids[table.category_codes[i]])
-            for i, mask in enumerate(table.masks)
+            (rows.image_ids[rows.image_codes[i]], rows.category_ids[rows.category_codes[i]])
+            for rows in (table, gts)
+            for i, mask in enumerate(rows.masks)
             if mask is None
         ]
-        missing += [(g.image_id, g.category_id) for g in gts if g.mask is None]
         if missing:
             raise ValidationError(
                 f"mask-mode evaluation requires masks; missing on image "
                 f"{missing[0][0]!r}, category {missing[0][1]!r}"
             )
     expanded = expand_verification_codes(verification, hierarchy)
-    gt_images, gt_image_codes = _intern([g.image_id for g in gts])
-    gt_categories, gt_category_codes = _intern([g.category_id for g in gts])
     unverified = np.flatnonzero(
-        expanded.statuses(gt_images, gt_image_codes, gt_categories, gt_category_codes)
+        expanded.statuses(gts.image_ids, gts.image_codes, gts.category_ids, gts.category_codes)
         != POSITIVE
     )
     if len(unverified):
-        gt = gts[unverified[0]]
+        gt = gts.row(unverified[0])
         raise ValidationError(
             f"ground-truth category {gt.category_id!r} on image "
             f"{gt.image_id!r} is not positively verified"
         )
-    if not gts:
+    if not len(gts):
         raise ValidationError("cannot evaluate with no ground-truth instances")
     _check_iou_threshold(iou_threshold)
 
     # Codes over the predictions' and ground truths' ids together.
     n = len(table)
     categories, category_codes = _merge_codes(
-        [table.category_ids, gt_categories], [table.category_codes, gt_category_codes]
+        [table.category_ids, gts.category_ids], [table.category_codes, gts.category_codes]
     )
     images, image_codes = _merge_codes(
-        [table.image_ids, gt_images], [table.image_codes, gt_image_codes]
+        [table.image_ids, gts.image_ids], [table.image_codes, gts.image_codes]
     )
     strata = category_codes.astype(np.int64) * len(images) + image_codes
     statuses = expanded.statuses(
@@ -320,7 +332,7 @@ def evaluate(
             # A pair of masks whose sizes differ is recorded and gets 0.0.
             values = np.zeros(len(p))
             for k, (i, j) in enumerate(zip(p.tolist(), g.tolist())):
-                a, b = table.masks[i], gts[j].mask
+                a, b = table.masks[i], gts.masks[j]
                 if (a.width, a.height) != (b.width, b.height):
                     mismatches.append((i, j))
                 else:
@@ -328,11 +340,10 @@ def evaluate(
             return values
 
     else:
-        gt_boxes = _corners([g.box for g in gts])
-        areas = [_areas(table.boxes), _areas(gt_boxes)]
+        areas = [_areas(table.boxes), _areas(gts.boxes)]
 
         def overlap(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-            return _iou(table.boxes[p], areas[0][p], gt_boxes[g], areas[1][g])
+            return _iou(table.boxes[p], areas[0][p], gts.boxes[g], areas[1][g])
 
     _match(strata[:n], table.scores, strata[n:], flags, overlap, iou_threshold)
     # Each category's predictions by descending score, ties in row order.
@@ -343,7 +354,7 @@ def evaluate(
         rank = np.empty(n, dtype=np.int64)
         rank[ranked] = np.arange(n)
         p, g = min(mismatches, key=lambda pair: (rank[pair[0]], pair[1]))
-        _mask_overlap(table.row(p), gts[g])
+        _mask_overlap(table.row(p), gts.row(g))
 
     n_categories = len(categories)
     prediction_counts = np.bincount(category_codes[:n], minlength=n_categories).tolist()

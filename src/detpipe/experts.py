@@ -22,7 +22,18 @@ from .records import (
     Prediction,
     VerificationTable,
 )
-from .table import PredictionTable, Predictions, as_table, select
+from .table import (
+    GroundTruth,
+    GroundTruthTable,
+    PredictionTable,
+    Predictions,
+    VerificationPairs,
+    _firsts,
+    as_ground_truth,
+    as_table,
+    as_verification_pairs,
+    select,
+)
 from .training import SplitMix64
 
 __all__ = [
@@ -177,36 +188,47 @@ def split_by_embedding(
 
 
 def filter_for_expert(
-    gts: Sequence[GroundTruthInstance],
-    verification: VerificationTable,
+    gts: GroundTruth,
+    verification: VerificationTable | VerificationPairs,
     group: CategoryGroup,
-) -> tuple[list[GroundTruthInstance], VerificationTable, list[str]]:
+) -> tuple[
+    list[GroundTruthInstance] | GroundTruthTable,
+    VerificationTable | VerificationPairs,
+    list[str],
+]:
     """Restrict a training set to an expert's categories.
 
     Annotations outside the group are dropped; images left with no annotation
     disappear entirely (first-occurrence order is kept for the image list);
     verification entries survive only for kept images and group categories.
+    Each result has its argument's type: a ground-truth table gives a table
+    and records a list of the caller's records, pairs give pairs and a
+    VerificationTable a VerificationTable.
     """
-    wanted = set(group.categories)
-    kept_gts = [gt for gt in gts if gt.category_id in wanted]
-    kept_images: list[str] = []
-    seen: set[str] = set()
-    for gt in kept_gts:
-        if gt.image_id not in seen:
-            seen.add(gt.image_id)
-            kept_images.append(gt.image_id)
-    entries = {
-        (image_id, category_id): sign
-        for (image_id, category_id), sign in verification.items()
-        if image_id in seen and category_id in wanted
-    }
-    return kept_gts, VerificationTable(entries), kept_images
+    table = as_ground_truth(gts)
+    kept = np.flatnonzero(_covered(table.category_ids, group.categories)[table.category_codes])
+    image_codes = table.image_codes[kept]
+    kept_images = list(map(table.image_ids.__getitem__, image_codes[_firsts(image_codes)].tolist()))
+    pairs = as_verification_pairs(verification)
+    kept_pairs = pairs.take(
+        np.flatnonzero(
+            _covered(pairs.image_ids, kept_images)[pairs.image_codes]
+            & _covered(pairs.category_ids, group.categories)[pairs.category_codes]
+        )
+    )
+    if not isinstance(verification, VerificationPairs):
+        kept_pairs = kept_pairs.table()
+    return select(gts, kept), kept_pairs, kept_images
+
+
+def _covered(vocabulary: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
+    """Whether each id of a vocabulary is wanted, indexed by its code."""
+    wanted = set(wanted)
+    return np.array([value in wanted for value in vocabulary], dtype=bool)
 
 
 def _restricted_rows(table: PredictionTable, group: CategoryGroup) -> np.ndarray:
-    wanted = set(group.categories)
-    covered = np.array([c in wanted for c in table.category_ids], dtype=bool)
-    return np.flatnonzero(covered[table.category_codes])
+    return np.flatnonzero(_covered(table.category_ids, group.categories)[table.category_codes])
 
 
 def restrict_predictions(

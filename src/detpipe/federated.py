@@ -24,7 +24,14 @@ from .records import (
     Hierarchy,
     VerificationTable,
 )
-from .table import _intern
+from .table import (
+    GroundTruth,
+    VerificationPairs,
+    as_ground_truth,
+    as_verification_pairs,
+    ground_truth_rows,
+    verification_table,
+)
 
 __all__ = [
     "Assignment",
@@ -145,8 +152,11 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
-def expand_verification_codes(table: VerificationTable, hierarchy: Hierarchy) -> VerificationCodes:
-    """Close a verification table over the category hierarchy, over codes.
+def expand_verification_codes(
+    table: VerificationTable | VerificationPairs, hierarchy: Hierarchy
+) -> VerificationCodes:
+    """Close a verification table over the category hierarchy, over the
+    codes of its pairs (a VerificationTable is coded first).
 
     A positive verification implies positives for all ancestors (the present
     subclass entails the superclass); a negative implies negatives for all
@@ -154,9 +164,10 @@ def expand_verification_codes(table: VerificationTable, hierarchy: Hierarchy) ->
     with both signs is a conflict, and every conflict is reported in key
     order.
     """
-    images, image_codes = _intern([image_id for image_id, _ in table.entries])
-    named, named_codes = _intern([category_id for _, category_id in table.entries])
-    positive = np.fromiter(table.entries.values(), np.int8, len(table)) == POSITIVE
+    pairs = as_verification_pairs(table)
+    images, image_codes = pairs.image_ids, pairs.image_codes
+    named, named_codes = pairs.category_ids, pairs.category_codes
+    positive = pairs.signs == POSITIVE
     # Closure 2c + 1 is named[c] and its ancestors, closure 2c named[c] and
     # its descendants; each closure an entry uses is walked once.
     closure = named_codes.astype(np.int64) * 2 + positive
@@ -191,7 +202,9 @@ def expand_verification_codes(table: VerificationTable, hierarchy: Hierarchy) ->
     return expanded
 
 
-def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> VerificationTable:
+def expand_verification(
+    table: VerificationTable | VerificationPairs, hierarchy: Hierarchy
+) -> VerificationTable:
     """Close a verification table over the category hierarchy; see
     expand_verification_codes.  The result is a fixed point: expanding it
     again changes nothing."""
@@ -203,21 +216,21 @@ def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> Verif
 
 def assign_rois(
     rois: Sequence[Box],
-    gts: Sequence[GroundTruthInstance],
+    gts: GroundTruth,
     iou_threshold: float = 0.5,
 ) -> Assignment:
     """Assign each RoI to the ground truth of maximal IoU, if it clears the
     threshold; ties break toward the smallest ground-truth index."""
     _check_iou_threshold(iou_threshold)
-    ious, indices = _best_overlaps(rois, [gt.box for gt in gts])
+    ious, indices = _best_overlaps(rois, as_ground_truth(gts).boxes)
     indices = np.where(ious >= iou_threshold, indices, -1).tolist()
     return Assignment(tuple(i if i >= 0 else None for i in indices), tuple(ious.tolist()))
 
 
 def build_label_matrix(
     assignment: Assignment,
-    gts: Sequence[GroundTruthInstance],
-    verification: VerificationTable,
+    gts: GroundTruth,
+    verification: VerificationTable | VerificationPairs,
     image_id: str,
     categories: Sequence[str],
 ) -> LabelMatrix:
@@ -226,7 +239,11 @@ def build_label_matrix(
     Background rows get -1 for every verified category and 0 elsewhere; an
     assigned row additionally gets +1 in its ground truth's category column.
     Every ground-truth category must be positively verified on the image.
+    Ground truth and verifications may each be given as a table or as
+    records.
     """
+    gts = ground_truth_rows(gts)
+    verification = verification_table(verification)
     categories = tuple(categories)
     column = {category_id: j for j, category_id in enumerate(categories)}
     if len(column) != len(categories):

@@ -51,7 +51,18 @@ from .records import (
     VerificationTable,
     _check_id,
 )
-from .table import PredictionTable, Predictions, as_table
+from .table import (
+    GroundTruth,
+    GroundTruthTable,
+    PredictionTable,
+    Predictions,
+    VerificationPairs,
+    _Codes,
+    _firsts,
+    as_ground_truth,
+    as_table,
+    as_verification_pairs,
+)
 
 __all__ = [
     "PREDICTIONS_HEADER",
@@ -296,57 +307,95 @@ def _parse_prediction_line(number: int, line: str) -> Prediction:
         raise ParseError(number, str(exc)) from exc
 
 
-def _parse_box_only_chunk(lines: list[str]) -> PredictionTable | None:
-    """The table of a chunk of box-only rows that all pass the record
-    checks; None for any other chunk.  Numbers go through float(), as in
-    the row-by-row parse."""
+def _box_only_columns(lines: list[str], n_fields: int):
+    """The image ids, category ids and number columns of a chunk of box-only
+    rows of n_fields fields, the last three (the mask's) empty, when every
+    row passes the record checks; None for any other chunk.  The numbers are
+    the fields between the ids and the mask, through float() as in the
+    row-by-row parse: scores, each in [0, 1], then the box."""
     n = len(lines)
-    # Ten fields, the mask's three empty.
     if sum(map(str.endswith, lines, repeat(",,,", n))) != n:
         return None
-    tokens = _split_chunk(lines, 10)
+    tokens = _split_chunk(lines, n_fields)
     if tokens is None:
         return None
-    images, categories = tokens[0::10], tokens[1::10]
+    images, categories = tokens[0::n_fields], tokens[1::n_fields]
     if "" in images or "" in categories:
         return None
     try:
-        numbers = np.array([list(map(float, tokens[k::10])) for k in range(2, 7)])
+        numbers = np.array(
+            [
+                np.fromiter(map(float, tokens[k::n_fields]), np.float64, n)
+                for k in range(2, n_fields - 3)
+            ]
+        )
     except ValueError:
         return None
-    score, x_min, y_min, x_max, y_max = numbers
-    # Box's and Prediction's accept tests, column by column; a sum that
+    scores, (x_min, y_min, x_max, y_max) = numbers[:-4], numbers[-4:]
+    # Prediction's and Box's accept tests, column by column; a sum that
     # overflows fails here and the row-by-row parse judges the row.
     with np.errstate(over="ignore", invalid="ignore"):
         if not (
-            np.all((0.0 <= score) & (score <= 1.0))
+            np.all((0.0 <= scores) & (scores <= 1.0))
             and np.all(x_min <= x_max)
             and np.all(y_min <= y_max)
             and np.all(np.isfinite(x_min + y_min + x_max + y_max))
         ):
             return None
-    return PredictionTable.from_columns(images, categories, score, numbers[1:].T, [None] * n)
+    return images, categories, numbers
+
+
+def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_numbers):
+    """The columns of a predictions or ground-truth file of n_fields fields
+    a row: sorted image ids and each row's code, the same for category ids,
+    the numbers between the ids and the mask as a [k, N] float64 array, and
+    the masks.  Rows are parsed a chunk at a time.  A chunk of valid
+    box-only rows is parsed column by column; any other chunk (one with
+    masks, or one that fails a check) by parse_rows(chunk, number of its
+    first line), row by row, so the first bad row reports its own line, and
+    row_numbers gives a parsed row's numbers.  Each id column is interned
+    once for the whole file."""
+    images, categories = _Codes(), _Codes()
+    numbers, masks = [], []
+    for first, chunk in _chunks(_data_lines(data, header)):
+        columns = _box_only_columns(chunk, n_fields)
+        if columns is None:
+            rows = parse_rows(chunk, first)
+            columns = (
+                [row.image_id for row in rows],
+                [row.category_id for row in rows],
+                np.array(list(map(row_numbers, rows))).T,
+            )
+            masks += [row.mask for row in rows]
+        else:
+            masks += [None] * len(chunk)
+        images.add(columns[0])
+        categories.add(columns[1])
+        numbers.append(columns[2])
+    k = n_fields - 5
+    return (
+        *images.finish(),
+        *categories.finish(),
+        np.concatenate(numbers, axis=1) if numbers else np.zeros((k, 0)),
+        masks,
+    )
+
+
+def _box_numbers(box: Box) -> tuple[float, float, float, float]:
+    return box.x_min, box.y_min, box.x_max, box.y_max
 
 
 def parse_prediction_table(data: bytes | str) -> PredictionTable:
-    """Parse a predictions file into a table.
-
-    Rows are parsed a chunk at a time.  A chunk of valid box-only rows is
-    parsed column by column; any other chunk (one with masks, or one that
-    fails a check) is parsed row by row, so the first bad row reports its
-    own line."""
-    tables = []
-    for first, chunk in _chunks(_data_lines(data, PREDICTIONS_HEADER)):
-        table = _parse_box_only_chunk(chunk)
-        if table is None:
-            table = PredictionTable.from_rows(
-                [
-                    _parse_prediction_line(number, line)
-                    for number, line in enumerate(chunk, first)
-                ]
-            )
-        tables.append(table)
-    return PredictionTable.concat(tables or [PredictionTable.from_rows([])])
+    """Parse a predictions file into a table; see _parse_coded."""
+    images, image_codes, categories, category_codes, numbers, masks = _parse_coded(
+        data,
+        PREDICTIONS_HEADER,
+        10,
+        lambda chunk, first: list(map(_parse_prediction_line, count(first), chunk)),
+        lambda p: (p.score, *_box_numbers(p.box)),
+    )
+    scores, boxes = numbers[0].copy(), np.ascontiguousarray(numbers[1:].T)
+    return PredictionTable(images, categories, image_codes, category_codes, scores, boxes, masks)
 
 
 def parse_predictions(data: bytes | str) -> list[Prediction]:
@@ -354,12 +403,10 @@ def parse_predictions(data: bytes | str) -> list[Prediction]:
     return parse_prediction_table(data).rows()
 
 
-def _prediction_lines(table: PredictionTable) -> list[str]:
-    """Each row's CSV line, without its LF: ``table.lines`` when set, else
-    formatted here and not kept, since the table may be shared.  Floats are
-    written with repr(), the shortest string that round-trips."""
-    if table.lines is not None:
-        return table.lines
+def _row_lines(table: PredictionTable | GroundTruthTable, *texts) -> list[str]:
+    """Each row's CSV line, without its LF: its ids, its field of each of
+    texts, its box and its mask fields.  Floats are written with repr(), the
+    shortest string that round-trips."""
     coordinates = map(repr, table.boxes.ravel().tolist())
     return list(
         map(
@@ -367,12 +414,20 @@ def _prediction_lines(table: PredictionTable) -> list[str]:
             zip(
                 map(table.image_ids.__getitem__, table.image_codes.tolist()),
                 map(table.category_ids.__getitem__, table.category_codes.tolist()),
-                map(repr, table.scores.tolist()),
+                *texts,
                 map(",".join, zip(*[coordinates] * 4)),
                 map(_mask_fields, table.masks),
             ),
         )
     )
+
+
+def _prediction_lines(table: PredictionTable) -> list[str]:
+    """Each row's CSV line, without its LF: ``table.lines`` when set, else
+    formatted here and not kept, since the table may be shared."""
+    if table.lines is not None:
+        return table.lines
+    return _row_lines(table, map(repr, table.scores.tolist()))
 
 
 def _line_sizes(lines: list[str]) -> np.ndarray:
@@ -412,51 +467,30 @@ def _ground_truth_rows(lines: list[str], first: int) -> list[GroundTruthInstance
     return out
 
 
-def _box_only_ground_truth(lines: list[str]) -> list[GroundTruthInstance] | None:
-    """The records of a chunk of box-only rows that all pass the record
-    checks, column by column; None for any other chunk."""
-    n = len(lines)
-    if sum(map(str.endswith, lines, repeat(",,,", n))) != n:
-        return None
-    tokens = _split_chunk(lines, 9)
-    if tokens is None:
-        return None
-    try:
-        boxes = map(Box, *[map(float, tokens[k::9]) for k in range(2, 6)])
-        return list(map(GroundTruthInstance, tokens[0::9], tokens[1::9], boxes))
-    except (ValueError, ValidationError):
-        return None
-
-
-def parse_ground_truth(data: bytes | str) -> list[GroundTruthInstance]:
-    """Parse a ground-truth file.  A chunk of valid box-only rows is parsed
-    column by column, any other chunk row by row."""
-    out: list[GroundTruthInstance] = []
-    for first, chunk in _chunks(_data_lines(data, GROUND_TRUTH_HEADER)):
-        records = _box_only_ground_truth(chunk)
-        out += _ground_truth_rows(chunk, first) if records is None else records
-    return out
-
-
-def write_ground_truth(instances: Sequence[GroundTruthInstance]) -> bytes:
-    return _table(
-        GROUND_TRUTH_HEADER,
-        (
-            ",".join((g.image_id, g.category_id, _box_fields(g.box), _mask_fields(g.mask)))
-            for g in instances
-        ),
+def parse_ground_truth(data: bytes | str) -> GroundTruthTable:
+    """Parse a ground-truth file into a table; see _parse_coded."""
+    images, image_codes, categories, category_codes, numbers, masks = _parse_coded(
+        data, GROUND_TRUTH_HEADER, 9, _ground_truth_rows, lambda g: _box_numbers(g.box)
     )
+    boxes = np.ascontiguousarray(numbers.T)
+    return GroundTruthTable(images, categories, image_codes, category_codes, boxes, masks)
+
+
+def write_ground_truth(gts: GroundTruth) -> bytes:
+    return _table(GROUND_TRUTH_HEADER, _row_lines(as_ground_truth(gts)))
 
 
 # -- verification --------------------------------------------------------------
 
+_SIGNS = {"1": 1, "-1": -1}
+_SIGN_TEXT = {1: "1", -1: "-1"}
 
-def _verification_rows(
-    lines: list[str], first: int, entries: dict[tuple[str, str], int]
-) -> None:
-    """Add a chunk's rows to entries row by row: the source of every
-    verification ParseError."""
-    for number, line in _numbered(lines, first):
+
+def _verification_rows(lines: list[str]) -> VerificationPairs:
+    """A file's data lines, row by row: the source of every verification
+    ParseError."""
+    entries: dict[tuple[str, str], int] = {}
+    for number, line in _numbered(lines, 2):
         parts = _split(line, number, 3)
         _parse_id(parts[0], number, "image_id")
         _parse_id(parts[1], number, "category_id")
@@ -470,32 +504,64 @@ def _verification_rows(
                 f"conflicting verification for image {key[0]!r}, category {key[1]!r}",
             )
         entries[key] = sign
+    return VerificationPairs.from_table(VerificationTable(entries))
 
 
-def parse_verification(data: bytes | str) -> VerificationTable:
-    """Parse a verification file.  A chunk whose rows all pass the checks,
-    with no key repeated or seen before, is added column by column; any other
-    chunk row by row, which accepts a repeat of the same sign."""
-    entries: dict[tuple[str, str], int] = {}
-    for first, chunk in _chunks(_data_lines(data, VERIFICATION_HEADER)):
+def _verification_columns(lines: list[str]) -> VerificationPairs | None:
+    """A file's data lines column by column, a chunk at a time; None when a
+    chunk fails a field check or a pair repeats with the other sign."""
+    images, categories = _Codes(), _Codes()
+    signs = []
+    for chunk in map(itemgetter(1), _chunks(lines)):
         tokens = _split_chunk(chunk, 3)
-        if tokens is not None:
-            # Split ids hold no comma or newline, so non-empty ones are valid.
-            images, categories, signs = tokens[0::3], tokens[1::3], tokens[2::3]
-            if "" not in images and "" not in categories and {*signs} <= {"1", "-1"}:
-                added = dict(zip(zip(images, categories), map(int, signs)))
-                if len(added) == len(signs) and entries.keys().isdisjoint(added):
-                    entries.update(added)
-                    continue
-        _verification_rows(chunk, first, entries)
-    return VerificationTable(entries)
-
-
-def write_verification(table: VerificationTable) -> bytes:
-    return _table(
-        VERIFICATION_HEADER,
-        (f"{image},{category},{sign}" for (image, category), sign in sorted(table.items())),
+        if tokens is None:
+            return None
+        # Split ids hold no comma or newline, so non-empty ones are valid.
+        image_ids, category_ids = tokens[0::3], tokens[1::3]
+        if "" in image_ids or "" in category_ids:
+            return None
+        try:
+            signs.append(np.fromiter(map(_SIGNS.__getitem__, tokens[2::3]), np.int8, len(chunk)))
+        except KeyError:
+            return None
+        images.add(image_ids)
+        categories.add(category_ids)
+    image_vocabulary, image_codes = images.finish()
+    category_vocabulary, category_codes = categories.finish()
+    signs = np.concatenate(signs) if signs else np.zeros(0, dtype=np.int8)
+    keys = image_codes.astype(np.int64) * len(category_vocabulary) + category_codes
+    kept = _firsts(keys)
+    # A pair with both signs has more distinct (pair, sign) keys than pairs.
+    if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
+        return None
+    return VerificationPairs(
+        image_vocabulary,
+        category_vocabulary,
+        image_codes[kept],
+        category_codes[kept],
+        signs[kept],
     )
+
+
+def parse_verification(data: bytes | str) -> VerificationPairs:
+    """Parse a verification file into coded pairs, each distinct pair once;
+    a repeat of a pair with the same sign is accepted.  The file is parsed
+    column by column when every chunk passes the field checks and no pair
+    repeats with the other sign, and row by row otherwise, so the first bad
+    row reports its own line."""
+    lines = _data_lines(data, VERIFICATION_HEADER)
+    pairs = _verification_columns(lines)
+    return _verification_rows(lines) if pairs is None else pairs
+
+
+def write_verification(verification: VerificationTable | VerificationPairs) -> bytes:
+    """One line per pair, in (image_id, category_id) order."""
+    pairs = as_verification_pairs(verification)
+    order = np.lexsort((pairs.category_codes, pairs.image_codes)).tolist()
+    images = map(pairs.image_ids.__getitem__, pairs.image_codes[order].tolist())
+    categories = map(pairs.category_ids.__getitem__, pairs.category_codes[order].tolist())
+    signs = map(_SIGN_TEXT.__getitem__, pairs.signs[order].tolist())
+    return _table(VERIFICATION_HEADER, map(",".join, zip(images, categories, signs)))
 
 
 # -- hierarchy -----------------------------------------------------------------

@@ -148,7 +148,10 @@ def _iou(a: np.ndarray, area_a: np.ndarray, b: np.ndarray, area_b: np.ndarray) -
         return np.where(union <= 0.0, 0.0, inter / union)
 
 
-def _corners(boxes: Sequence[Box]) -> np.ndarray:
+def _corners(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
+    """The [N, 4] corners of boxes; an array of corners is its own."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
     return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]).reshape(-1, 4)
 
 
@@ -157,7 +160,9 @@ def _areas(corners: np.ndarray) -> np.ndarray:
         return (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
 
 
-def _best_overlaps(boxes: Sequence[Box], others: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
+def _best_overlaps(
+    boxes: Sequence[Box] | np.ndarray, others: Sequence[Box] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each box's greatest box_iou with any of others, and the index of the
     first of others to reach it (-1 for none).  The best starts at 0.0 and
     moves only on a greater IoU: ties go to the earliest, 0 never matches and

@@ -1,4 +1,4 @@
-"""A predictions file held column by column.
+"""Predictions, ground-truth and verification files held column by column.
 
 ``PredictionTable`` stores one row per prediction in arrays: image and
 category ids interned to integer codes (assigned in sorted string order, so
@@ -8,34 +8,80 @@ code order is id order), scores as float64 ``[N]``, boxes as float64
 demand.  The prediction functions of ``fileio``, ``ensemble``, ``experts``
 and ``postprocess`` take a table or a list of rows: they convert a list with
 ``as_table`` and run the same table code, and those that return predictions
-hand back a table for a table (``select``).  The CLI's prediction stages pass
-tables from parse to write.
+hand back a table for a table (``select``).
+
+``GroundTruthTable`` holds a ground-truth file the same way, without
+scores; ``GroundTruthInstance`` is its row type.  ``VerificationPairs``
+holds a verification file as coded (image, category) pairs and int8 signs,
+and builds the ``VerificationTable`` of the same entries on demand.  The
+parsers intern each id column once per file (``_Codes``).  The CLI's stages
+pass these tables from parse to write and to ``evaluate``, ``assign``, the
+RoI sampler and ``filter-expert``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
+from itertools import count
 
 import numpy as np
 
 from .geometry import BinaryMask, Box, _corners
-from .records import Prediction
+from .records import GroundTruthInstance, Prediction, VerificationTable
 
-__all__ = ["PredictionTable", "Predictions", "as_table", "select"]
+__all__ = [
+    "PredictionTable",
+    "Predictions",
+    "GroundTruthTable",
+    "VerificationPairs",
+    "as_table",
+    "as_ground_truth",
+    "as_verification_pairs",
+    "ground_truth_rows",
+    "verification_table",
+    "select",
+]
+
+
+class _Codes:
+    """The codes of one id column, given a chunk at a time.  Each id gets a
+    code in order of first sight, from one dict across the chunks (a missing
+    id takes the next code); ``finish`` sorts the vocabulary once and remaps
+    every code through the rank array, so that an id's code is its index in
+    the sorted vocabulary."""
+
+    __slots__ = ("first_seen", "parts")
+
+    def __init__(self) -> None:
+        self.first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+        self.parts: list[np.ndarray] = []
+
+    def add(self, ids: Sequence[str]) -> None:
+        self.parts.append(np.fromiter(map(self.first_seen.__getitem__, ids), np.int32, len(ids)))
+
+    def finish(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted distinct ids and each id's code, its index among them."""
+        firsts = list(self.first_seen)
+        order = sorted(range(len(firsts)), key=firsts.__getitem__)
+        rank = np.empty(len(firsts), dtype=np.int32)
+        rank[order] = np.arange(len(firsts), dtype=np.int32)
+        codes = np.concatenate(self.parts) if self.parts else np.zeros(0, dtype=np.int32)
+        return tuple(map(firsts.__getitem__, order)), rank[codes]
 
 
 def _intern(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted distinct ids and each id's code, its index among them."""
-    vocabulary = tuple(sorted(set(ids)))
-    code = {value: index for index, value in enumerate(vocabulary)}
-    return vocabulary, np.fromiter(map(code.__getitem__, ids), np.int32, len(ids))
+    codes = _Codes()
+    codes.add(ids)
+    return codes.finish()
 
 
 class PredictionTable:
     """Columns of a predictions file.  The constructors trust their columns:
-    the parser calls ``from_columns`` only on rows that pass the record
-    checks, ``from_rows`` takes rows that are records already, and ``take``
-    and ``concat`` take rows of other tables.
+    the parser builds a table only of rows that pass the record checks,
+    ``from_rows`` takes rows that are records already, and ``take`` and
+    ``concat`` take rows of other tables.
 
     ``lines`` is the CSV line of each row, without its LF, or None.  Only
     the formatter sets it: ``trim`` on its survivors, and the CLI on each
@@ -76,24 +122,14 @@ class PredictionTable:
         self.lines = lines
 
     @classmethod
-    def from_columns(
-        cls,
-        image_ids: Sequence[str],
-        category_ids: Sequence[str],
-        scores: np.ndarray,
-        boxes: np.ndarray,
-        masks: list[BinaryMask | None],
-    ) -> PredictionTable:
-        """A table of per-row ids, which it interns, and the other columns."""
-        images, image_codes = _intern(image_ids)
-        categories, category_codes = _intern(category_ids)
-        return cls(images, categories, image_codes, category_codes, scores, boxes, masks)
-
-    @classmethod
     def from_rows(cls, predictions: Sequence[Prediction]) -> PredictionTable:
-        return cls.from_columns(
-            [p.image_id for p in predictions],
-            [p.category_id for p in predictions],
+        images, image_codes = _intern([p.image_id for p in predictions])
+        categories, category_codes = _intern([p.category_id for p in predictions])
+        return cls(
+            images,
+            categories,
+            image_codes,
+            category_codes,
             np.fromiter((p.score for p in predictions), np.float64, len(predictions)),
             _corners([p.box for p in predictions]),
             [p.mask for p in predictions],
@@ -163,12 +199,12 @@ def as_table(predictions: Predictions) -> PredictionTable:
     return PredictionTable.from_rows(predictions)
 
 
-def select(predictions: Predictions, indices: np.ndarray) -> list[Prediction] | PredictionTable:
+def select(rows: Predictions | GroundTruth, indices: np.ndarray):
     """The rows at indices, in that order: a table for a table, else a list
     of the caller's own row objects."""
-    if isinstance(predictions, PredictionTable):
-        return predictions.take(indices)
-    return [predictions[i] for i in indices.tolist()]
+    if isinstance(rows, (PredictionTable, GroundTruthTable)):
+        return rows.take(indices)
+    return [rows[i] for i in indices.tolist()]
 
 
 def _merge_codes(vocabularies, codes) -> tuple[tuple[str, ...], np.ndarray]:
@@ -180,3 +216,159 @@ def _merge_codes(vocabularies, codes) -> tuple[tuple[str, ...], np.ndarray]:
         for vocabulary, old in zip(vocabularies, codes)
     ]
     return merged, np.concatenate(recoded)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """The position of each distinct key's first occurrence, in position
+    order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(order[starts])
+
+
+class GroundTruthTable:
+    """Columns of a ground-truth file: image and category codes as in
+    ``PredictionTable``, boxes as float64 ``[N, 4]`` and one
+    ``BinaryMask | None`` per row.  The constructor trusts its columns: the
+    parser builds a table only of rows that pass the record checks."""
+
+    __slots__ = ("image_ids", "category_ids", "image_codes", "category_codes", "boxes", "masks")
+
+    def __init__(
+        self,
+        image_ids: tuple[str, ...],
+        category_ids: tuple[str, ...],
+        image_codes: np.ndarray,
+        category_codes: np.ndarray,
+        boxes: np.ndarray,
+        masks: list[BinaryMask | None],
+    ) -> None:
+        self.image_ids = image_ids
+        self.category_ids = category_ids
+        self.image_codes = image_codes
+        self.category_codes = category_codes
+        self.boxes = boxes
+        self.masks = masks
+
+    @classmethod
+    def from_rows(cls, gts: Sequence[GroundTruthInstance]) -> GroundTruthTable:
+        images, image_codes = _intern([g.image_id for g in gts])
+        categories, category_codes = _intern([g.category_id for g in gts])
+        boxes = _corners([g.box for g in gts])
+        return cls(images, categories, image_codes, category_codes, boxes, [g.mask for g in gts])
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def row(self, index: int) -> GroundTruthInstance:
+        return GroundTruthInstance(
+            self.image_ids[self.image_codes[index]],
+            self.category_ids[self.category_codes[index]],
+            Box(*self.boxes[index].tolist()),
+            self.masks[index],
+        )
+
+    def rows(self) -> list[GroundTruthInstance]:
+        images = map(self.image_ids.__getitem__, self.image_codes.tolist())
+        categories = map(self.category_ids.__getitem__, self.category_codes.tolist())
+        boxes = [Box(*box) for box in self.boxes.tolist()]
+        return list(map(GroundTruthInstance, images, categories, boxes, self.masks))
+
+    def take(self, indices: np.ndarray) -> GroundTruthTable:
+        """The rows at the given indices, in that order."""
+        return GroundTruthTable(
+            self.image_ids,
+            self.category_ids,
+            self.image_codes[indices],
+            self.category_codes[indices],
+            self.boxes[indices],
+            [self.masks[i] for i in indices.tolist()],
+        )
+
+
+class VerificationPairs:
+    """Columns of a verification file: each distinct (image, category) pair
+    once, in order of first appearance, as image and category codes (as in
+    ``PredictionTable``), with its sign, POSITIVE or NEGATIVE, as int8.  The
+    constructor trusts its columns."""
+
+    __slots__ = ("image_ids", "category_ids", "image_codes", "category_codes", "signs")
+
+    def __init__(
+        self,
+        image_ids: tuple[str, ...],
+        category_ids: tuple[str, ...],
+        image_codes: np.ndarray,
+        category_codes: np.ndarray,
+        signs: np.ndarray,
+    ) -> None:
+        self.image_ids = image_ids
+        self.category_ids = category_ids
+        self.image_codes = image_codes
+        self.category_codes = category_codes
+        self.signs = signs
+
+    @classmethod
+    def from_table(cls, table: VerificationTable) -> VerificationPairs:
+        images, image_codes = _intern([image_id for image_id, _ in table.entries])
+        categories, category_codes = _intern([category_id for _, category_id in table.entries])
+        signs = np.fromiter(table.entries.values(), np.int8, len(table))
+        return cls(images, categories, image_codes, category_codes, signs)
+
+    def __len__(self) -> int:
+        return len(self.signs)
+
+    def take(self, indices: np.ndarray) -> VerificationPairs:
+        """The pairs at the given indices, in that order."""
+        return VerificationPairs(
+            self.image_ids,
+            self.category_ids,
+            self.image_codes[indices],
+            self.category_codes[indices],
+            self.signs[indices],
+        )
+
+    def table(self) -> VerificationTable:
+        """The VerificationTable of these entries, in this order."""
+        keys = zip(
+            map(self.image_ids.__getitem__, self.image_codes.tolist()),
+            map(self.category_ids.__getitem__, self.category_codes.tolist()),
+        )
+        return VerificationTable(dict(zip(keys, self.signs.tolist())))
+
+
+# A ground-truth argument: a table, or rows.
+GroundTruth = Sequence[GroundTruthInstance] | GroundTruthTable
+
+
+def as_ground_truth(gts: GroundTruth) -> GroundTruthTable:
+    """The table itself, or a table of the given rows."""
+    if isinstance(gts, GroundTruthTable):
+        return gts
+    return GroundTruthTable.from_rows(gts)
+
+
+def as_verification_pairs(verification: VerificationTable | VerificationPairs) -> VerificationPairs:
+    """The pairs themselves, or the pairs of a VerificationTable."""
+    if isinstance(verification, VerificationPairs):
+        return verification
+    return VerificationPairs.from_table(verification)
+
+
+def ground_truth_rows(gts: GroundTruth) -> Sequence[GroundTruthInstance]:
+    """The rows themselves, or the row views of a table."""
+    if isinstance(gts, GroundTruthTable):
+        return gts.rows()
+    return gts
+
+
+def verification_table(verification: VerificationTable | VerificationPairs) -> VerificationTable:
+    """The VerificationTable itself, or the one the pairs build."""
+    if isinstance(verification, VerificationPairs):
+        return verification.table()
+    return verification

@@ -48,7 +48,7 @@ from detpipe.fileio import (
     _split,
 )
 from detpipe.records import NEGATIVE, POSITIVE
-from detpipe.table import PredictionTable
+from detpipe.table import PredictionTable, _intern
 
 from generators import random_box
 
@@ -126,6 +126,10 @@ def parse_ground_truth_ref(data):
             raise ParseError(number, str(exc)) from exc
         out.append(record)
     return out
+
+
+def parse_ground_truth_rows(data):
+    return fileio.parse_ground_truth(data).rows()
 
 
 def expand_verification_ref(table, hierarchy):
@@ -321,7 +325,7 @@ class TestParseMatchesReference:
     @given(st.lists(valid_ground_truth_row(), max_size=6))
     def test_valid_ground_truth_rows(self, rows):
         data = as_file(GROUND_TRUTH_HEADER, rows)
-        assert_same_records(fileio.parse_ground_truth(data), parse_ground_truth_ref(data))
+        assert_same_records(parse_ground_truth_rows(data), parse_ground_truth_ref(data))
 
     @given(st.lists(valid_prediction_row(), max_size=3), any_prediction_row())
     @example([], "im,c,nan,0,0,1,1,,,")
@@ -359,7 +363,7 @@ class TestParseMatchesReference:
     @example([], "im,c,0,0,1,1,2,2,1 3 y")
     def test_any_ground_truth_row(self, valid, row):
         data = as_file(GROUND_TRUTH_HEADER, [*valid, row])
-        assert_same_outcome(fileio.parse_ground_truth, parse_ground_truth_ref, data)
+        assert_same_outcome(parse_ground_truth_rows, parse_ground_truth_ref, data)
 
     def test_inverted_box_reported_before_bad_score(self):
         data = as_file(PREDICTIONS_HEADER, ["im,c,abc,2.0,0.0,1.0,1.0,,,"])
@@ -520,12 +524,10 @@ def stratified_table(n_strata: int, members: int = 4) -> PredictionTable:
     corners = rng.uniform(0.0, 500.0, (n_strata, 2)).repeat(members, axis=0)
     corners += rng.uniform(0.0, 20.0, (n, 2))
     boxes = np.hstack([corners, corners + rng.uniform(20.0, 60.0, (n, 2))])
-    return PredictionTable.from_columns(
-        [f"im{s // 10}" for s in strata],
-        [f"c{s % 10}" for s in strata],
-        rng.uniform(0.01, 0.99, n),
-        boxes,
-        [None] * n,
+    images, image_codes = _intern([f"im{s // 10}" for s in strata])
+    categories, category_codes = _intern([f"c{s % 10}" for s in strata])
+    return PredictionTable(
+        images, categories, image_codes, category_codes, rng.uniform(0.01, 0.99, n), boxes, [None] * n
     )
 
 

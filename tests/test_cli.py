@@ -1048,6 +1048,22 @@ class TestPipeline:
         assert (run_dir / "b.csv").exists()
         capsys.readouterr()
 
+    def test_parser_is_built_once_per_run(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        config = FIXTURES / "pipeline" / "config.ini"
+        for runs in (1, 2):
+            run_dir = tmp_path / str(runs)
+            assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+            assert len(built) == runs
+        capsys.readouterr()
+
 
 def counting_fileio(monkeypatch) -> Counter:
     """Point cli.fileio at wrappers that count each public function's calls,
@@ -1629,3 +1645,18 @@ def test_fixture_pipelines_load_no_numpy_ma(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+def test_main_freezes_what_the_imports_left(monkeypatch, capsys):
+    # The collections that parsing triggers then skip the import-time
+    # objects.  run(), which tests and the traced benchmark call in process,
+    # freezes nothing.
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(1))
+    monkeypatch.setattr(sys, "argv", ["detpipe", "lr", "--eta0", "0.1", "--at", "0.5"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert (info.value.code, frozen) == (0, [1])
+    assert cli.run(["lr", "--eta0", "0.1", "--at", "0.5"]) == 0
+    assert frozen == [1]
+    capsys.readouterr()

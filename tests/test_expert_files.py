@@ -538,8 +538,9 @@ class TestVerification:
             fileio.parse_verification, parse_verification_ref, data, chunk_lines
         )
         if expected[0] == "ok":
-            assert list(actual[1].entries.items()) == list(expected[1].items())
-            assert all(type(sign) is int for sign in actual[1].entries.values())
+            entries = actual[1].table().entries
+            assert list(entries.items()) == list(expected[1].items())
+            assert all(type(sign) is int for sign in entries.values())
 
     def test_conflicts_across_chunk_boundaries(self):
         chunk = fileio._CHUNK_LINES
@@ -559,7 +560,7 @@ class TestVerification:
             # The same key repeated with the same sign is accepted.
             bad[second] = rows[first]
             data = as_file(VERIFICATION_HEADER, bad)
-            assert fileio.parse_verification(data).entries == parse_verification_ref(data)
+            assert fileio.parse_verification(data).table().entries == parse_verification_ref(data)
 
     @given(
         st.dictionaries(
@@ -646,7 +647,7 @@ class TestGroundTruthAndPools:
             fileio.parse_ground_truth, parse_ground_truth_ref, data, chunk_lines
         )
         if expected[0] == "ok":
-            same_records(actual[1], expected[1])
+            same_records(actual[1].rows(), expected[1])
             assert all(type(g.box.x_min) is float for g in actual[1])
 
     @given(roi_rows(), st.integers(1, 4), st.sampled_from([1, 2, 3, DEFAULT_POOL_LIMIT]))

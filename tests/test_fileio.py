@@ -148,7 +148,7 @@ class TestGroundTruth:
             GroundTruthInstance("im1", "c2", box(), BinaryMask(2, 2, (0, 4))),
         ]
         data = fileio.write_ground_truth(records)
-        assert fileio.parse_ground_truth(data) == records
+        assert fileio.parse_ground_truth(data).rows() == records
         assert fileio.write_ground_truth(fileio.parse_ground_truth(data)) == data
 
 
@@ -156,7 +156,7 @@ class TestVerification:
     def test_round_trip(self):
         table = VerificationTable({("im1", "c1"): 1, ("im2", "c1"): -1})
         data = fileio.write_verification(table)
-        assert fileio.parse_verification(data) == table
+        assert fileio.parse_verification(data).table() == table
 
     def test_conflicting_sign_is_error(self):
         data = fileio.VERIFICATION_HEADER + "\nim1,c1,1\nim1,c1,-1\n"
@@ -166,7 +166,7 @@ class TestVerification:
 
     def test_duplicate_same_sign_allowed(self):
         data = fileio.VERIFICATION_HEADER + "\nim1,c1,1\nim1,c1,1\n"
-        table = fileio.parse_verification(data)
+        table = fileio.parse_verification(data).table()
         assert table.status("im1", "c1") == 1
 
     def test_bad_value(self):
