@@ -8,18 +8,19 @@ released after its last reader, and a predictions table that a stage writes
 is handed, with the lines formatted for the write, to the later stages that
 read its file.  The run keeps one BLAKE2b digest per path, of the bytes last
 parsed or written there, and no bytes: a stage that reads a file whose bytes
-no longer match parses them.  ``assign`` checks the whole verification
-table for conflicts once per run, over integer keys, and expands only its
-own image's pairs, taken from the table by code; it, ``sample-rois``,
-``filter-expert`` and ``eval`` take ground-truth boxes and codes from the
-table and build no row views beyond one image's.  A stage may not name one
-file for two of its outputs, nor a pipeline stage the run's manifest.
-Outputs are written atomically (to a temporary file in the destination
-directory, then renamed).  ``main`` freezes the objects its imports left
-before it runs, so the collections that parsing triggers do not scan them
-again.  Exit status: 0 on success, 1 on validation or I/O errors (one
-machine-parsable line on stderr: ``error<TAB>type<TAB>message``), 2 on
-usage errors.
+no longer match parses them.  A verification file is one coded
+``VerificationTable`` from parse to hierarchy expansion: ``assign``
+expands the whole table once per run, which checks every image for
+conflicts, and reads its image's label statuses from that expansion.  It,
+``sample-rois``, ``filter-expert`` and ``eval`` take ground-truth boxes and
+codes from the table and build no row views beyond one image's.  A stage
+may not name one file for two of its outputs, nor a pipeline stage the
+run's manifest.  Outputs are written atomically (to a temporary file in the
+destination directory, then renamed).  ``main`` freezes the objects its
+imports left before it runs, so the collections that parsing triggers do
+not scan them again.  Exit status: 0 on success, 1 on validation or I/O
+errors (one machine-parsable line on stderr: ``error<TAB>type<TAB>message``),
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .federated import (
     build_label_matrix,
     classification_loss,
     expand_verification,
-    expand_verification_codes,
 )
 from .fileio import _decode, _prediction_lines
 from .postprocess import (
@@ -66,8 +66,8 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool
-from .table import PredictionTable, VerificationPairs
+from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
+from .table import PredictionTable
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
 __all__ = ["run", "main", "build_parser"]
@@ -109,14 +109,14 @@ class _Record:
     the running one included.  ``digest`` is the BLAKE2b digest of the bytes
     this run last parsed or wrote at the path, and ``result`` what ``parse``
     gives for those bytes; they are kept only for a later reader.
-    ``conflict_free_with`` is the hierarchy over which `assign` expanded
-    ``result``, a verification table, without a conflict."""
+    ``expansion`` is a hierarchy and ``result``, a verification table,
+    closed over it, as `assign` expanded it."""
 
     readers: int
     digest: bytes = b""
     parse: Callable | None = None
     result: object = None
-    conflict_free_with: Hierarchy | None = None
+    expansion: tuple[Hierarchy, VerificationTable] | None = None
 
 
 # A record for each path that a stage of the running pipeline reads, from
@@ -266,10 +266,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     boxes = [roi.box for roi in pool.images[args.image_id]]
     gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
     image_gts = gts.take(gt_rows.get(args.image_id, _NO_ROWS))
-    _check_conflicts(args.verification, verification, hierarchy)
-    # An image's entries expand independently of every other image's.
-    own = _rows_by_image(verification.image_ids, verification.image_codes)
-    expanded = expand_verification(verification.take(own.get(args.image_id, _NO_ROWS)), hierarchy)
+    expanded = _expanded(args.verification, verification, hierarchy)
     assignment = assign_rois(boxes, image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
     _write_bytes_atomic(args.out, fileio.write_label_matrix(matrix))
@@ -290,17 +287,20 @@ def _rows_by_image(image_ids: tuple[str, ...], image_codes: np.ndarray) -> dict[
     }
 
 
-def _check_conflicts(path: str, verification: VerificationPairs, hierarchy: Hierarchy) -> None:
-    """Raise when expanding the whole table at path over the hierarchy gives
-    a conflict on any image.  The expansion, over codes, is thrown away; a
-    pipeline run makes it once for the same parsed table and hierarchy."""
+def _expanded(
+    path: str, verification: VerificationTable, hierarchy: Hierarchy
+) -> VerificationTable:
+    """The whole verification table at path closed over the hierarchy,
+    which raises on a conflict on any image.  A pipeline run expands the
+    same parsed table over the same hierarchy once."""
     record = _store.get(path)
     shared = record is not None and record.result is verification
-    if shared and record.conflict_free_with is hierarchy:
-        return
-    expand_verification_codes(verification, hierarchy)
+    if shared and record.expansion is not None and record.expansion[0] is hierarchy:
+        return record.expansion[1]
+    expanded = expand_verification(verification, hierarchy)
     if shared:
-        record.conflict_free_with = hierarchy
+        record.expansion = (hierarchy, expanded)
+    return expanded
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .federated import expand_verification_codes
+from .federated import expand_verification
 from .geometry import _areas, _check_iou_threshold, _iou, box_iou, mask_iou
 from .records import (
     POSITIVE,
@@ -27,12 +27,10 @@ from .records import (
 from .table import (
     GroundTruth,
     Predictions,
-    VerificationPairs,
     _merge_codes,
     as_ground_truth,
     as_table,
     ground_truth_rows,
-    verification_table,
 )
 
 __all__ = [
@@ -92,7 +90,7 @@ class EvalReport:
 def match_category(
     predictions: Sequence[Prediction],
     gts: GroundTruth,
-    verification: VerificationTable | VerificationPairs,
+    verification: VerificationTable,
     iou_threshold: float = 0.5,
     overlap: Callable[[Prediction, GroundTruthInstance], float] | None = None,
 ) -> MatchResult:
@@ -102,12 +100,11 @@ def match_category(
     A prediction on an image where the category is unverified is ignored;
     otherwise it becomes a true positive if the best unmatched ground truth
     on its image reaches the IoU threshold (ties to the earliest ground
-    truth), else a false positive.  Ground truth and verifications may each
-    be given as a table or as records.
+    truth), else a false positive.  Ground truth may be given as a table or
+    as records.
     """
     _check_iou_threshold(iou_threshold)
     gts = ground_truth_rows(gts)
-    verification = verification_table(verification)
     categories = {p.category_id for p in predictions} | {g.category_id for g in gts}
     if len(categories) > 1:
         raise ValidationError(
@@ -119,12 +116,16 @@ def match_category(
     for index, gt in enumerate(gts):
         gts_by_image.setdefault(gt.image_id, []).append(index)
     order = sorted(range(len(predictions)), key=lambda i: (-predictions[i].score, i))
+    each = np.arange(len(predictions))
+    statuses = verification.statuses(
+        [p.image_id for p in predictions], each, [p.category_id for p in predictions], each
+    ).tolist()
     matched: set[int] = set()
     flags: list[str] = []
     matched_gt: list[int | None] = []
     for index in order:
         p = predictions[index]
-        if verification.status(p.image_id, p.category_id) == UNVERIFIED:
+        if statuses[index] == UNVERIFIED:
             flags.append(IGNORED)
             matched_gt.append(None)
             continue
@@ -266,7 +267,7 @@ def _average_precision(hits: np.ndarray, gt_count: int) -> float:
 def evaluate(
     predictions: Predictions,
     gts: GroundTruth,
-    verification: VerificationTable | VerificationPairs,
+    verification: VerificationTable,
     hierarchy: Hierarchy,
     iou_threshold: float = 0.5,
     mode: str = "box",
@@ -278,8 +279,8 @@ def evaluate(
     category is matched as match_category would and scored as
     average_precision would; since a prediction can only match a ground
     truth on its own image, all (category, image) strata are matched
-    together.  Predictions, ground truth and verifications may each be
-    given as a table or as records.
+    together.  Predictions and ground truth may each be given as a table or
+    as records.
     """
     if mode not in ("box", "mask"):
         raise ValidationError(f"mode must be 'box' or 'mask', got {mode!r}")
@@ -297,7 +298,7 @@ def evaluate(
                 f"mask-mode evaluation requires masks; missing on image "
                 f"{missing[0][0]!r}, category {missing[0][1]!r}"
             )
-    expanded = expand_verification_codes(verification, hierarchy)
+    expanded = expand_verification(verification, hierarchy)
     unverified = np.flatnonzero(
         expanded.statuses(gts.image_ids, gts.image_codes, gts.category_ids, gts.category_codes)
         != POSITIVE

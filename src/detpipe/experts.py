@@ -27,11 +27,9 @@ from .table import (
     GroundTruthTable,
     PredictionTable,
     Predictions,
-    VerificationPairs,
     _firsts,
     as_ground_truth,
     as_table,
-    as_verification_pairs,
     select,
 )
 from .training import SplitMix64
@@ -189,35 +187,27 @@ def split_by_embedding(
 
 def filter_for_expert(
     gts: GroundTruth,
-    verification: VerificationTable | VerificationPairs,
+    verification: VerificationTable,
     group: CategoryGroup,
-) -> tuple[
-    list[GroundTruthInstance] | GroundTruthTable,
-    VerificationTable | VerificationPairs,
-    list[str],
-]:
+) -> tuple[list[GroundTruthInstance] | GroundTruthTable, VerificationTable, list[str]]:
     """Restrict a training set to an expert's categories.
 
     Annotations outside the group are dropped; images left with no annotation
     disappear entirely (first-occurrence order is kept for the image list);
     verification entries survive only for kept images and group categories.
-    Each result has its argument's type: a ground-truth table gives a table
-    and records a list of the caller's records, pairs give pairs and a
-    VerificationTable a VerificationTable.
+    A ground-truth table gives a table and records a list of the caller's
+    records.
     """
     table = as_ground_truth(gts)
     kept = np.flatnonzero(_covered(table.category_ids, group.categories)[table.category_codes])
     image_codes = table.image_codes[kept]
     kept_images = list(map(table.image_ids.__getitem__, image_codes[_firsts(image_codes)].tolist()))
-    pairs = as_verification_pairs(verification)
-    kept_pairs = pairs.take(
+    kept_pairs = verification.take(
         np.flatnonzero(
-            _covered(pairs.image_ids, kept_images)[pairs.image_codes]
-            & _covered(pairs.category_ids, group.categories)[pairs.category_codes]
+            _covered(verification.image_ids, kept_images)[verification.image_codes]
+            & _covered(verification.category_ids, group.categories)[verification.category_codes]
         )
     )
-    if not isinstance(verification, VerificationPairs):
-        kept_pairs = kept_pairs.table()
     return select(gts, kept), kept_pairs, kept_images
 
 

@@ -4,7 +4,9 @@ Covers the whole chain from raw verification tables to the masked sigmoid
 cross-entropy classification loss: hierarchy expansion of verifications,
 RoI-to-ground-truth assignment, the {-1, 0, +1} label matrix, and the loss
 itself.  Unverified categories are never penalized: their label is 0 and
-their logits are ignored.
+their logits are ignored.  Verifications are one type, the coded
+``VerificationTable``: expansion takes one and gives one, and the label
+matrix looks its statuses up in it.
 """
 
 from __future__ import annotations
@@ -16,28 +18,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import Box, _best_overlaps, _check_iou_threshold
-from .records import (
-    NEGATIVE,
-    POSITIVE,
-    UNVERIFIED,
-    GroundTruthInstance,
-    Hierarchy,
-    VerificationTable,
-)
-from .table import (
-    GroundTruth,
-    VerificationPairs,
-    as_ground_truth,
-    as_verification_pairs,
-    ground_truth_rows,
-    verification_table,
-)
+from .records import NEGATIVE, POSITIVE, Hierarchy, VerificationTable
+from .table import GroundTruth, as_ground_truth, ground_truth_rows
 
 __all__ = [
     "Assignment",
     "LabelMatrix",
-    "VerificationCodes",
-    "expand_verification_codes",
     "expand_verification",
     "assign_rois",
     "build_label_matrix",
@@ -88,56 +74,6 @@ class LabelMatrix:
         object.__setattr__(self, "categories", categories)
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationCodes:
-    """A verification table closed over the hierarchy, as integer keys.
-
-    Image and category codes index ``images`` and ``categories``, both in
-    sorted id order.  A key is ``image code * len(categories) + category
-    code``, so key order is (image_id, category_id) order.  ``positives``
-    and ``negatives`` are sorted, distinct int64 keys.
-    """
-
-    images: tuple[str, ...]
-    categories: tuple[str, ...]
-    positives: np.ndarray
-    negatives: np.ndarray
-
-    def pairs(self, keys: np.ndarray) -> list[tuple[str, str]]:
-        """The (image_id, category_id) of each key."""
-        n = len(self.categories)
-        return list(
-            zip(
-                map(self.images.__getitem__, (keys // n).tolist()),
-                map(self.categories.__getitem__, (keys % n).tolist()),
-            )
-        )
-
-    def statuses(
-        self,
-        image_ids: Sequence[str],
-        image_codes: np.ndarray,
-        category_ids: Sequence[str],
-        category_codes: np.ndarray,
-    ) -> np.ndarray:
-        """POSITIVE, NEGATIVE or UNVERIFIED, as int8, of each pair
-        (image_ids[image_codes[i]], category_ids[category_codes[i]])."""
-        images = _recode(image_ids, self.images)[image_codes]
-        categories = _recode(category_ids, self.categories)[category_codes]
-        known = (images >= 0) & (categories >= 0)
-        keys = images * len(self.categories) + categories
-        statuses = np.full(len(keys), UNVERIFIED, dtype=np.int8)
-        statuses[known & _contains(self.positives, keys)] = POSITIVE
-        statuses[known & _contains(self.negatives, keys)] = NEGATIVE
-        return statuses
-
-
-def _recode(ids: Sequence[str], vocabulary: tuple[str, ...]) -> np.ndarray:
-    """Each id's index in vocabulary, or -1."""
-    code = {value: index for index, value in enumerate(vocabulary)}
-    return np.fromiter((code.get(value, -1) for value in ids), np.int64, len(ids))
-
-
 def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each key is in sorted_keys."""
     if not len(sorted_keys):
@@ -152,22 +88,21 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
-def expand_verification_codes(
-    table: VerificationTable | VerificationPairs, hierarchy: Hierarchy
-) -> VerificationCodes:
+def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> VerificationTable:
     """Close a verification table over the category hierarchy, over the
-    codes of its pairs (a VerificationTable is coded first).
+    codes of its pairs.
 
     A positive verification implies positives for all ancestors (the present
     subclass entails the superclass); a negative implies negatives for all
-    descendants (an absent superclass rules out every subclass).  A key
-    with both signs is a conflict, and every conflict is reported in key
-    order.
+    descendants (an absent superclass rules out every subclass).  A pair
+    with both signs is a conflict, and every conflict is reported in
+    (image_id, category_id) order.  The result holds the positives, then the
+    negatives, each in that order, and is a fixed point: expanding it again
+    changes nothing.
     """
-    pairs = as_verification_pairs(table)
-    images, image_codes = pairs.image_ids, pairs.image_codes
-    named, named_codes = pairs.category_ids, pairs.category_codes
-    positive = pairs.signs == POSITIVE
+    images, image_codes = table.image_ids, table.image_codes
+    named, named_codes = table.category_ids, table.category_codes
+    positive = table.signs == POSITIVE
     # Closure 2c + 1 is named[c] and its ancestors, closure 2c named[c] and
     # its descendants; each closure an entry uses is walked once.
     closure = named_codes.astype(np.int64) * 2 + positive
@@ -181,37 +116,29 @@ def expand_verification_codes(
     flat = np.fromiter(
         (code[c] for members in closures for c in members), np.int64, int(lengths.sum())
     )
-    # Entry e expands to its image with each code of its closure.
+    # Entry e expands to its image with each code of its closure; a key is
+    # image code * len(categories) + category code, so key order is
+    # (image_id, category_id) order.
+    n = len(categories)
     counts = lengths[closure]
     ends = np.cumsum(counts)
     within = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
-    keys = np.repeat(image_codes.astype(np.int64) * len(categories), counts)
+    keys = np.repeat(image_codes.astype(np.int64) * n, counts)
     keys += flat[np.repeat((np.cumsum(lengths) - lengths)[closure], counts) + within]
     positive = np.repeat(positive, counts)
-    expanded = VerificationCodes(
-        images, categories, _distinct(keys[positive]), _distinct(keys[~positive])
-    )
-    conflicts = expanded.positives[_contains(expanded.negatives, expanded.positives)]
-    if len(conflicts):
+    positives, negatives = _distinct(keys[positive]), _distinct(keys[~positive])
+    conflicts = positives[_contains(negatives, positives)].tolist()
+    if conflicts:
         listing = "; ".join(
-            f"image {img!r}, category {cat!r}" for img, cat in expanded.pairs(conflicts)
+            f"image {images[key // n]!r}, category {categories[key % n]!r}" for key in conflicts
         )
         raise ValidationError(
             f"hierarchy expansion produces conflicting verifications: {listing}"
         )
-    return expanded
-
-
-def expand_verification(
-    table: VerificationTable | VerificationPairs, hierarchy: Hierarchy
-) -> VerificationTable:
-    """Close a verification table over the category hierarchy; see
-    expand_verification_codes.  The result is a fixed point: expanding it
-    again changes nothing."""
-    expanded = expand_verification_codes(table, hierarchy)
-    entries = dict.fromkeys(expanded.pairs(expanded.positives), POSITIVE)
-    entries.update(dict.fromkeys(expanded.pairs(expanded.negatives), NEGATIVE))
-    return VerificationTable(entries)
+    keys = np.concatenate((positives, negatives))
+    signs = np.repeat(np.array([POSITIVE, NEGATIVE], np.int8), [len(positives), len(negatives)])
+    image_codes, category_codes = (keys // n).astype(np.int32), (keys % n).astype(np.int32)
+    return VerificationTable.from_columns(images, categories, image_codes, category_codes, signs)
 
 
 def assign_rois(
@@ -230,7 +157,7 @@ def assign_rois(
 def build_label_matrix(
     assignment: Assignment,
     gts: GroundTruth,
-    verification: VerificationTable | VerificationPairs,
+    verification: VerificationTable,
     image_id: str,
     categories: Sequence[str],
 ) -> LabelMatrix:
@@ -239,29 +166,26 @@ def build_label_matrix(
     Background rows get -1 for every verified category and 0 elsewhere; an
     assigned row additionally gets +1 in its ground truth's category column.
     Every ground-truth category must be positively verified on the image.
-    Ground truth and verifications may each be given as a table or as
-    records.
+    Ground truth may be given as a table or as records.
     """
     gts = ground_truth_rows(gts)
-    verification = verification_table(verification)
     categories = tuple(categories)
     column = {category_id: j for j, category_id in enumerate(categories)}
     if len(column) != len(categories):
         raise ValidationError("category list must not contain duplicates")
-    for gt in gts:
+    gt_statuses = _on_image(verification, image_id, [gt.category_id for gt in gts])
+    for gt, status in zip(gts, gt_statuses.tolist()):
         if gt.image_id != image_id:
             raise ValidationError(
                 f"ground truth for image {gt.image_id!r} passed while building "
                 f"labels for image {image_id!r}"
             )
-        if verification.status(image_id, gt.category_id) != POSITIVE:
+        if status != POSITIVE:
             raise ValidationError(
                 f"ground-truth category {gt.category_id!r} on image {image_id!r} "
                 f"is not positively verified"
             )
-    statuses = np.array(
-        [verification.status(image_id, c) for c in categories], dtype=np.int8
-    )
+    statuses = _on_image(verification, image_id, categories)
     background_row = np.where(statuses != 0, np.int8(-1), np.int8(0))
     values = np.empty((len(assignment), len(categories)), dtype=np.int8)
     for i, gt_index in enumerate(assignment.gt_indices):
@@ -277,6 +201,14 @@ def build_label_matrix(
                 )
             values[i, column[assigned_category]] = 1
     return LabelMatrix(values, categories)
+
+
+def _on_image(
+    verification: VerificationTable, image_id: str, category_ids: Sequence[str]
+) -> np.ndarray:
+    """The status of each category on one image."""
+    each = np.arange(len(category_ids))
+    return verification.statuses((image_id,), np.zeros_like(each), category_ids, each)
 
 
 def classification_loss(logits, labels) -> float:

@@ -50,18 +50,16 @@ from .records import (
     RoiPool,
     VerificationTable,
     _check_id,
+    _Codes,
 )
 from .table import (
     GroundTruth,
     GroundTruthTable,
     PredictionTable,
     Predictions,
-    VerificationPairs,
-    _Codes,
     _firsts,
     as_ground_truth,
     as_table,
-    as_verification_pairs,
 )
 
 __all__ = [
@@ -486,7 +484,7 @@ _SIGNS = {"1": 1, "-1": -1}
 _SIGN_TEXT = {1: "1", -1: "-1"}
 
 
-def _verification_rows(lines: list[str]) -> VerificationPairs:
+def _verification_rows(lines: list[str]) -> VerificationTable:
     """A file's data lines, row by row: the source of every verification
     ParseError."""
     entries: dict[tuple[str, str], int] = {}
@@ -504,10 +502,10 @@ def _verification_rows(lines: list[str]) -> VerificationPairs:
                 f"conflicting verification for image {key[0]!r}, category {key[1]!r}",
             )
         entries[key] = sign
-    return VerificationPairs.from_table(VerificationTable(entries))
+    return VerificationTable(entries)
 
 
-def _verification_columns(lines: list[str]) -> VerificationPairs | None:
+def _verification_columns(lines: list[str]) -> VerificationTable | None:
     """A file's data lines column by column, a chunk at a time; None when a
     chunk fails a field check or a pair repeats with the other sign."""
     images, categories = _Codes(), _Codes()
@@ -534,7 +532,7 @@ def _verification_columns(lines: list[str]) -> VerificationPairs | None:
     # A pair with both signs has more distinct (pair, sign) keys than pairs.
     if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
         return None
-    return VerificationPairs(
+    return VerificationTable.from_columns(
         image_vocabulary,
         category_vocabulary,
         image_codes[kept],
@@ -543,24 +541,25 @@ def _verification_columns(lines: list[str]) -> VerificationPairs | None:
     )
 
 
-def parse_verification(data: bytes | str) -> VerificationPairs:
+def parse_verification(data: bytes | str) -> VerificationTable:
     """Parse a verification file into coded pairs, each distinct pair once;
     a repeat of a pair with the same sign is accepted.  The file is parsed
     column by column when every chunk passes the field checks and no pair
     repeats with the other sign, and row by row otherwise, so the first bad
     row reports its own line."""
     lines = _data_lines(data, VERIFICATION_HEADER)
-    pairs = _verification_columns(lines)
-    return _verification_rows(lines) if pairs is None else pairs
+    table = _verification_columns(lines)
+    return _verification_rows(lines) if table is None else table
 
 
-def write_verification(verification: VerificationTable | VerificationPairs) -> bytes:
+def write_verification(verification: VerificationTable) -> bytes:
     """One line per pair, in (image_id, category_id) order."""
-    pairs = as_verification_pairs(verification)
-    order = np.lexsort((pairs.category_codes, pairs.image_codes)).tolist()
-    images = map(pairs.image_ids.__getitem__, pairs.image_codes[order].tolist())
-    categories = map(pairs.category_ids.__getitem__, pairs.category_codes[order].tolist())
-    signs = map(_SIGN_TEXT.__getitem__, pairs.signs[order].tolist())
+    order = np.lexsort((verification.category_codes, verification.image_codes)).tolist()
+    images = map(verification.image_ids.__getitem__, verification.image_codes[order].tolist())
+    categories = map(
+        verification.category_ids.__getitem__, verification.category_codes[order].tolist()
+    )
+    signs = map(_SIGN_TEXT.__getitem__, verification.signs[order].tolist())
     return _table(VERIFICATION_HEADER, map(",".join, zip(images, categories, signs)))
 
 

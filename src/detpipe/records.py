@@ -7,8 +7,10 @@ describe the federated dataset they live in.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import count
 from math import isfinite
 
 import numpy as np
@@ -122,50 +124,185 @@ class GroundTruthInstance:
         _set(self, "mask", mask)
 
 
-@dataclass(frozen=True)
+class _Codes:
+    """The codes of one id column, given a chunk at a time.  Each id gets a
+    code in order of first sight, from one dict across the chunks (a missing
+    id takes the next code); ``finish`` sorts the vocabulary once and remaps
+    every code through the rank array, so that an id's code is its index in
+    the sorted vocabulary."""
+
+    __slots__ = ("first_seen", "parts")
+
+    def __init__(self) -> None:
+        self.first_seen: defaultdict[str, int] = defaultdict(count().__next__)
+        self.parts: list[np.ndarray] = []
+
+    def add(self, ids: Sequence[str]) -> None:
+        self.parts.append(np.fromiter(map(self.first_seen.__getitem__, ids), np.int32, len(ids)))
+
+    def finish(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted distinct ids and each id's code, its index among them."""
+        firsts = list(self.first_seen)
+        order = sorted(range(len(firsts)), key=firsts.__getitem__)
+        rank = np.empty(len(firsts), dtype=np.int32)
+        rank[order] = np.arange(len(firsts), dtype=np.int32)
+        codes = np.concatenate(self.parts) if self.parts else np.zeros(0, dtype=np.int32)
+        return tuple(map(firsts.__getitem__, order)), rank[codes]
+
+
+def _intern(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct ids and each id's code, its index among them."""
+    codes = _Codes()
+    codes.add(ids)
+    return codes.finish()
+
+
+def _checked_entries(entries: Mapping[tuple[str, str], int]) -> dict[tuple[str, str], int]:
+    """A copy of verification entries, each key an (image_id, category_id)
+    pair of ids and each sign POSITIVE or NEGATIVE.  Each distinct id, and
+    the set of signs, is checked once; on any failure the entries are
+    checked one by one for the error."""
+    if (
+        {*map(type, entries)} <= {tuple}
+        and {*map(len, entries)} <= {2}
+        and {*map(type, entries.values())} <= {int}
+        and {*entries.values()} <= {POSITIVE, NEGATIVE}
+    ):
+        images, categories = [*zip(*entries)] or [(), ()]
+        if all(map(_is_id, {*images})) and all(map(_is_id, {*categories})):
+            return dict(entries)
+    copied: dict[tuple[str, str], int] = {}
+    for key, sign in entries.items():
+        image_id, category_id = key
+        _check_id("image_id", image_id)
+        _check_id("category_id", category_id)
+        if sign not in (POSITIVE, NEGATIVE):
+            raise ValidationError(
+                f"verification for {key!r} must be {POSITIVE} or {NEGATIVE}, got {sign!r}"
+            )
+        copied[(image_id, category_id)] = int(sign)
+    return copied
+
+
+# The code of the one id a single-pair status lookup passes.
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
 class VerificationTable:
     """Per (image, category) verification state: positive, negative, or absent.
 
-    Absence of a key means the category is unverified on that image.
+    Absence of a key means the category is unverified on that image.  Each
+    distinct (image, category) pair is held once, in order of first
+    appearance, as int32 codes into sorted image and category vocabularies
+    (so code order is id order), with its sign, POSITIVE or NEGATIVE, as
+    int8.  ``VerificationTable(entries)`` checks a mapping of
+    (image_id, category_id) keys to signs; ``from_columns`` trusts its
+    columns, as the parser, ``take`` and hierarchy expansion give them.
+    Two tables are equal when their entries are.
     """
 
-    entries: dict[tuple[str, str], int] = field(default_factory=dict)
+    __slots__ = ("image_ids", "category_ids", "image_codes", "category_codes", "signs", "_lookup")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        # Each distinct id, and the set of signs, is checked once; on any
-        # failure the entries are checked one by one for the error.
-        entries = self.entries
-        if (
-            {*map(type, entries)} <= {tuple}
-            and {*map(len, entries)} <= {2}
-            and {*map(type, entries.values())} <= {int}
-            and {*entries.values()} <= {POSITIVE, NEGATIVE}
-        ):
-            images, categories = [*zip(*entries)] or [(), ()]
-            if all(map(_is_id, {*images})) and all(map(_is_id, {*categories})):
-                object.__setattr__(self, "entries", dict(entries))
-                return
-        copied: dict[tuple[str, str], int] = {}
-        for key, sign in entries.items():
-            image_id, category_id = key
-            _check_id("image_id", image_id)
-            _check_id("category_id", category_id)
-            if sign not in (POSITIVE, NEGATIVE):
-                raise ValidationError(
-                    f"verification for {key!r} must be {POSITIVE} or {NEGATIVE}, got {sign!r}"
-                )
-            copied[(image_id, category_id)] = int(sign)
-        object.__setattr__(self, "entries", copied)
+    def __init__(self, entries: Mapping[tuple[str, str], int] | None = None) -> None:
+        entries = _checked_entries(entries or {})
+        images, image_codes = _intern([image_id for image_id, _ in entries])
+        categories, category_codes = _intern([category_id for _, category_id in entries])
+        signs = np.fromiter(entries.values(), np.int8, len(entries))
+        self._fill(images, categories, image_codes, category_codes, signs)
+
+    @classmethod
+    def from_columns(
+        cls,
+        image_ids: tuple[str, ...],
+        category_ids: tuple[str, ...],
+        image_codes: np.ndarray,
+        category_codes: np.ndarray,
+        signs: np.ndarray,
+    ) -> VerificationTable:
+        table = cls.__new__(cls)
+        table._fill(image_ids, category_ids, image_codes, category_codes, signs)
+        return table
+
+    def _fill(self, image_ids, category_ids, image_codes, category_codes, signs) -> None:
+        self.image_ids = image_ids
+        self.category_ids = category_ids
+        self.image_codes = image_codes
+        self.category_codes = category_codes
+        self.signs = signs
+        # Built by the first status lookup: each vocabulary's code of an id,
+        # and the pair keys in sorted order with their signs.
+        self._lookup = None
+
+    @property
+    def entries(self) -> dict[tuple[str, str], int]:
+        """(image_id, category_id) -> sign, in row order."""
+        keys = zip(
+            map(self.image_ids.__getitem__, self.image_codes.tolist()),
+            map(self.category_ids.__getitem__, self.category_codes.tolist()),
+        )
+        return dict(zip(keys, self.signs.tolist()))
 
     def status(self, image_id: str, category_id: str) -> int:
         """POSITIVE, NEGATIVE, or UNVERIFIED for the given pair."""
-        return self.entries.get((image_id, category_id), UNVERIFIED)
+        return int(self.statuses((image_id,), _FIRST, (category_id,), _FIRST)[0])
+
+    def statuses(
+        self,
+        image_ids: Sequence[str],
+        image_codes: np.ndarray,
+        category_ids: Sequence[str],
+        category_codes: np.ndarray,
+    ) -> np.ndarray:
+        """POSITIVE, NEGATIVE or UNVERIFIED, as int8, of each pair
+        (image_ids[image_codes[i]], category_ids[category_codes[i]])."""
+        if self._lookup is None:
+            n = len(self.category_ids)
+            keys = self.image_codes.astype(np.int64) * n + self.category_codes
+            # A stable sort takes an expansion's two sorted runs in one merge.
+            order = np.argsort(keys, kind="stable")
+            # A last key above every pair's keeps each search in range.
+            self._lookup = (
+                {value: code for code, value in enumerate(self.image_ids)},
+                {value: code for code, value in enumerate(self.category_ids)},
+                np.append(keys[order], np.iinfo(np.int64).max),
+                np.append(self.signs[order], np.int8(UNVERIFIED)),
+            )
+        image_code, category_code, keys, signs = self._lookup
+        images = np.fromiter((image_code.get(v, -1) for v in image_ids), np.int64, len(image_ids))
+        categories = np.fromiter(
+            (category_code.get(v, -1) for v in category_ids), np.int64, len(category_ids)
+        )
+        images, categories = images[image_codes], categories[category_codes]
+        wanted = images * len(self.category_ids) + categories
+        at = np.searchsorted(keys, wanted)
+        statuses = signs[at]
+        statuses[(images < 0) | (categories < 0) | (keys[at] != wanted)] = UNVERIFIED
+        return statuses
 
     def items(self):
         return self.entries.items()
 
+    def take(self, indices: np.ndarray) -> VerificationTable:
+        """The pairs at the given indices, in that order."""
+        return VerificationTable.from_columns(
+            self.image_ids,
+            self.category_ids,
+            self.image_codes[indices],
+            self.category_codes[indices],
+            self.signs[indices],
+        )
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.signs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VerificationTable):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"VerificationTable({self.entries!r})"
 
 
 class Hierarchy:

@@ -11,70 +11,31 @@ and ``postprocess`` take a table or a list of rows: they convert a list with
 hand back a table for a table (``select``).
 
 ``GroundTruthTable`` holds a ground-truth file the same way, without
-scores; ``GroundTruthInstance`` is its row type.  ``VerificationPairs``
-holds a verification file as coded (image, category) pairs and int8 signs,
-and builds the ``VerificationTable`` of the same entries on demand.  The
-parsers intern each id column once per file (``_Codes``).  The CLI's stages
-pass these tables from parse to write and to ``evaluate``, ``assign``, the
-RoI sampler and ``filter-expert``.
+scores; ``GroundTruthInstance`` is its row type.  A verification file is a
+``records.VerificationTable``: coded (image, category) pairs and int8 signs.
+The parsers intern each id column once per file (``records._Codes``).  The
+CLI's stages pass these tables from parse to write and to ``evaluate``,
+``assign``, the RoI sampler and ``filter-expert``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
-from itertools import count
 
 import numpy as np
 
 from .geometry import BinaryMask, Box, _corners
-from .records import GroundTruthInstance, Prediction, VerificationTable
+from .records import GroundTruthInstance, Prediction, _intern
 
 __all__ = [
     "PredictionTable",
     "Predictions",
     "GroundTruthTable",
-    "VerificationPairs",
     "as_table",
     "as_ground_truth",
-    "as_verification_pairs",
     "ground_truth_rows",
-    "verification_table",
     "select",
 ]
-
-
-class _Codes:
-    """The codes of one id column, given a chunk at a time.  Each id gets a
-    code in order of first sight, from one dict across the chunks (a missing
-    id takes the next code); ``finish`` sorts the vocabulary once and remaps
-    every code through the rank array, so that an id's code is its index in
-    the sorted vocabulary."""
-
-    __slots__ = ("first_seen", "parts")
-
-    def __init__(self) -> None:
-        self.first_seen: defaultdict[str, int] = defaultdict(count().__next__)
-        self.parts: list[np.ndarray] = []
-
-    def add(self, ids: Sequence[str]) -> None:
-        self.parts.append(np.fromiter(map(self.first_seen.__getitem__, ids), np.int32, len(ids)))
-
-    def finish(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The sorted distinct ids and each id's code, its index among them."""
-        firsts = list(self.first_seen)
-        order = sorted(range(len(firsts)), key=firsts.__getitem__)
-        rank = np.empty(len(firsts), dtype=np.int32)
-        rank[order] = np.arange(len(firsts), dtype=np.int32)
-        codes = np.concatenate(self.parts) if self.parts else np.zeros(0, dtype=np.int32)
-        return tuple(map(firsts.__getitem__, order)), rank[codes]
-
-
-def _intern(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct ids and each id's code, its index among them."""
-    codes = _Codes()
-    codes.add(ids)
-    return codes.finish()
 
 
 class PredictionTable:
@@ -291,57 +252,6 @@ class GroundTruthTable:
         )
 
 
-class VerificationPairs:
-    """Columns of a verification file: each distinct (image, category) pair
-    once, in order of first appearance, as image and category codes (as in
-    ``PredictionTable``), with its sign, POSITIVE or NEGATIVE, as int8.  The
-    constructor trusts its columns."""
-
-    __slots__ = ("image_ids", "category_ids", "image_codes", "category_codes", "signs")
-
-    def __init__(
-        self,
-        image_ids: tuple[str, ...],
-        category_ids: tuple[str, ...],
-        image_codes: np.ndarray,
-        category_codes: np.ndarray,
-        signs: np.ndarray,
-    ) -> None:
-        self.image_ids = image_ids
-        self.category_ids = category_ids
-        self.image_codes = image_codes
-        self.category_codes = category_codes
-        self.signs = signs
-
-    @classmethod
-    def from_table(cls, table: VerificationTable) -> VerificationPairs:
-        images, image_codes = _intern([image_id for image_id, _ in table.entries])
-        categories, category_codes = _intern([category_id for _, category_id in table.entries])
-        signs = np.fromiter(table.entries.values(), np.int8, len(table))
-        return cls(images, categories, image_codes, category_codes, signs)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    def take(self, indices: np.ndarray) -> VerificationPairs:
-        """The pairs at the given indices, in that order."""
-        return VerificationPairs(
-            self.image_ids,
-            self.category_ids,
-            self.image_codes[indices],
-            self.category_codes[indices],
-            self.signs[indices],
-        )
-
-    def table(self) -> VerificationTable:
-        """The VerificationTable of these entries, in this order."""
-        keys = zip(
-            map(self.image_ids.__getitem__, self.image_codes.tolist()),
-            map(self.category_ids.__getitem__, self.category_codes.tolist()),
-        )
-        return VerificationTable(dict(zip(keys, self.signs.tolist())))
-
-
 # A ground-truth argument: a table, or rows.
 GroundTruth = Sequence[GroundTruthInstance] | GroundTruthTable
 
@@ -353,22 +263,9 @@ def as_ground_truth(gts: GroundTruth) -> GroundTruthTable:
     return GroundTruthTable.from_rows(gts)
 
 
-def as_verification_pairs(verification: VerificationTable | VerificationPairs) -> VerificationPairs:
-    """The pairs themselves, or the pairs of a VerificationTable."""
-    if isinstance(verification, VerificationPairs):
-        return verification
-    return VerificationPairs.from_table(verification)
-
-
 def ground_truth_rows(gts: GroundTruth) -> Sequence[GroundTruthInstance]:
     """The rows themselves, or the row views of a table."""
     if isinstance(gts, GroundTruthTable):
         return gts.rows()
     return gts
 
-
-def verification_table(verification: VerificationTable | VerificationPairs) -> VerificationTable:
-    """The VerificationTable itself, or the one the pairs build."""
-    if isinstance(verification, VerificationPairs):
-        return verification.table()
-    return verification

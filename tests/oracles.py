@@ -4,7 +4,7 @@ Everything here is written from the operation definitions, not from the
 package code: IoU from raw corner tuples, NMS as a literal O(n^2) sweep, AP
 as a brute-force enumeration of the interpolated precision envelope, and
 budget trimming as a step-through of the removal rule with full
-re-serialization each round.
+re-serialization each round, and a verification table as a plain dict.
 """
 
 from __future__ import annotations
@@ -124,3 +124,23 @@ def trim_ref(predictions, max_bytes: int, serialized_size):
         removed[category] += 1
         del current[victim]
     return current, dict(removed)
+
+
+def verification_ref(entries) -> tuple[dict | None, str | None]:
+    """A verification mapping as a plain dict, each entry checked on its own
+    from the rules: a key of an image id and a category id, each a non-empty
+    string with no comma, LF or CR, and a sign that equals 1 or -1, kept as
+    an int.  Returns (the dict, None), or (None, the message for the first
+    entry that breaks a rule)."""
+    copied = {}
+    for key, sign in entries.items():
+        image_id, category_id = key
+        for name, value in (("image_id", image_id), ("category_id", category_id)):
+            if not isinstance(value, str) or not value:
+                return None, f"{name} must be a non-empty string, got {value!r}"
+            if "," in value or "\n" in value or "\r" in value:
+                return None, f"{name} must not contain commas or newlines: {value!r}"
+        if sign not in (1, -1):
+            return None, f"verification for {key!r} must be 1 or -1, got {sign!r}"
+        copied[(image_id, category_id)] = int(sign)
+    return copied, None

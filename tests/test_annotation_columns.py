@@ -2,9 +2,9 @@
 against the row-by-row parse: the same values, the same ParseError line and
 message, and vocabularies and codes equal to interning the reference rows'
 ids.  Small chunk sizes put row-by-row chunks among column-parsed ones.
-Also: what a parse holds in memory, the calls the benchmark's traced run
-makes into the CLI's modules, and the row-wise consumers given parsed
-files."""
+Also: that a parse sorts each id vocabulary once, what a parse holds in
+memory, the calls the benchmark's traced run makes into the CLI's modules,
+and the row-wise consumers given parsed files."""
 
 import ast
 import gc
@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,7 @@ from detpipe.fileio import (
     _parse_mask_fields,
     _split,
 )
-from detpipe.records import POSITIVE
+from detpipe.records import POSITIVE, _Codes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detpipe"
 FIXTURE = Path(__file__).parent / "fixtures" / "expert_pipeline"
@@ -225,7 +226,7 @@ class TestVerification:
     def test_same_entries_errors_and_codes(self, data, chunk_lines):
         actual, expected = compared(fileio.parse_verification, parse_verification_ref, data, chunk_lines)
         if isinstance(expected, dict):
-            assert list(actual.table().entries.items()) == list(expected.items())
+            assert list(actual.entries.items()) == list(expected.items())
             assert actual.signs.dtype == np.int8
             assert_codes(actual, [i for i, _ in expected], [c for _, c in expected])
 
@@ -238,6 +239,45 @@ class TestPredictions:
         if isinstance(expected, list):
             assert actual.rows() == expected
             assert_codes(actual, [p.image_id for p in expected], [p.category_id for p in expected])
+
+
+# -- one vocabulary per parse ------------------------------------------------------
+
+# Two-line chunks.  In the predictions and ground-truth files a masked row
+# sends its chunk row by row, so row-by-row chunks sit among column-parsed
+# ones; the verification file repeats a pair across chunks.
+SORTED_ONCE = [
+    (
+        fileio.parse_prediction_table,
+        PREDICTIONS_HEADER,
+        ["b,y,0.5,0,0,1,1,,,", "a,x,0.5,0,0,1,1,,,", "c,x,0.5,0,0,1,1,2,2,1 3", "a,z,0.5,0,0,1,1,,,", "b,x,0.5,0,0,1,1,,,"],
+    ),
+    (
+        fileio.parse_ground_truth,
+        GROUND_TRUTH_HEADER,
+        ["b,y,0,0,1,1,,,", "a,x,0,0,1,1,2,2,1 3", "c,x,0,0,1,1,,,", "a,z,0,0,1,1,,,", "d,x,0,0,1,1,2,2,0 4"],
+    ),
+    (fileio.parse_verification, VERIFICATION_HEADER, ["b,y,1", "a,x,-1", "c,x,1", "b,y,1", "a,z,-1"]),
+]
+
+
+@pytest.mark.parametrize("parse, header, rows", SORTED_ONCE)
+def test_a_parse_sorts_each_id_column_once(parse, header, rows):
+    finished = []
+    real = _Codes.finish
+
+    def finish(codes):
+        finished.append(len(codes.parts))
+        return real(codes)
+
+    data = (header + "\n" + "".join(row + "\n" for row in rows)).encode()
+    with mock.patch.object(_Codes, "finish", finish), mock.patch.object(fileio, "_CHUNK_LINES", 2):
+        table = parse(data)
+    # One sort for the image ids and one for the category ids, each over
+    # the codes of all three chunks.
+    assert finished == [3, 3]
+    assert table.image_ids == tuple(sorted({row.split(",")[0] for row in rows}))
+    assert table.category_ids == tuple(sorted({row.split(",")[1] for row in rows}))
 
 
 # -- what a parse holds -------------------------------------------------------------
@@ -324,7 +364,7 @@ def test_label_matrix_takes_a_parsed_ground_truth_file_and_verification_file():
     assignment = assign_rois([roi.box for roi in pool.images["im0"]], image_gts, 0.5)
     assert any(index is not None for index in assignment.gt_indices)
     parsed = build_label_matrix(assignment, image_gts, pairs, "im0", categories)
-    rows = build_label_matrix(assignment, image_gts.rows(), pairs.table(), "im0", categories)
+    rows = build_label_matrix(assignment, image_gts.rows(), VerificationTable(pairs.entries), "im0", categories)
     assert parsed.categories == rows.categories
     assert np.array_equal(parsed.values, rows.values)
     assert (parsed.values == 1).any() and (parsed.values == -1).any()
@@ -340,6 +380,6 @@ def test_match_category_takes_a_parsed_ground_truth_file_and_verification_file()
     ]
     cat_gts = gts.take(np.flatnonzero(gts.category_codes == gts.category_ids.index("cat")))
     parsed = match_category(predictions, cat_gts, pairs)
-    rows = match_category(predictions, cat_gts.rows(), pairs.table())
+    rows = match_category(predictions, cat_gts.rows(), VerificationTable(pairs.entries))
     assert parsed == rows
     assert TRUE_POSITIVE in parsed.flags

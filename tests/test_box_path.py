@@ -4,9 +4,6 @@ evaluation filtered every record list once per category, and verification
 expansion walked a category's closure once per entry.  The references below
 are kept as they were so the faster code can be held to them."""
 
-import gc
-import statistics
-import time
 from collections import Counter
 
 import numpy as np
@@ -51,6 +48,7 @@ from detpipe.records import NEGATIVE, POSITIVE
 from detpipe.table import PredictionTable, _intern
 
 from generators import random_box
+from timing import size_ratio
 
 
 # -- references ------------------------------------------------------------------
@@ -491,26 +489,10 @@ def test_evaluate_time_is_linear():
         table = VerificationTable({(g.image_id, g.category_id): POSITIVE for g in gts})
         return predictions, gts, table, Hierarchy(())
 
-    def seconds(args) -> float:
-        # A collection triggered by earlier allocations would be charged
-        # to whichever size happens to run when it fires.
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            evaluate(*args)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
-
     # Twice the categories and twice the rows: about 2x when each category
-    # costs its own rows, 4x when each category scans every row.  The sizes
-    # alternate and each pair is compared on its own, so a slow spell on a
-    # shared machine slows both sides of a pair.
+    # costs its own rows, 4x when each category scans every row.
     small, large = world(500), world(1000)
-    ratios = []
-    for _ in range(7):
-        ratios.append(seconds(large) / seconds(small))
-    assert statistics.median(ratios) <= 2.5
+    assert size_ratio(lambda args: evaluate(*args), small, large) <= 2.5
 
 
 def stratified_table(n_strata: int, members: int = 4) -> PredictionTable:
@@ -531,43 +513,23 @@ def stratified_table(n_strata: int, members: int = 4) -> PredictionTable:
     )
 
 
-def median_time_ratio(run, small, large) -> float:
-    """Median over seven pairs of run(large)'s time over run(small)'s.  Each
-    pair is compared on its own, so a slow spell on a shared machine slows
-    both sides of a pair."""
-
-    def seconds(arg) -> float:
-        # A collection triggered by earlier allocations would be charged to
-        # whichever size happens to run when it fires.
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run(arg)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
-
-    seconds(small)
-    return statistics.median(seconds(large) / seconds(small) for _ in range(7))
-
-
 # Twice the rows in twice the strata: about 2x when each stratum costs only
 # its own rows, 4x when each stratum scans every row.
 
 
 def test_nms_time_is_linear():
     small, large = stratified_table(10000), stratified_table(20000)
-    assert median_time_ratio(lambda table: nms(table, 0.5), small, large) <= 2.5
+    assert size_ratio(lambda table: nms(table, 0.5), small, large) <= 2.5
 
 
 def test_group_predictions_time_is_linear():
     small, large = stratified_table(2500), stratified_table(5000)
-    assert median_time_ratio(lambda table: group_predictions(table, 0.5), small, large) <= 2.5
+    assert size_ratio(lambda table: group_predictions(table, 0.5), small, large) <= 2.5
 
 
 def test_ensemble_time_is_linear():
     small, large = stratified_table(10000), stratified_table(20000)
-    ratio = median_time_ratio(lambda table: ensemble([table, table], 0.5), small, large)
+    ratio = size_ratio(lambda table: ensemble([table, table], 0.5), small, large)
     assert ratio <= 2.5
 
 
@@ -575,7 +537,5 @@ def test_trim_to_budget_time_is_linear():
     # Half of each file's bytes must go, so about half the rows leave.
     small, large = stratified_table(2500), stratified_table(5000)
     budgets = {id(table): serialized_size(table) // 2 for table in (small, large)}
-    ratio = median_time_ratio(
-        lambda table: trim_to_budget(table, budgets[id(table)]), small, large
-    )
+    ratio = size_ratio(lambda table: trim_to_budget(table, budgets[id(table)]), small, large)
     assert ratio <= 2.5

@@ -1,14 +1,11 @@
-import gc
 import importlib
 import inspect
 import json
 import os
 import re
 import shutil
-import statistics
 import subprocess
 import sys
-import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +32,8 @@ from detpipe import (
 from detpipe import cli, fileio
 from detpipe.fileio import serialized_size
 from detpipe.table import PredictionTable
+
+from timing import size_ratio
 
 postprocess = importlib.import_module("detpipe.postprocess")
 
@@ -513,21 +512,11 @@ class TestSubcommands:
                 "--out", str(folder / "sampled.csv"),
             ]
 
-        def seconds(args) -> float:
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                assert cli.run(args) == 0
-                return time.perf_counter() - start
-            finally:
-                gc.enable()
+        def run(args) -> None:
+            assert cli.run(args) == 0
 
-        # The sizes alternate and each pair is compared on its own, so a
-        # slow spell on a shared machine slows both sides of a pair.
         small, large = argv(2000), argv(4000)
-        seconds(small)
-        ratios = [seconds(large) / seconds(small) for _ in range(7)]
-        assert statistics.median(ratios) <= 2.5
+        assert size_ratio(run, small, large) <= 2.5
         capsys.readouterr()
 
     def test_partition_pool_outputs_cover_input(self, tmp_path, capsys):
@@ -1091,6 +1080,80 @@ def counting_fileio(monkeypatch) -> Counter:
     return calls
 
 
+class TestVerificationErrors:
+    """The stages that read a verification file, given a damaged one: each
+    exits 0, or 1 with exactly one error line, and leaves no partial or
+    temporary output."""
+
+    EXPERT = FIXTURES / "expert_pipeline"
+    VERIFICATION = (EXPERT / "verification.csv").read_bytes()
+    # (damaged file, chunk size, the error type each stage gives, or None
+    # where it succeeds).  The fixture verifies im1,owl positive on line 7.
+    CASES = {
+        "other sign in one chunk": (VERIFICATION + b"im1,owl,-1\n", 4096, "ParseError"),
+        "other sign across chunks": (VERIFICATION + b"im1,owl,-1\n", 2, "ParseError"),
+        "sign 0": (VERIFICATION.replace(b"im1,dog,1", b"im1,dog,0"), 4096, "ParseError"),
+        "carriage return": (VERIFICATION.replace(b"im0,cat,1\n", b"im0,cat,1\r\n"), 4096, "ParseError"),
+        "invalid UTF-8": (VERIFICATION.replace(b"im2,duck", b"im2,d\xffuck"), 4096, "ParseError"),
+        "empty file": (b"", 4096, "ParseError"),
+        # duck is a bird, and a bird an animal: im9 has no ground truth, so
+        # filter-expert drops it, and the stages that expand fail on it.
+        "conflict on another image": (
+            VERIFICATION + b"im9,duck,1\nim9,animal,-1\n",
+            4096,
+            {"assign": "ValidationError", "filter-expert": None, "eval": "ValidationError"},
+        ),
+    }
+
+    def argv(self, stage: str, inputs: Path, out: Path) -> list[str]:
+        common = ["--ground-truth", str(inputs / "ground_truth.csv")]
+        common += ["--verification", str(inputs / "verification.csv")]
+        if stage == "assign":
+            return [
+                "assign", *common, "--image-id", "im0", "--rois", str(inputs / "rois.csv"),
+                "--hierarchy", str(inputs / "hierarchy.json"),
+                "--categories", str(inputs / "categories.csv"), "--out", str(out / "labels.csv"),
+            ]
+        if stage == "filter-expert":
+            return [
+                "filter-expert", *common, "--group-file", str(inputs / "groups.csv"),
+                "--group-index", "0", "--out-ground-truth", str(out / "gt.csv"),
+                "--out-verification", str(out / "verification.csv"),
+                "--out-images", str(out / "images.csv"),
+            ]
+        return [
+            "eval", *common, "--predictions", str(inputs / "expert_0.csv"),
+            "--hierarchy", str(inputs / "hierarchy.json"), "--out-report", str(out / "report.csv"),
+        ]
+
+    @pytest.mark.parametrize("stage", ["assign", "filter-expert", "eval"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_error_line_and_no_partial_output(self, tmp_path, monkeypatch, capsys, stage, case):
+        data, chunk_lines, expected = self.CASES[case]
+        expected = expected[stage] if isinstance(expected, dict) else expected
+        inputs = shutil.copytree(
+            self.EXPERT, tmp_path / "inputs", ignore=shutil.ignore_patterns("expected")
+        )
+        shutil.copy(self.EXPERT / "expected" / "groups.csv", inputs / "groups.csv")
+        write(inputs / "verification.csv", data)
+        given = {path.name: path.read_bytes() for path in inputs.iterdir()}
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk_lines)
+        status = cli.run(self.argv(stage, inputs, out))
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if expected is None:
+            assert (status, captured.err) == (0, "")
+        else:
+            assert status == 1
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+            assert captured.err.startswith(f"error\t{expected}\t")
+            assert list(out.iterdir()) == []
+        assert not [path for path in out.iterdir() if path.name.startswith(".")]
+        assert {path.name: path.read_bytes() for path in inputs.iterdir()} == given
+
+
 class TestSharedInputs:
     """A file that several stages of one pipeline run read is parsed once."""
 
@@ -1325,23 +1388,18 @@ class TestSharedInputs:
             f"error\tValidationError\tstage 'assign.second' failed: {conflict}\n"
         )
 
-        # Over one table and one hierarchy, the whole table is checked once,
-        # and each assign expands its own image's one entry.
-        sizes = {"check": [], "expand": []}
+        # Over one table and one hierarchy, the run expands the whole table
+        # once, and both assigns read their statuses from that expansion.
+        sizes = []
+        real = cli.expand_verification
 
-        def counting(kind, real):
-            def call(table, hierarchy):
-                sizes[kind].append(len(table))
-                return real(table, hierarchy)
+        def counting(table, hierarchy):
+            sizes.append(len(table))
+            return real(table, hierarchy)
 
-            return call
-
-        monkeypatch.setattr(
-            cli, "expand_verification_codes", counting("check", cli.expand_verification_codes)
-        )
-        monkeypatch.setattr(cli, "expand_verification", counting("expand", cli.expand_verification))
+        monkeypatch.setattr(cli, "expand_verification", counting)
         assert pipeline(section("first", flat), section("second", flat)) == 0
-        assert sizes == {"check": [3], "expand": [1, 1]}
+        assert sizes == [3]
         assert (tmp_path / "run" / "first.csv").read_bytes() == (
             tmp_path / "run" / "second.csv"
         ).read_bytes()

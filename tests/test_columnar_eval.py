@@ -33,7 +33,6 @@ from detpipe.evaluation import (
     average_precision,
     match_category,
 )
-from detpipe.federated import expand_verification_codes
 from detpipe.geometry import mask_iou
 from detpipe.records import NEGATIVE, POSITIVE
 from detpipe.table import PredictionTable
@@ -406,16 +405,17 @@ def expert_verification() -> tuple[VerificationTable, Hierarchy]:
 
 
 def test_conflict_check_memory_per_expanded_key():
-    # The check builds sorted int64 keys, not sets of string pairs and a
-    # table: about 41 B per expanded key at its peak, where the check by
-    # expand_verification peaked at about 254.
+    # The check is assign's one expansion of the whole table, over sorted
+    # int64 keys, not sets of string pairs and a dict: when the check by a
+    # string-keyed expansion peaked at about 254 B per expanded key, the
+    # check over keys peaked at about 41.
     table, hierarchy = expert_verification()
     keys = len(expand_verification(table, hierarchy))
     assert 30_000 < keys < 36_000
-    cli._check_conflicts("verification.csv", table, hierarchy)
+    cli._expanded("verification.csv", table, hierarchy)
     tracemalloc.start()
     try:
-        cli._check_conflicts("verification.csv", table, hierarchy)
+        cli._expanded("verification.csv", table, hierarchy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,15 +423,21 @@ def test_conflict_check_memory_per_expanded_key():
 
 
 def test_expansion_codes_decode_to_the_expanded_table():
+    # Positives, then negatives, each in (image_id, category_id) order, as
+    # codes into sorted vocabularies.
     table, hierarchy = expert_verification()
-    expanded = expand_verification_codes(table, hierarchy)
+    expanded = expand_verification(table, hierarchy)
     reference = expand_verification_ref(table, hierarchy)
-    assert dict.fromkeys(expanded.pairs(expanded.positives), POSITIVE) | dict.fromkeys(
-        expanded.pairs(expanded.negatives), NEGATIVE
-    ) == reference.entries
-    for keys in (expanded.positives, expanded.negatives):
-        assert keys.dtype == np.int64
-        assert np.all(keys[1:] > keys[:-1])
+    assert expanded == reference
+    entries = list(expanded.entries.items())
+    positives = [key for key, sign in entries if sign == POSITIVE]
+    negatives = [key for key, sign in entries if sign == NEGATIVE]
+    assert [key for key, _ in entries] == positives + negatives
+    assert positives == sorted(positives) and negatives == sorted(negatives)
+    assert list(expanded.image_ids) == sorted(expanded.image_ids)
+    assert list(expanded.category_ids) == sorted(expanded.category_ids)
+    assert expanded.image_codes.dtype == expanded.category_codes.dtype == np.int32
+    assert expanded.signs.dtype == np.int8
 
 
 @pytest.mark.parametrize("mode", ["box", "mask"])

@@ -7,9 +7,6 @@ line 1 and now name their own line; for those only the message is compared
 here, and the line is checked against the file."""
 
 import contextlib
-import gc
-import statistics
-import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -47,6 +44,8 @@ from detpipe.fileio import (
     _table,
 )
 from detpipe.records import DEFAULT_POOL_LIMIT, NEGATIVE, POSITIVE, _check_id
+
+from timing import size_ratio
 
 # -- references ------------------------------------------------------------------
 
@@ -538,7 +537,7 @@ class TestVerification:
             fileio.parse_verification, parse_verification_ref, data, chunk_lines
         )
         if expected[0] == "ok":
-            entries = actual[1].table().entries
+            entries = actual[1].entries
             assert list(entries.items()) == list(expected[1].items())
             assert all(type(sign) is int for sign in entries.values())
 
@@ -560,7 +559,7 @@ class TestVerification:
             # The same key repeated with the same sign is accepted.
             bad[second] = rows[first]
             data = as_file(VERIFICATION_HEADER, bad)
-            assert fileio.parse_verification(data).table().entries == parse_verification_ref(data)
+            assert fileio.parse_verification(data).entries == parse_verification_ref(data)
 
     @given(
         st.dictionaries(
@@ -736,24 +735,6 @@ def test_valid_files_never_take_the_row_path():
 # -- linear cost -------------------------------------------------------------------
 
 
-def median_ratio(small, large, call, pairs=7):
-    """Median over pairs of the time of call(large) over call(small).  The
-    sizes alternate and each pair is compared on its own, so a slow spell on
-    a shared machine slows both sides of a pair."""
-
-    def seconds(arg) -> float:
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            call(arg)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
-
-    call(small)
-    return statistics.median(seconds(large) / seconds(small) for _ in range(pairs))
-
-
 def test_expand_verification_time_is_linear():
     # Three levels: roots r*, mid-level m*, leaves l*.  Every image verifies
     # four leaves positive and a root and a mid-level category negative, so
@@ -774,7 +755,7 @@ def test_expand_verification_time_is_linear():
         return VerificationTable(entries)
 
     small, large = table(600), table(1200)
-    assert median_ratio(small, large, lambda t: expand_verification(t, hierarchy)) <= 2.5
+    assert size_ratio(lambda t: expand_verification(t, hierarchy), small, large) <= 2.5
 
 
 def test_parse_label_matrix_time_is_linear():
@@ -789,7 +770,7 @@ def test_parse_label_matrix_time_is_linear():
         return as_file(LABELS_HEADER, rows)
 
     small, large = matrix_file(40), matrix_file(80)
-    assert median_ratio(small, large, fileio.parse_label_matrix) <= 2.5
+    assert size_ratio(fileio.parse_label_matrix, small, large) <= 2.5
 
 
 def test_parse_label_matrix_memory_per_cell():

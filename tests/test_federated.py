@@ -1,7 +1,4 @@
-import gc
 import math
-import statistics
-import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +23,7 @@ from detpipe.geometry import _check_iou_threshold, box_iou
 
 from generators import HUGE_BOX, overlap_boxes, random_box
 from oracles import iou_ref, loss_ref
+from timing import median_ratio
 
 
 def reachable(start, edges):
@@ -176,19 +174,10 @@ class TestAssignRois:
         rois = [random_box(rng, 1000.0) for _ in range(2000)]
         gts = [GroundTruthInstance("im1", "c1", random_box(rng, 1000.0)) for _ in range(20)]
 
-        def seconds(assign) -> float:
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                assign(rois, gts, 0.5)
-                return time.perf_counter() - start
-            finally:
-                gc.enable()
-
-        seconds(assign_rois)
-        # Each pair is compared on its own, so a slow spell slows both sides.
-        ratios = [seconds(assign_rois_loop) / seconds(assign_rois) for _ in range(5)]
-        assert statistics.median(ratios) >= 5
+        ratio = median_ratio(
+            lambda: assign_rois_loop(rois, gts, 0.5), lambda: assign_rois(rois, gts, 0.5), pairs=5
+        )
+        assert ratio >= 5
 
     def test_no_ground_truth_all_background(self):
         assignment = assign_rois([Box(0, 0, 1, 1), Box(2, 2, 3, 3)], [], 0.5)

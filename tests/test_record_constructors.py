@@ -3,7 +3,8 @@ replaced.  Those converted and checked every field in ``__post_init__`` on
 every construction; the constructors now store valid, well-typed fields after
 a few comparisons and run the same checks on anything else.  The references
 below keep the earlier ``__post_init__`` bodies as they were, but for one
-later rule: a mask run, like a mask width or height, must be an integer."""
+later rule: a mask run, like a mask width or height, must be an integer.
+Last, the coded verification table is checked against a plain dict."""
 
 import math
 from dataclasses import dataclass, fields, replace
@@ -12,9 +13,20 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from detpipe import BinaryMask, Box, GroundTruthInstance, Prediction, Roi, ValidationError
+from detpipe import (
+    UNVERIFIED,
+    BinaryMask,
+    Box,
+    GroundTruthInstance,
+    Prediction,
+    Roi,
+    ValidationError,
+    VerificationTable,
+)
 from detpipe.geometry import _check_dimension, _check_integer
 from detpipe.records import _check_id
+
+from oracles import verification_ref
 
 
 # -- references ------------------------------------------------------------------
@@ -278,3 +290,64 @@ def test_defaults_and_replace():
         assert str(exc) == "category_id must not contain commas or newlines: 'a,b'"
     else:
         raise AssertionError("replace() skipped the id check")
+
+
+# -- the verification table against a plain dict ---------------------------------
+
+VERIFICATION_IDS = ["a", "b", "é", "a b", "", "a,b", "a\nb", "a\rb", 3, None]
+SIGNS = [1, -1] * 6 + [0, 2, True, 1.0, -1.0, np.int8(1), np.int64(-1), "1", None]
+# Ids a lookup may ask for: the valid ones above, and ones no table holds.
+QUERY_IDS = ["a", "b", "é", "a b", "zz", "q"]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(
+            st.sampled_from(["a", "b", "é", "a b"] * 8 + VERIFICATION_IDS),
+            st.sampled_from(["a", "b", "é", "a b"] * 8 + VERIFICATION_IDS),
+        ),
+        st.sampled_from(SIGNS),
+        max_size=8,
+    ),
+    st.data(),
+)
+@example({}, None)
+@example({("a", "b"): 1, ("b", "a"): -1}, None)
+@example({("a", "b"): 1, ("a,b", "a"): 0}, None)
+def test_verification_table_is_a_checked_dict(entries, data):
+    expected, message = verification_ref(entries)
+    try:
+        table = VerificationTable(entries)
+    except ValidationError as exc:
+        assert str(exc) == message
+        return
+    assert message is None
+    assert list(table.entries.items()) == list(expected.items())
+    assert all(type(sign) is int for sign in table.entries.values())
+    assert len(table) == len(expected)
+    assert table == VerificationTable(dict(reversed(list(expected.items()))))
+    for key, sign in expected.items():
+        assert table != VerificationTable({**expected, key: -sign})
+
+    # Every pair over ids in and out of the table's vocabularies, one by one
+    # and in one batch, over query vocabularies in another order.
+    image_ids, category_ids = QUERY_IDS, QUERY_IDS[::-1]
+    image_codes, category_codes = np.divmod(np.arange(len(QUERY_IDS) ** 2), len(QUERY_IDS))
+    pairs = [(image_ids[i], category_ids[c]) for i, c in zip(image_codes, category_codes)]
+    statuses = table.statuses(image_ids, image_codes, category_ids, category_codes)
+    assert statuses.dtype == np.int8
+    assert statuses.tolist() == [expected.get(pair, UNVERIFIED) for pair in pairs]
+    assert [table.status(*pair) for pair in pairs] == [expected.get(pair, UNVERIFIED) for pair in pairs]
+    if data is None:
+        return
+
+    # take: the entries at the indices, in that order.
+    keys = list(expected)
+    indices = data.draw(st.permutations(range(len(keys))))[: data.draw(st.integers(0, len(keys)))]
+    taken = table.take(np.array(indices, dtype=np.int64))
+    kept = {keys[i]: expected[keys[i]] for i in indices}
+    assert list(taken.entries.items()) == list(kept.items())
+    assert len(taken) == len(kept)
+    assert taken.statuses(image_ids, image_codes, category_ids, category_codes).tolist() == [
+        kept.get(pair, UNVERIFIED) for pair in pairs
+    ]
