@@ -9,18 +9,19 @@ is handed, with the lines formatted for the write, to the later stages that
 read its file.  The run keeps one BLAKE2b digest per path, of the bytes last
 parsed or written there, and no bytes: a stage that reads a file whose bytes
 no longer match parses them.  A verification file is one coded
-``VerificationTable`` from parse to hierarchy expansion: ``assign``
-expands the whole table once per run, which checks every image for
-conflicts, and reads its image's label statuses from that expansion.  It,
-``sample-rois``, ``filter-expert`` and ``eval`` take ground-truth boxes and
-codes from the table and build no row views beyond one image's.  A stage
-may not name one file for two of its outputs, nor a pipeline stage the
-run's manifest.  Outputs are written atomically (to a temporary file in the
-destination directory, then renamed).  ``main`` freezes the objects its
-imports left before it runs, so the collections that parsing triggers do
-not scan them again.  Exit status: 0 on success, 1 on validation or I/O
-errors (one machine-parsable line on stderr: ``error<TAB>type<TAB>message``),
-2 on usage errors.
+``VerificationTable`` from parse to hierarchy expansion, and the table
+keeps its closure over the hierarchy, so ``eval`` and every ``assign``
+that read one parse share one closure.  ``assign`` closes the whole table,
+which checks every image for conflicts, and reads its image's label
+statuses from that closure.  It, ``sample-rois``, ``filter-expert`` and
+``eval`` take ground-truth boxes and codes from the table and build no row
+views beyond one image's.  A stage may not name one file for two of its
+outputs, nor a pipeline stage the run's manifest.  Outputs are written
+atomically (to a temporary file in the destination directory, then
+renamed).  ``main`` freezes the objects its imports left before it runs, so
+the collections that parsing triggers do not scan them again.  Exit
+status: 0 on success, 1 on validation or I/O errors (one machine-parsable
+line on stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import DEFAULT_POOL_LIMIT, Hierarchy, Roi, RoiPool, VerificationTable
+from .records import DEFAULT_POOL_LIMIT, Roi, RoiPool
 from .table import PredictionTable
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
@@ -108,15 +109,12 @@ class _Record:
     ``readers`` counts the stages that list the path and have not finished,
     the running one included.  ``digest`` is the BLAKE2b digest of the bytes
     this run last parsed or wrote at the path, and ``result`` what ``parse``
-    gives for those bytes; they are kept only for a later reader.
-    ``expansion`` is a hierarchy and ``result``, a verification table,
-    closed over it, as `assign` expanded it."""
+    gives for those bytes; they are kept only for a later reader."""
 
     readers: int
     digest: bytes = b""
     parse: Callable | None = None
     result: object = None
-    expansion: tuple[Hierarchy, VerificationTable] | None = None
 
 
 # A record for each path that a stage of the running pipeline reads, from
@@ -266,7 +264,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     boxes = [roi.box for roi in pool.images[args.image_id]]
     gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
     image_gts = gts.take(gt_rows.get(args.image_id, _NO_ROWS))
-    expanded = _expanded(args.verification, verification, hierarchy)
+    expanded = expand_verification(verification, hierarchy)
     assignment = assign_rois(boxes, image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
     _write_bytes_atomic(args.out, fileio.write_label_matrix(matrix))
@@ -285,22 +283,6 @@ def _rows_by_image(image_ids: tuple[str, ...], image_codes: np.ndarray) -> dict[
         image_id: order[bounds[code] : bounds[code + 1]]
         for code, image_id in enumerate(image_ids)
     }
-
-
-def _expanded(
-    path: str, verification: VerificationTable, hierarchy: Hierarchy
-) -> VerificationTable:
-    """The whole verification table at path closed over the hierarchy,
-    which raises on a conflict on any image.  A pipeline run expands the
-    same parsed table over the same hierarchy once."""
-    record = _store.get(path)
-    shared = record is not None and record.result is verification
-    if shared and record.expansion is not None and record.expansion[0] is hierarchy:
-        return record.expansion[1]
-    expanded = expand_verification(verification, hierarchy)
-    if shared:
-        record.expansion = (hierarchy, expanded)
-    return expanded
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:

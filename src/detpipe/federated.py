@@ -98,8 +98,13 @@ def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> Verif
     with both signs is a conflict, and every conflict is reported in
     (image_id, category_id) order.  The result holds the positives, then the
     negatives, each in that order, and is a fixed point: expanding it again
-    changes nothing.
+    changes nothing.  The table keeps its closure: a later call with an
+    equal hierarchy returns the same object, with its status lookup, and a
+    table whose expansion raises keeps nothing from that call.
     """
+    kept = table._closure
+    if kept is not None and kept[0] == hierarchy:
+        return kept[1]
     images, image_codes = table.image_ids, table.image_codes
     named, named_codes = table.category_ids, table.category_codes
     positive = table.signs == POSITIVE
@@ -138,7 +143,11 @@ def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> Verif
     keys = np.concatenate((positives, negatives))
     signs = np.repeat(np.array([POSITIVE, NEGATIVE], np.int8), [len(positives), len(negatives)])
     image_codes, category_codes = (keys // n).astype(np.int32), (keys % n).astype(np.int32)
-    return VerificationTable.from_columns(images, categories, image_codes, category_codes, signs)
+    expanded = VerificationTable.from_columns(
+        images, categories, image_codes, category_codes, signs
+    )
+    table._closure = (hierarchy, expanded)
+    return expanded
 
 
 def assign_rois(

@@ -159,7 +159,8 @@ def _lines(data: bytes | str) -> list[str]:
     carriage returns."""
     text = _decode(data)
     if "\r" in text:
-        raise ParseError(1, "carriage returns are not allowed; files are LF-terminated")
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ParseError(line, "carriage returns are not allowed; files are LF-terminated")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

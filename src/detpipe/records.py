@@ -198,10 +198,14 @@ class VerificationTable:
     int8.  ``VerificationTable(entries)`` checks a mapping of
     (image_id, category_id) keys to signs; ``from_columns`` trusts its
     columns, as the parser, ``take`` and hierarchy expansion give them.
-    Two tables are equal when their entries are.
+    Two tables are equal when their entries are.  ``_closure`` keeps the
+    last hierarchy ``expand_verification`` closed the table over, with that
+    closure; every new table starts without one.
     """
 
-    __slots__ = ("image_ids", "category_ids", "image_codes", "category_codes", "signs", "_lookup")
+    __slots__ = (
+        "image_ids", "category_ids", "image_codes", "category_codes", "signs", "_lookup", "_closure"
+    )
     __hash__ = None
 
     def __init__(self, entries: Mapping[tuple[str, str], int] | None = None) -> None:
@@ -233,6 +237,7 @@ class VerificationTable:
         # Built by the first status lookup: each vocabulary's code of an id,
         # and the pair keys in sorted order with their signs.
         self._lookup = None
+        self._closure = None
 
     @property
     def entries(self) -> dict[tuple[str, str], int]:

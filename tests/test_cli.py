@@ -1153,6 +1153,25 @@ class TestVerificationErrors:
         assert not [path for path in out.iterdir() if path.name.startswith(".")]
         assert {path.name: path.read_bytes() for path in inputs.iterdir()} == given
 
+    @pytest.mark.parametrize("stage", ["assign", "filter-expert", "eval"])
+    def test_a_carriage_return_names_its_line(self, tmp_path, capsys, stage):
+        # The fixture's line 3 is im0,cat,1.
+        inputs = shutil.copytree(
+            self.EXPERT, tmp_path / "inputs", ignore=shutil.ignore_patterns("expected")
+        )
+        shutil.copy(self.EXPERT / "expected" / "groups.csv", inputs / "groups.csv")
+        write(
+            inputs / "verification.csv",
+            self.VERIFICATION.replace(b"im0,cat,1\n", b"im0,cat,1\r\n"),
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.run(self.argv(stage, inputs, out)) == 1
+        assert capsys.readouterr().err == (
+            "error\tParseError\tline 3: carriage returns are not allowed; "
+            "files are LF-terminated\n"
+        )
+
 
 class TestSharedInputs:
     """A file that several stages of one pipeline run read is parsed once."""
@@ -1388,18 +1407,18 @@ class TestSharedInputs:
             f"error\tValidationError\tstage 'assign.second' failed: {conflict}\n"
         )
 
-        # Over one table and one hierarchy, the run expands the whole table
-        # once, and both assigns read their statuses from that expansion.
-        sizes = []
+        # Over one table and one hierarchy, both assigns get the one closure
+        # that the table keeps, and read their statuses from it.
+        closures = []
         real = cli.expand_verification
 
-        def counting(table, hierarchy):
-            sizes.append(len(table))
-            return real(table, hierarchy)
+        def spying(table, hierarchy):
+            closures.append(real(table, hierarchy))
+            return closures[-1]
 
-        monkeypatch.setattr(cli, "expand_verification", counting)
+        monkeypatch.setattr(cli, "expand_verification", spying)
         assert pipeline(section("first", flat), section("second", flat)) == 0
-        assert sizes == [3]
+        assert len(closures) == 2 and closures[0] is closures[1]
         assert (tmp_path / "run" / "first.csv").read_bytes() == (
             tmp_path / "run" / "second.csv"
         ).read_bytes()
@@ -1454,6 +1473,49 @@ class TestSharedInputs:
             "image 'im9', category 'animal'; image 'im9', category 'dog'\n"
         )
         assert cli._store == {}
+
+    def test_one_closure_per_table_and_hierarchy(self, tmp_path, monkeypatch, capsys):
+        # eval, then two assigns, read one verification file.  The table
+        # keeps its closure, so over one hierarchy the run computes one;
+        # assigns over another hierarchy compute one more, which both share.
+        fixture = self.EXPERT
+        flat = write(tmp_path / "flat.json", fileio.write_hierarchy(Hierarchy(())))
+        closures = []
+        real = cli.expand_verification
+
+        def spying(table, hierarchy):
+            closures.append(real(table, hierarchy))
+            return closures[-1]
+
+        monkeypatch.setattr(cli, "expand_verification", spying)
+        evaluation = importlib.import_module("detpipe.evaluation")
+        monkeypatch.setattr(evaluation, "expand_verification", spying)
+
+        def computed(assign_hierarchy: Path) -> int:
+            closures.clear()
+            inputs = (
+                f"ground-truth = {fixture / 'ground_truth.csv'}\n"
+                f"verification = {fixture / 'verification.csv'}\n"
+            )
+            config = f"[eval]\npredictions = {fixture / 'expert_0.csv'}\n{inputs}"
+            config += f"hierarchy = {fixture / 'hierarchy.json'}\nout-report = report.csv\n"
+            for image_id in ("im0", "im2"):
+                config += (
+                    f"\n[assign.{image_id}]\nimage-id = {image_id}\n"
+                    f"rois = {fixture / 'rois.csv'}\n{inputs}"
+                    f"hierarchy = {assign_hierarchy}\n"
+                    f"categories = {fixture / 'categories.csv'}\nout = labels_{image_id}.csv\n"
+                )
+            path = write(tmp_path / "config.ini", config.encode())
+            run_dir = str(tmp_path / "run")
+            assert cli.run(["pipeline", "--config", str(path), "--run-dir", run_dir]) == 0
+            assert len(closures) == 3
+            return len({id(closure) for closure in closures})
+
+        assert computed(fixture / "hierarchy.json") == 1
+        assert computed(flat) == 2
+        assert closures[1] is closures[2]
+        capsys.readouterr()
 
 
 class TestLineReuse:

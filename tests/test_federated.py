@@ -1,9 +1,11 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from detpipe import (
@@ -102,6 +104,99 @@ class TestExpandVerification:
             assert expand_verification(expanded, hierarchy) == expanded
             for key, sign in table.items():
                 assert expanded.entries[key] == sign
+
+
+NODES = [f"n{i}" for i in range(5)]
+# Edges run from a lower to a higher node, so every hierarchy drawn is acyclic.
+EDGES = st.lists(
+    st.sampled_from([(a, b) for i, a in enumerate(NODES) for b in NODES[i + 1 :]]),
+    unique=True,
+    max_size=6,
+)
+ENTRIES = st.dictionaries(
+    st.tuples(st.sampled_from(["im0", "im1", "im2"]), st.sampled_from(NODES)),
+    st.sampled_from([1, -1]),
+    max_size=10,
+)
+
+
+def closure_or_conflict(table, hierarchy):
+    """expand_verification's result, or the message of the conflict it raises."""
+    try:
+        return expand_verification(table, hierarchy)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestKeptClosure:
+    """A table keeps its closure over the hierarchy it was last closed over."""
+
+    @given(ENTRIES, EDGES)
+    def test_a_repeat_or_an_equal_hierarchy_gets_the_same_closure(self, entries, edges):
+        table = VerificationTable(entries)
+        first = closure_or_conflict(table, Hierarchy(edges))
+        again = closure_or_conflict(table, Hierarchy(edges))
+        equal = closure_or_conflict(table, Hierarchy(reversed(edges)))
+        if isinstance(first, str):
+            assert again == equal == first
+        else:
+            assert again is first and equal is first
+
+    @given(ENTRIES, EDGES, EDGES)
+    def test_another_hierarchy_gets_a_fresh_closure(self, entries, edges, other_edges):
+        assume(Hierarchy(edges) != Hierarchy(other_edges))
+        table = VerificationTable(entries)
+        first = closure_or_conflict(table, Hierarchy(edges))
+        other = closure_or_conflict(table, Hierarchy(other_edges))
+        if not isinstance(first, str):
+            assert other is not first
+        assert other == closure_or_conflict(VerificationTable(entries), Hierarchy(other_edges))
+
+    @given(ENTRIES, EDGES)
+    def test_a_conflicting_table_raises_on_every_call(self, entries, edges):
+        # n0 is a kind of n1; im9 is verified an n0 and not an n1.
+        hierarchy = Hierarchy([*edges, ("n0", "n1")])
+        table = VerificationTable({**entries, ("im9", "n0"): 1, ("im9", "n1"): -1})
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValidationError) as info:
+                expand_verification(table, hierarchy)
+            messages.append(str(info.value))
+        assert messages[0].startswith("hierarchy expansion produces conflicting verifications:")
+        assert messages == [messages[0]] * 3
+        assert table._closure is None
+
+    @given(ENTRIES, EDGES)
+    def test_new_tables_start_without_a_closure(self, entries, edges):
+        table = VerificationTable(entries)
+        columns = VerificationTable.from_columns(
+            table.image_ids, table.category_ids, table.image_codes, table.category_codes,
+            table.signs,
+        )
+        assert table._closure is None and columns._closure is None
+        closure = closure_or_conflict(table, Hierarchy(edges))
+        assert table.take(np.arange(len(table)))._closure is None
+        if not isinstance(closure, str):
+            assert closure._closure is None
+
+    @given(ENTRIES, EDGES)
+    def test_the_closure_dies_with_its_table_without_the_collector(self, entries, edges):
+        # The closure refers to neither itself nor its table, so reference
+        # counting frees it.  The table type takes no weak references; the
+        # closure's own sign column stands in for it.
+        table = VerificationTable(entries)
+        gc.disable()
+        try:
+            closure = closure_or_conflict(table, Hierarchy(edges))
+            assume(not isinstance(closure, str))
+            closure.status("im0", "n0")
+            signs = weakref.ref(closure.signs)
+            del closure
+            assert signs() is not None
+            del table
+            assert signs() is None
+        finally:
+            gc.enable()
 
 
 def assign_rois_loop(

@@ -112,6 +112,32 @@ class TestPredictions:
         with pytest.raises(ParseError):
             fileio.parse_predictions(fileio.PREDICTIONS_HEADER + "\r\n")
 
+    def test_carriage_return_reports_its_line(self):
+        data = (
+            fileio.PREDICTIONS_HEADER.encode() + b"\n"
+            b"im1,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+            b"im2,c1,0.5,0.0,0.0,4.0,3.0,,,\r\n"
+            b"im3,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+        )
+        with pytest.raises(ParseError) as info:
+            fileio.parse_predictions(data)
+        assert info.value.line == 3
+        assert info.value.reason == "carriage returns are not allowed; files are LF-terminated"
+
+    def test_bad_utf8_byte_is_reported_before_an_earlier_carriage_return(self):
+        # The decode runs first, so a bad byte on line 4 wins over a
+        # carriage return on line 2.
+        data = (
+            fileio.PREDICTIONS_HEADER.encode() + b"\n"
+            b"im1,c1,0.5,0.0,0.0,4.0,3.0,,,\r\n"
+            b"im2,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+            b"im\xff,c1,0.5,0.0,0.0,4.0,3.0,,,\n"
+        )
+        with pytest.raises(ParseError) as info:
+            fileio.parse_predictions(data)
+        assert info.value.line == 4
+        assert "not valid UTF-8" in info.value.reason
+
 
 class TestSerializedSize:
     def test_empty_is_header(self):
