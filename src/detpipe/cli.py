@@ -4,24 +4,27 @@ Every pipeline operation is a subcommand; ``pipeline`` chains them from a
 plain-text configuration file, with the parser that parsed its own
 arguments.  Within one pipeline run, a file that several stages read is
 parsed once, as a predictions, ground-truth or verification table, and
-released after its last reader, and a predictions table that a stage writes
-is handed, with the lines formatted for the write, to the later stages that
-read its file.  The run keeps one BLAKE2b digest per path, of the bytes last
-parsed or written there, and no bytes: a stage that reads a file whose bytes
-no longer match parses them.  A verification file is one coded
+released after its last reader.  A file that a stage writes goes to the
+later stages that read it as the value written: a predictions table, with
+the lines formatted for the write, and a label matrix, a RoI pool or a list
+of category groups when parsing the bytes would give exactly that value.
+The run keeps one BLAKE2b digest per path, of the bytes last parsed or
+written there, and no bytes: a stage that reads a file whose bytes no
+longer match parses them.  A verification file is one coded
 ``VerificationTable`` from parse to hierarchy expansion, and the table
 keeps its closure over the hierarchy, so ``eval`` and every ``assign``
 that read one parse share one closure.  ``assign`` closes the whole table,
 which checks every image for conflicts, and reads its image's label
-statuses from that closure.  It, ``sample-rois``, ``filter-expert`` and
-``eval`` take ground-truth boxes and codes from the table and build no row
-views beyond one image's.  A stage may not name one file for two of its
-outputs, nor a pipeline stage the run's manifest.  Outputs are written
-atomically (to a temporary file in the destination directory, then
-renamed).  ``main`` freezes the objects its imports left before it runs, so
-the collections that parsing triggers do not scan them again.  Exit
-status: 0 on success, 1 on validation or I/O errors (one machine-parsable
-line on stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
+statuses from that closure.  It, ``sample-rois``, ``partition-pool``,
+``filter-expert`` and ``eval`` take boxes and codes from the tables and
+pools, and build no row views beyond one image's ground truth.  A stage may
+not name one file for two of its outputs, nor a pipeline stage the run's
+manifest.  Outputs are written atomically (to a temporary file in the
+destination directory, then renamed).  ``main`` freezes the objects its
+imports left before it runs, so the collections that parsing triggers do
+not scan them again.  Exit status: 0 on success, 1 on validation or I/O
+errors (one machine-parsable line on stderr: ``error<TAB>type<TAB>message``),
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .ensemble import ensemble, nms
 from .errors import ValidationError
 from .evaluation import evaluate
 from .experts import (
+    CategoryGroup,
     filter_for_expert,
     rarity_ranking,
     restrict_predictions,
@@ -67,7 +71,7 @@ from .postprocess import (
     drop_small_masks,
     trim_to_budget,
 )
-from .records import DEFAULT_POOL_LIMIT, Roi, RoiPool
+from .records import DEFAULT_POOL_LIMIT
 from .table import PredictionTable
 from .training import SamplerConfig, base_lr, cosine_lr, fnv1a64, partition_pool, sample_rois
 
@@ -109,7 +113,9 @@ class _Record:
     ``readers`` counts the stages that list the path and have not finished,
     the running one included.  ``digest`` is the BLAKE2b digest of the bytes
     this run last parsed or wrote at the path, and ``result`` what ``parse``
-    gives for those bytes; they are kept only for a later reader."""
+    gives for those bytes: the result of an earlier reader's parse, or the
+    value a stage wrote there.  They are kept only for a later reader, and
+    only the stages' writers and ``_load`` set them."""
 
     readers: int
     digest: bytes = b""
@@ -126,8 +132,8 @@ _store: dict[str, _Record] = {}
 
 def _load(parse: Callable[[bytes], object], path: str):
     """parse(the bytes at path), or what this run kept for the same parser
-    and the same bytes at that path: an earlier stage's parse, or the
-    predictions table that a stage wrote there."""
+    and the same bytes at that path: an earlier stage's parse, or the value
+    that a stage wrote there."""
     data = _read_bytes(path)
     record = _store.get(path)
     if record is None or (record.parse is None and record.readers == 1):
@@ -141,17 +147,23 @@ def _load(parse: Callable[[bytes], object], path: str):
     return result
 
 
-def _write_predictions(path: str, table: PredictionTable) -> None:
-    """Write a predictions table, formatting its rows once, and hand the
-    table to the later stages of this run that read the path: it is what
-    parse_prediction_table gives for the bytes written."""
-    table.lines = _prediction_lines(table)
-    data = fileio.write_predictions(table)
+def _write(path: str, data: bytes, parse: Callable | None = None, value: object = None) -> None:
+    """Write a stage's output atomically.  With parse, the later stages of
+    this run that read the path with parse get value, for as long as the
+    file keeps these bytes: value must be exactly what parse gives for
+    them.  Without, nothing is handed and the path's next reader parses."""
     _write_bytes_atomic(path, data)
     record = _store.get(path)
     if record is not None:
-        digest = blake2b(data).digest()
-        _store[path] = _Record(record.readers, digest, fileio.parse_prediction_table, table)
+        digest = blake2b(data).digest() if parse else b""
+        _store[path] = _Record(record.readers, digest, parse, value)
+
+
+def _write_predictions(path: str, table: PredictionTable) -> None:
+    """Write a predictions table, formatting its rows once, and hand it,
+    with those lines, to the path's later readers."""
+    table.lines = _prediction_lines(table)
+    _write(path, fileio.write_predictions(table), fileio.parse_prediction_table, table)
 
 
 def _finished(inputs: list[str]) -> None:
@@ -259,15 +271,18 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     verification = _load(fileio.parse_verification, args.verification)
     hierarchy = _load(fileio.parse_hierarchy, args.hierarchy)
     categories = _load(fileio.parse_category_list, args.categories)
-    if args.image_id not in pool.images:
+    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
+    if args.image_id not in roi_rows:
         raise ValidationError(f"image {args.image_id!r} is not in the RoI pool")
-    boxes = [roi.box for roi in pool.images[args.image_id]]
     gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
     image_gts = gts.take(gt_rows.get(args.image_id, _NO_ROWS))
     expanded = expand_verification(verification, hierarchy)
-    assignment = assign_rois(boxes, image_gts, args.iou_threshold)
+    assignment = assign_rois(pool.boxes[roi_rows[args.image_id]], image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
-    _write_bytes_atomic(args.out, fileio.write_label_matrix(matrix))
+    # The parser rejects a matrix without cells; the categories come from a
+    # parsed category list, so any other matrix reads back as itself.
+    parse = fileio.parse_label_matrix if matrix.values.size else None
+    _write(args.out, fileio.write_label_matrix(matrix), parse, matrix)
     return 0
 
 
@@ -306,28 +321,30 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
         fg_iou_threshold=args.fg_iou_threshold,
         seed=args.seed,
     )
+    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
     gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
     samples: dict[str, list[int]] = {}
-    for image_id in sorted(pool.images):
-        boxes = [roi.box for roi in pool.images[image_id]]
+    for image_id in pool.image_ids:
         gt_boxes = gts.boxes[gt_rows.get(image_id, _NO_ROWS)]
         per_image = replace(config, seed=config.seed ^ fnv1a64(image_id))
-        samples[image_id] = sample_rois(boxes, gt_boxes, per_image)
-    _write_bytes_atomic(args.out, fileio.write_sampled_indices(samples))
+        samples[image_id] = sample_rois(pool.boxes[roi_rows[image_id]], gt_boxes, per_image)
+    _write(args.out, fileio.write_sampled_indices(samples))
     return 0
 
 
 def _cmd_partition_pool(args: argparse.Namespace) -> int:
     paths = _partition_paths(args)
     pool = _load(fileio.parse_roi_pool, args.rois)
-    parts: list[dict[str, tuple[Roi, ...]]] = [{} for _ in paths]
-    for image_id in sorted(pool.images):
-        for index, chunk in enumerate(partition_pool(pool.images[image_id], args.k)):
-            if chunk:
-                parts[index][image_id] = tuple(chunk)
-    for path, images in zip(paths, parts):
-        part_pool = RoiPool(images, max_per_image=pool.max_per_image)
-        _write_bytes_atomic(path, fileio.write_roi_pool(part_pool))
+    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
+    parts: list[list[np.ndarray]] = [[_NO_ROWS] for _ in paths]
+    for image_id in pool.image_ids:
+        for index, chunk in enumerate(partition_pool(roi_rows[image_id], args.k)):
+            parts[index].append(np.array(chunk, dtype=np.int64))
+    # Images in id order and each image's rows in order, as the file
+    # holds them: the part reads back as itself.
+    for path, rows in zip(paths, parts):
+        part = pool.take(np.concatenate(rows))
+        _write(path, fileio.write_roi_pool(part), fileio.parse_roi_pool, part)
     return 0
 
 
@@ -369,7 +386,9 @@ def _cmd_split_experts(args: argparse.Namespace) -> int:
             raise ValidationError("--k is required with --by embedding")
         table = _load(fileio.parse_embeddings, args.embeddings)
         groups = split_by_embedding(table, args.k, seed=args.seed)
-    _write_bytes_atomic(args.out, fileio.write_category_groups(groups))
+    # A group file records only each group's categories.
+    written = [CategoryGroup(group.categories) for group in groups]
+    _write(args.out, fileio.write_category_groups(groups), fileio.parse_category_groups, written)
     return 0
 
 
@@ -395,9 +414,9 @@ def _cmd_filter_expert(args: argparse.Namespace) -> int:
     verification = _load(fileio.parse_verification, args.verification)
     group = _select_group(args.group_file, args.group_index)
     kept_gts, kept_verification, kept_images = filter_for_expert(gts, verification, group)
-    _write_bytes_atomic(args.out_ground_truth, fileio.write_ground_truth(kept_gts))
-    _write_bytes_atomic(args.out_verification, fileio.write_verification(kept_verification))
-    _write_bytes_atomic(args.out_images, fileio.write_image_list(kept_images))
+    _write(args.out_ground_truth, fileio.write_ground_truth(kept_gts))
+    _write(args.out_verification, fileio.write_verification(kept_verification))
+    _write(args.out_images, fileio.write_image_list(kept_images))
     return 0
 
 
@@ -418,7 +437,7 @@ def _cmd_trim(args: argparse.Namespace) -> int:
     table = _load(fileio.parse_prediction_table, args.input)
     survivors, report = trim_to_budget(table, args.max_bytes)
     _write_predictions(args.out, survivors)
-    _write_bytes_atomic(args.report, fileio.write_trim_report(report))
+    _write(args.report, fileio.write_trim_report(report))
     return 0
 
 
@@ -430,7 +449,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(
         predictions, gts, verification, hierarchy, args.iou_threshold, args.mode
     )
-    _write_bytes_atomic(args.out_report, fileio.write_eval_report(report))
+    _write(args.out_report, fileio.write_eval_report(report))
     print(f"mAP,{report.mean_ap:.6f}")
     return 0
 

@@ -151,12 +151,13 @@ def expand_verification(table: VerificationTable, hierarchy: Hierarchy) -> Verif
 
 
 def assign_rois(
-    rois: Sequence[Box],
+    rois: Sequence[Box] | np.ndarray,
     gts: GroundTruth,
     iou_threshold: float = 0.5,
 ) -> Assignment:
-    """Assign each RoI to the ground truth of maximal IoU, if it clears the
-    threshold; ties break toward the smallest ground-truth index."""
+    """Assign each RoI, a box or a row of ``[N, 4]`` corners, to the ground
+    truth of maximal IoU, if it clears the threshold; ties break toward the
+    smallest ground-truth index."""
     _check_iou_threshold(iou_threshold)
     ious, indices = _best_overlaps(rois, as_ground_truth(gts).boxes)
     indices = np.where(ious >= iou_threshold, indices, -1).tolist()

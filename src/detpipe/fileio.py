@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, count, cycle, groupby, islice, repeat
-from math import isfinite
+from itertools import chain, count, cycle, islice, repeat
+from math import isfinite, isnan, nan
 from operator import itemgetter
 
 import numpy as np
@@ -50,7 +50,9 @@ from .records import (
     RoiPool,
     VerificationTable,
     _check_id,
+    _check_pool_limit,
     _Codes,
+    _intern,
 )
 from .table import (
     GroundTruth,
@@ -625,12 +627,13 @@ def write_category_stats(stats: CategoryStats) -> bytes:
 # -- RoI pool ------------------------------------------------------------------
 
 
-def _roi_pool_rows(
-    lines: list[str], first: int, images: dict[str, list[Roi]], max_per_image: int
-) -> None:
-    """Add a chunk's rows to images row by row: the source of every RoI pool
-    ParseError."""
-    for number, line in _numbered(lines, first):
+def _roi_pool_rows(lines: list[str], max_per_image: int) -> tuple[list[str], np.ndarray]:
+    """A file's image ids and its [5, N] numbers (the box, then objectness,
+    NaN for none), row by row: the source of every RoI pool ParseError."""
+    counts: dict[str, int] = {}
+    image_ids: list[str] = []
+    numbers: list[tuple[float, ...]] = []
+    for number, line in _numbered(lines, 2):
         parts = _split(line, number, 6)
         _parse_id(parts[0], number, "image_id")
         objectness = None
@@ -641,72 +644,98 @@ def _roi_pool_rows(
             roi = Roi(box, objectness)
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
-        per_image = images.setdefault(parts[0], [])
-        if len(per_image) >= max_per_image:
+        held = counts.get(parts[0], 0)
+        if held >= max_per_image:
             raise ParseError(
                 number,
                 f"image {parts[0]!r} exceeds the pool limit of {max_per_image} RoIs",
             )
-        per_image.append(roi)
+        counts[parts[0]] = held + 1
+        image_ids.append(parts[0])
+        numbers.append((*_box_numbers(box), nan if roi.objectness is None else roi.objectness))
+    return image_ids, np.array(numbers).reshape(-1, 5).T
 
 
-def _roi_pool_columns(
-    lines: list[str], images: dict[str, list[Roi]], max_per_image: int
-) -> bool:
-    """Add a chunk to images column by column when its rows all pass the
-    record checks and the pool limit; otherwise add nothing and say so."""
+def _roi_pool_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:
+    """A chunk's image ids and [5, n] numbers, as _roi_pool_rows gives them,
+    column by column, when every row passes the record checks; None
+    otherwise."""
     tokens = _split_chunk(lines, 6)
     if tokens is None:
-        return False
+        return None
     image_ids, objectness = tokens[0::6], tokens[5::6]
     if "" in image_ids:
-        return False
+        return None
+    n = len(lines)
+    given = np.fromiter(map(bool, objectness), bool, n)
     try:
-        boxes = map(Box, *[map(float, tokens[k::6]) for k in range(1, 5)])
-        scores = (
-            [float(text) if text else None for text in objectness]
-            if "" in objectness
-            else map(float, objectness)
+        numbers = np.array(
+            [np.fromiter(map(float, tokens[k::6]), np.float64, n) for k in range(1, 5)]
+            + [np.fromiter((float(text) if text else nan for text in objectness), np.float64, n)]
         )
-        rois = list(map(Roi, boxes, scores))
-    except (ValueError, ValidationError):
-        return False
-    added: dict[str, list[Roi]] = {}
-    for image_id, run in groupby(zip(image_ids, rois), itemgetter(0)):
-        added.setdefault(image_id, []).extend(map(itemgetter(1), run))
-    if any(
-        len(images.get(image_id, ())) + len(rois) > max_per_image
-        for image_id, rois in added.items()
-    ):
-        return False
-    for image_id, rois in added.items():
-        images.setdefault(image_id, []).extend(rois)
-    return True
+    except ValueError:
+        return None
+    x_min, y_min, x_max, y_max, scores = numbers
+    # Box's and Roi's accept tests, column by column; a sum that overflows
+    # fails here and the row-by-row parse judges the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (
+            np.all(x_min <= x_max)
+            and np.all(y_min <= y_max)
+            and np.all(np.isfinite(x_min + y_min + x_max + y_max))
+            and np.all(np.isfinite(scores) | ~given)
+        ):
+            return None
+    return image_ids, numbers
 
 
 def parse_roi_pool(
     data: bytes | str, max_per_image: int = DEFAULT_POOL_LIMIT
 ) -> RoiPool:
-    """Parse a RoI pool file, a chunk of rows at a time: column by column
-    when every row of the chunk is valid, row by row otherwise."""
-    images: dict[str, list[Roi]] = {}
-    for first, chunk in _chunks(_data_lines(data, ROI_POOL_HEADER)):
-        if not _roi_pool_columns(chunk, images, max_per_image):
-            _roi_pool_rows(chunk, first, images, max_per_image)
-    return RoiPool(
-        {image_id: tuple(rois) for image_id, rois in images.items()},
-        max_per_image=max_per_image,
-    )
+    """Parse a RoI pool file into columns.  The file is parsed column by
+    column, a chunk of rows at a time, when every chunk passes the record
+    checks and one count of each image's rows finds none over the limit;
+    otherwise row by row, so the first bad row, or the row that takes its
+    image over the limit, reports its own line."""
+    lines = _data_lines(data, ROI_POOL_HEADER)
+    images, numbers = _Codes(), []
+    for _, chunk in _chunks(lines):
+        columns = _roi_pool_columns(chunk)
+        if columns is None:
+            break
+        images.add(columns[0])
+        numbers.append(columns[1])
+    else:
+        image_ids, image_codes = images.finish()
+        if np.bincount(image_codes).max(initial=0) <= max_per_image:
+            return _roi_pool(image_ids, image_codes, numbers, max_per_image)
+    # The rows one by one raise the first row's error, or give every row
+    # when only the column checks turned one away (a sum that overflows).
+    image_ids, numbers = _roi_pool_rows(lines, max_per_image)
+    return _roi_pool(*_intern(image_ids), [numbers], max_per_image)
+
+
+def _roi_pool(image_ids, image_codes, numbers: list[np.ndarray], max_per_image: int) -> RoiPool:
+    _check_pool_limit(max_per_image)
+    numbers = np.concatenate(numbers, axis=1) if numbers else np.zeros((5, 0))
+    boxes = np.ascontiguousarray(numbers[:4].T)
+    return RoiPool.from_columns(image_ids, image_codes, boxes, numbers[4].copy(), max_per_image)
 
 
 def write_roi_pool(pool: RoiPool) -> bytes:
+    """One line per RoI, image by image in id order, each image's RoIs in
+    row order."""
+    order = np.argsort(pool.image_codes, kind="stable")
+    coordinates = map(repr, pool.boxes[order].ravel().tolist())
     return _table(
         ROI_POOL_HEADER,
-        (
-            f"{image_id},{_box_fields(roi.box)},"
-            f"{'' if roi.objectness is None else _fmt_float(roi.objectness)}"
-            for image_id in sorted(pool.images)
-            for roi in pool.images[image_id]
+        map(
+            ",".join,
+            zip(
+                map(pool.image_ids.__getitem__, pool.image_codes[order].tolist()),
+                map(",".join, zip(*[coordinates] * 4)),
+                ["" if isnan(value) else repr(value) for value in pool.objectness[order].tolist()],
+            ),
         ),
     )
 
@@ -879,7 +908,7 @@ def _label_column(texts: list[str]) -> np.ndarray:
 
 
 def _logit_column(texts: list[str]) -> np.ndarray:
-    return np.array(list(map(float, texts)))
+    return np.fromiter(map(float, texts), np.float64, len(texts))
 
 
 def _matrix_chunk(lines: list[str], value_column):
@@ -888,8 +917,11 @@ def _matrix_chunk(lines: list[str], value_column):
     tokens = _split_chunk(lines, 3)
     if tokens is None:
         return None
+    rois = tokens[0::3]
     try:
-        return list(map(int, tokens[0::3])), tokens[1::3], value_column(tokens[2::3])
+        # A RoI's index repeats on each of its cells: convert each text once.
+        index = {text: int(text) for text in set(rois)}
+        return list(map(index.__getitem__, rois)), tokens[1::3], value_column(tokens[2::3])
     except ValueError:
         return None
 
@@ -1002,22 +1034,25 @@ def parse_label_matrix(data: bytes | str):
     return LabelMatrix(values, categories)
 
 
-def _matrix_file(header: str, categories: Sequence[str], n_rois: int, texts) -> bytes:
-    """A long-format matrix file, one line per cell, roi-major, from the
-    cells' texts in that order; each category's ",id," is formatted once."""
-    middles = [f",{category_id}," for category_id in categories]
-    roi_texts = chain.from_iterable(repeat(str(i), len(middles)) for i in range(n_rois))
-    return _table(header, map("".join, zip(roi_texts, cycle(middles), texts)))
+def _matrix_file(header: str, cells: list[list[str]]) -> bytes:
+    """A long-format matrix file, one line per cell, RoI-major, from each
+    RoI's cells as ",category_id,value" texts: one join per RoI."""
+    lines = [header]
+    for roi, row in enumerate(cells):
+        if row:
+            index = str(roi)
+            lines.append(index + ("\n" + index).join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_label_matrix(matrix) -> bytes:
-    values = matrix.values
-    return _matrix_file(
-        LABELS_HEADER,
-        matrix.categories,
-        values.shape[0],
-        map(_LABEL_TEXT.__getitem__, values.ravel().tolist()),
-    )
+    """Each cell's text is looked up, not formatted: every category's three
+    cells are formatted once."""
+    texts = np.array(
+        [[f",{category_id},{text}" for category_id in matrix.categories] for text in _LABEL_TEXT],
+        dtype=object,
+    ).reshape(len(_LABEL_TEXT), -1)
+    return _matrix_file(LABELS_HEADER, texts[matrix.values, np.arange(texts.shape[1])].tolist())
 
 
 def parse_logit_matrix(data: bytes | str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -1031,7 +1066,10 @@ def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:
     if arr.ndim != 2 or arr.shape[1] != len(categories):
         raise ValidationError("logit matrix shape does not match the category list")
     # repr() of a Python float is the shortest string that round-trips.
-    return _matrix_file(LOGITS_HEADER, categories, arr.shape[0], map(repr, arr.ravel().tolist()))
+    return _matrix_file(
+        LOGITS_HEADER,
+        [[f",{c},{v!r}" for c, v in zip(categories, row)] for row in arr.tolist()],
+    )
 
 
 # -- reports ---------------------------------------------------------------------

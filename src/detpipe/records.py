@@ -11,12 +11,12 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import count
-from math import isfinite
+from math import isfinite, isnan, nan
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BinaryMask, Box
+from .geometry import BinaryMask, Box, _corners
 
 __all__ = [
     "POSITIVE",
@@ -420,7 +420,8 @@ class CategoryStats:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Roi:
-    """A candidate region presented to a detector head."""
+    """A candidate region presented to a detector head: the record that
+    ``RoiPool(images)`` takes, and the row view ``RoiPool.images`` gives."""
 
     box: Box
     objectness: float | None = None
@@ -435,30 +436,122 @@ class Roi:
         _set(self, "objectness", objectness)
 
 
-@dataclass(frozen=True)
+def _check_pool_limit(max_per_image: int) -> None:
+    if max_per_image < 1:
+        raise ValidationError(f"max_per_image must be >= 1, got {max_per_image}")
+
+
 class RoiPool:
-    """Pre-computed RoIs per image, capped at max_per_image."""
+    """Pre-computed RoIs of images, at most ``max_per_image`` an image, held
+    as columns: the sorted ids of the images that have RoIs, each row's
+    int32 code among them, ``boxes`` as float64 ``[N, 4]`` (x_min, y_min,
+    x_max, y_max) and ``objectness`` as float64 ``[N]``, NaN for none (a
+    given objectness is finite).
 
-    images: dict[str, tuple[Roi, ...]] = field(default_factory=dict)
-    max_per_image: int = DEFAULT_POOL_LIMIT
+    ``RoiPool(images)`` checks a mapping of image ids to ``Roi`` records and
+    holds its rows image by image, in the mapping's order; an image without
+    RoIs is not held, as a pool file has no line for it.  ``from_columns``
+    trusts its columns, as the parser and ``take`` give them.  ``images``
+    maps each image id, in the order of its first row, to the ``Roi`` views
+    of its rows, in row order; it is built on first access.  A pool's length
+    is its number of images, and two pools are equal when their images and
+    limits are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.max_per_image < 1:
-            raise ValidationError(f"max_per_image must be >= 1, got {self.max_per_image}")
-        copied: dict[str, tuple[Roi, ...]] = {}
-        for image_id, rois in self.images.items():
+    __slots__ = ("image_ids", "image_codes", "boxes", "objectness", "max_per_image", "_images")
+    __hash__ = None
+
+    def __init__(
+        self,
+        images: Mapping[str, Sequence[Roi]] | None = None,
+        max_per_image: int = DEFAULT_POOL_LIMIT,
+    ) -> None:
+        _check_pool_limit(max_per_image)
+        ids: list[str] = []
+        rois: list[Roi] = []
+        for image_id, image_rois in (images or {}).items():
             _check_id("image_id", image_id)
-            rois = tuple(rois)
-            if len(rois) > self.max_per_image:
+            image_rois = tuple(image_rois)
+            if len(image_rois) > max_per_image:
                 raise ValidationError(
-                    f"image {image_id!r} has {len(rois)} RoIs, exceeding the "
-                    f"pool limit of {self.max_per_image}"
+                    f"image {image_id!r} has {len(image_rois)} RoIs, exceeding the "
+                    f"pool limit of {max_per_image}"
                 )
-            copied[image_id] = rois
-        object.__setattr__(self, "images", copied)
+            ids += [image_id] * len(image_rois)
+            rois += image_rois
+        image_ids, image_codes = _intern(ids)
+        objectness = [nan if roi.objectness is None else roi.objectness for roi in rois]
+        self._fill(
+            image_ids,
+            image_codes,
+            _corners([roi.box for roi in rois]),
+            np.array(objectness, dtype=np.float64),
+            max_per_image,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        image_ids: tuple[str, ...],
+        image_codes: np.ndarray,
+        boxes: np.ndarray,
+        objectness: np.ndarray,
+        max_per_image: int,
+    ) -> RoiPool:
+        pool = cls.__new__(cls)
+        pool._fill(image_ids, image_codes, boxes, objectness, max_per_image)
+        return pool
+
+    def _fill(self, image_ids, image_codes, boxes, objectness, max_per_image) -> None:
+        self.image_ids = image_ids
+        self.image_codes = image_codes
+        self.boxes = boxes
+        self.objectness = objectness
+        self.max_per_image = max_per_image
+        self._images = None
+
+    @property
+    def images(self) -> dict[str, tuple[Roi, ...]]:
+        """Image id -> the image's RoIs, in row order."""
+        if self._images is None:
+            boxes = map(Box, *self.boxes.T.tolist())
+            scores = [None if isnan(value) else value for value in self.objectness.tolist()]
+            rois = list(map(Roi, boxes, scores))
+            order = np.argsort(self.image_codes, kind="stable")
+            bounds = np.searchsorted(
+                self.image_codes[order], np.arange(len(self.image_ids) + 1)
+            ).tolist()
+            firsts = order[bounds[:-1]].tolist()
+            self._images = {
+                self.image_ids[code]: tuple(
+                    map(rois.__getitem__, order[bounds[code] : bounds[code + 1]].tolist())
+                )
+                for code in sorted(range(len(self.image_ids)), key=firsts.__getitem__)
+            }
+        return self._images
+
+    def take(self, indices: np.ndarray) -> RoiPool:
+        """The rows at the given indices, in that order, over the ids of the
+        images they hold."""
+        present, codes = np.unique(self.image_codes[indices], return_inverse=True)
+        return RoiPool.from_columns(
+            tuple(map(self.image_ids.__getitem__, present.tolist())),
+            codes.astype(np.int32),
+            self.boxes[indices],
+            self.objectness[indices],
+            self.max_per_image,
+        )
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.image_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoiPool):
+            return NotImplemented
+        return self.images == other.images and self.max_per_image == other.max_per_image
+
+    def __repr__(self) -> str:
+        return f"RoiPool({self.images!r}, max_per_image={self.max_per_image!r})"
 
 
 class EmbeddingTable:

@@ -12,6 +12,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
+import numpy as np
+
 from .errors import ValidationError
 from .geometry import Box, _best_overlaps, _check_integer
 
@@ -111,19 +113,20 @@ class SamplerConfig:
 
 
 def sample_rois(
-    rois: Sequence[Box],
-    gt_boxes: Sequence[Box],
+    rois: Sequence[Box] | np.ndarray,
+    gt_boxes: Sequence[Box] | np.ndarray,
     config: SamplerConfig,
 ) -> list[int]:
     """Sample distinct RoI indices for one image, stratified into foreground
-    (max IoU to any ground truth >= fg_iou_threshold) and background.
+    (max IoU to any ground truth >= fg_iou_threshold) and background.  RoIs
+    and ground truth are boxes or ``[N, 4]`` corner arrays.
 
     Foreground fills up to ceil(fg_fraction * n_sample) slots when available;
     background fills the rest; a shortfall on either side is topped up from
     the other.  Output lists the foreground draws first, then background, each
     in draw order.  Deterministic given the seed.
     """
-    if not rois:
+    if not len(rois):
         raise ValidationError("RoI pool for the image is empty")
     n_take = min(config.n_sample, len(rois))
     is_foreground = _best_overlaps(rois, gt_boxes)[0] >= config.fg_iou_threshold

@@ -31,6 +31,7 @@ from detpipe.federated import assign_rois, build_label_matrix, expand_verificati
 from detpipe.fileio import (
     GROUND_TRUTH_HEADER,
     PREDICTIONS_HEADER,
+    ROI_POOL_HEADER,
     VERIFICATION_HEADER,
     _csv_lines,
     _parse_box,
@@ -283,8 +284,9 @@ def test_a_parse_sorts_each_id_column_once(parse, header, rows):
 # -- what a parse holds -------------------------------------------------------------
 
 
-def held_per_row(parse, data, rows):
-    """Bytes that the parse's result holds, per row, from tracemalloc."""
+def held_per_row(parse, data, rows, count=len):
+    """Bytes that the parse's result holds, per row, from tracemalloc; count
+    gives the result's rows."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -293,7 +295,7 @@ def held_per_row(parse, data, rows):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(result) == rows
+    assert count(result) == rows
     return held / rows
 
 
@@ -314,6 +316,21 @@ def test_verification_holds_at_most_24_bytes_per_entry():
     rows = [f"img{i // 10:05d},p{(13 * i) % 500:03d},{1 if i % 3 else -1}" for i in range(60_000)]
     data = (VERIFICATION_HEADER + "\n" + "".join(row + "\n" for row in rows)).encode()
     assert held_per_row(fileio.parse_verification, data, len(rows)) <= 24
+
+
+def test_roi_pool_holds_at_most_80_bytes_per_row():
+    # expert-training's shape: 50 images of 160 RoIs, with objectness.  The
+    # records parse held 241 B/row here (Python 3.11, numpy 2.4).
+    rows = [
+        f"img{i // 160:05d},{i % 300}.5,{i % 200}.0,{i % 300 + 40}.5,{i % 200 + 30}.0,0.{i % 997:03d}"
+        for i in range(8000)
+    ]
+    data = (ROI_POOL_HEADER + "\n" + "".join(row + "\n" for row in rows)).encode()
+
+    def rois(pool):
+        return sum(map(len, pool.images.values()))
+
+    assert held_per_row(fileio.parse_roi_pool, data, len(rows), rois) <= 80
 
 
 # -- the benchmark's traced run -------------------------------------------------------

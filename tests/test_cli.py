@@ -1225,6 +1225,47 @@ class TestSharedInputs:
         assert cli._store == {}
         capsys.readouterr()
 
+    def test_expert_files_are_handed_on(self, tmp_path, monkeypatch, capsys):
+        # split-experts hands its groups to every filter-expert and restrict,
+        # partition-pool part_0.csv to sample-rois and both assigns, and
+        # each assign its label matrix to its loss: of those files only the
+        # fixture's rois.csv is parsed, and the outputs stay as recorded.
+        expected = self.EXPERT / "expected"
+        calls = counting_fileio(monkeypatch)
+        run_dir = tmp_path / "run"
+        config = str(self.EXPERT / "config.ini")
+        assert cli.run(["pipeline", "--config", config, "--run-dir", str(run_dir)]) == 0
+        parses = [calls[f"parse_{name}"] for name in ("label_matrix", "roi_pool", "category_groups")]
+        assert parses == [0, 1, 0]
+        assert capsys.readouterr().out == (expected / "stdout.txt").read_text()
+        for path in expected.iterdir():
+            if path.name != "stdout.txt":
+                assert (run_dir / path.name).read_bytes() == path.read_bytes(), path.name
+        assert cli._store == {}
+
+    def test_a_matrix_the_parser_rejects_is_not_handed(self, tmp_path, capsys):
+        # With no categories, and a threshold that assigns no RoI of im0,
+        # assign writes a label matrix without cells, which the parser
+        # rejects: loss parses it and fails as it does when run alone.
+        inputs = shutil.copytree(
+            self.EXPERT, tmp_path / "inputs", ignore=shutil.ignore_patterns("expected")
+        )
+        write(inputs / "categories.csv", fileio.write_category_list([]))
+        text = (inputs / "config.ini").read_text()
+        sections = text[text.index("[partition-pool]") : text.index("[sample-rois]")]
+        sections += text[text.index("[assign.im0]") :].replace("iou-threshold = 0.5", "iou-threshold = 1.0")
+        config = write(inputs / "config.ini", sections.encode())
+        run_dir = tmp_path / "run"
+        assert cli.run(["pipeline", "--config", str(config), "--run-dir", str(run_dir)]) == 1
+        error = "line 1: label matrix has no rows"
+        assert capsys.readouterr().err == (
+            f"error\tValidationError\tstage 'loss.im0' failed: {error}\n"
+        )
+        plan = json.loads((run_dir / "manifest.json").read_text())["stages"][2]
+        assert plan["section"] == "loss.im0"
+        assert cli.run(plan["argv"]) == 1
+        assert capsys.readouterr().err == f"error\tParseError\t{error}\n"
+
     def test_a_rewritten_file_is_parsed_again(self, tmp_path, capsys):
         # The run directory is the config directory, so the middle stage's
         # out-ground-truth overwrites the ground_truth.csv that the first

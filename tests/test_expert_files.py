@@ -8,6 +8,7 @@ here, and the line is checked against the file."""
 
 import contextlib
 import tracemalloc
+from itertools import chain, cycle, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detpipe import (
+    Box,
+    CategoryGroup,
     GroundTruthInstance,
     Hierarchy,
     LabelMatrix,
@@ -119,6 +122,15 @@ def write_label_matrix_ref(matrix):
             for j, category_id in enumerate(matrix.categories)
         ),
     )
+
+
+def write_label_matrix_cells_ref(matrix):
+    """The label writer as it was before it joined a RoI's cells at once:
+    three string operations per cell."""
+    middles = [f",{category_id}," for category_id in matrix.categories]
+    rois = chain.from_iterable(repeat(str(i), len(middles)) for i in range(matrix.values.shape[0]))
+    labels = map(("0", "1", "-1").__getitem__, matrix.values.ravel().tolist())
+    return _table(LABELS_HEADER, map("".join, zip(rois, cycle(middles), labels)))
 
 
 def write_logit_matrix_ref(logits, categories):
@@ -326,8 +338,25 @@ def matrix_rows(draw, tokens):
     return rows
 
 
+# Ids as the category-list parser accepts them, non-ASCII among them.
+CATEGORY_IDS = st.sampled_from(IDS) | st.text(
+    st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)), min_size=1, max_size=6
+)
+
+
 def label_matrix(values, categories):
     return LabelMatrix(np.asarray(values, dtype=np.int8), tuple(categories))
+
+
+def draw_labels(data, n_rois: int, n_categories: int) -> np.ndarray:
+    """Labels -1 or 0 in every cell, then +1 in at most one cell a RoI."""
+    cells = data.draw(st.lists(st.sampled_from([-1, 0]), min_size=n_rois * n_categories, max_size=n_rois * n_categories))
+    values = np.array(cells, dtype=np.int8).reshape(n_rois, n_categories)
+    for row in range(n_rois):
+        column = data.draw(st.integers(-1, n_categories - 1))
+        if column >= 0:
+            values[row, column] = 1
+    return values
 
 
 # -- matrices ------------------------------------------------------------------------
@@ -492,6 +521,16 @@ class TestMatrices:
         )
         ints = array.astype(np.int64)
         assert fileio.write_logit_matrix(ints, categories) == write_logit_matrix_ref(ints, categories)
+
+    @given(
+        st.lists(CATEGORY_IDS, min_size=0, max_size=30, unique=True),
+        st.integers(0, 40),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_label_writer_matches_the_cell_formatter(self, categories, n_rois, data):
+        matrix = label_matrix(draw_labels(data, n_rois, len(categories)), categories)
+        assert fileio.write_label_matrix(matrix) == write_label_matrix_cells_ref(matrix)
 
     def test_logit_writer_shape_error(self):
         for logits, categories in ((np.zeros((2, 3)), ["a", "b"]), (np.zeros(3), ["a", "b", "c"])):
@@ -704,6 +743,71 @@ class TestGroundTruthAndPools:
                 assert outcome(fileio.parse_roi_pool, data, 3) == outcome(
                     parse_roi_pool_ref, data, 3
                 ) == ("ParseError", "line 7: image 'a' exceeds the pool limit of 3 RoIs")
+
+
+# -- what a pipeline hands on -------------------------------------------------------
+#
+# A stage hands the value it wrote to the later readers of the file only when
+# parsing the bytes would give exactly that value.  These are the values the
+# CLI hands: a label matrix with cells, a RoI pool taken in image order from
+# a parsed one, and category groups as a group file records them.
+
+COORDINATE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 0.1, 1e-300, 5e-324, 1e308, -1e308])
+OBJECTNESS_VALUES = st.none() | st.sampled_from([0.5, -0.0, 0.1, 1e-300, 1e308]) | st.floats(-2, 2)
+
+
+@st.composite
+def pools(draw):
+    images = {}
+    for image_id in draw(st.lists(st.sampled_from(IDS), unique=True, max_size=4)):
+        rois = []
+        for _ in range(draw(st.integers(1, 5))):
+            x = sorted(draw(st.lists(COORDINATE_VALUES, min_size=2, max_size=2)))
+            y = sorted(draw(st.lists(COORDINATE_VALUES, min_size=2, max_size=2)))
+            rois.append(Roi(Box(x[0], y[0], x[1], y[1]), draw(OBJECTNESS_VALUES)))
+        images[image_id] = tuple(rois)
+    return RoiPool(images)
+
+
+def same_pool(actual, expected):
+    assert type(actual.image_ids) is tuple and actual.image_ids == expected.image_ids
+    for name in ("image_codes", "boxes", "objectness"):
+        same_array(getattr(actual, name), getattr(expected, name))
+    assert actual.max_per_image == expected.max_per_image
+
+
+class TestHandOff:
+    @given(st.lists(CATEGORY_IDS, min_size=1, max_size=6, unique=True), st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_label_matrix(self, categories, n_rois, data):
+        matrix = label_matrix(draw_labels(data, n_rois, len(categories)), categories)
+        parsed = fileio.parse_label_matrix(fileio.write_label_matrix(matrix))
+        same_array(parsed.values, matrix.values)
+        assert not parsed.values.flags.writeable and not matrix.values.flags.writeable
+        assert type(parsed.categories) is tuple and parsed.categories == matrix.categories
+
+    @given(pools(), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_roi_pool(self, pool, k, data):
+        # partition-pool's parts: each image's rows j, j + k, ... in image
+        # order, taken from the pool the file parses to.
+        parsed = fileio.parse_roi_pool(fileio.write_roi_pool(pool))
+        order = np.argsort(parsed.image_codes, kind="stable")
+        within = np.arange(len(order)) - np.searchsorted(parsed.image_codes[order], parsed.image_codes[order])
+        part = parsed.take(order[within % k == data.draw(st.integers(0, k - 1))])
+        for value in (parsed, part):
+            same_pool(fileio.parse_roi_pool(fileio.write_roi_pool(value)), value)
+
+    @given(st.lists(st.lists(CATEGORY_IDS, min_size=1, max_size=4, unique=True), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_category_groups(self, members):
+        groups = [CategoryGroup(tuple(m), provenance="rank") for m in members]
+        written = [CategoryGroup(group.categories) for group in groups]
+        parsed = fileio.parse_category_groups(fileio.write_category_groups(groups))
+        assert [(g.categories, g.provenance, g.rank_range) for g in parsed] == [
+            (g.categories, g.provenance, g.rank_range) for g in written
+        ]
+        assert all(type(g.categories) is tuple for g in parsed)
 
 
 # -- the column path ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detpipe import (
     Box,
+    GroundTruthInstance,
     SamplerConfig,
     SplitMix64,
     ValidationError,
@@ -15,6 +17,7 @@ from detpipe import (
     partition_pool,
     sample_rois,
 )
+from detpipe.federated import assign_rois
 from detpipe.geometry import box_iou
 
 from generators import HUGE_BOX, overlap_boxes
@@ -55,6 +58,18 @@ class TestSplitMix64:
         assert fnv1a64("") == 0xCBF29CE484222325
         assert fnv1a64("im1") == fnv1a64("im1")
         assert fnv1a64("im1") != fnv1a64("im2")
+
+
+def corners_of(boxes):
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]).reshape(-1, 4)
+
+
+def outcome(fn, *args):
+    """The call's result, or its error type and message."""
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def boxes_at(*corners):
@@ -152,6 +167,26 @@ class TestSampleRois:
     def test_empty_pool_is_error(self):
         with pytest.raises(ValidationError):
             sample_rois([], [], SamplerConfig())
+
+    @given(
+        st.lists(overlap_boxes(), max_size=12),
+        st.lists(overlap_boxes(), max_size=4),
+        sampler_configs,
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example([], [Box(0, 0, 1, 1)], SamplerConfig(2), 0.5)
+    def test_corner_arrays_are_boxes(self, rois, gt_boxes, config, threshold):
+        # A pool's [N, 4] corners, as the CLI passes them, give what its
+        # boxes give: the same sample or the same error, and the same
+        # assignment, for an empty pool too.
+        corners, gt_corners = corners_of(rois), corners_of(gt_boxes)
+        gts = [GroundTruthInstance("im", "c", box) for box in gt_boxes]
+        assert outcome(sample_rois, corners, gt_corners, config) == outcome(
+            sample_rois, rois, gt_boxes, config
+        )
+        # repr, since a nan IoU equals no other.
+        assigned = [repr(assign_rois(given, gts, threshold)) for given in (corners, rois)]
+        assert assigned[0] == assigned[1]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
