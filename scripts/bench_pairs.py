@@ -13,10 +13,18 @@ BENCHMARK.json declares, the script prints every pair, each side's median
 and quartiles, and how many pairs the change won, ties counting for
 neither.  A gain holds when the change wins at least nine tenths of the
 pairs and its median beats the parent's by more than the distance between
-the parent's quartiles.  Python runs the benchmark with ``-B``, so the
+the parent's quartiles.
+
+Each metric also gets a no-regression verdict against its ``bound``, a
+fraction of the parent's median.  It is "regressed" when the change's
+median is worse than the parent's by more than that margin; "unresolved"
+when the parent's quartile spread is wider than the margin and not every
+change run beats every parent run, so the pairs cannot tell; and "within
+bound" otherwise.  Python runs the benchmark with ``-B``, so the
 benchmark's own modules leave no bytecode under ``detbench/``; the
 pipelines it spawns are unaffected.  The script writes nothing itself; it
-exits 1 when a run fails or reports failed operations.
+exits 1 when a run fails or reports failed operations, or when a metric
+regressed.
 """
 
 from __future__ import annotations
@@ -50,8 +58,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def regression_verdict(higher_is_better: bool, bound: float, pairs: list[tuple[float, float]]) -> str:
+    """"regressed", "unresolved" or "within bound": the change's median
+    against the parent's, with a margin of bound times the parent's
+    median."""
+    parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+    (q1, median, q3), change = quartiles(parents), quartiles(changes)[1]
+    margin = bound * abs(median)
+    loss = median - change if higher_is_better else change - median
+    if loss > margin:
+        return "regressed"
+    beats_all = min(changes) > max(parents) if higher_is_better else max(changes) < min(parents)
+    if q3 - q1 > margin and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(name: str, higher_is_better: bool, pairs: list[tuple[float, float]]) -> bool:
-    """Print one metric's pairs and verdict; True when the change's gain holds."""
+    """Print one metric's pairs and gain verdict; True when the change's
+    gain holds."""
     print(f"== {name} ({'higher' if higher_is_better else 'lower'} is better)")
     wins = 0
     for index, (parent, change) in enumerate(pairs, start=1):
@@ -94,11 +119,15 @@ def main() -> int:
 
     failed = sum(pair[side]["failed"] for pair in runs for side in pair)
     print(f"workload {args.workload}, {args.pairs} pairs, failed operations: {failed}")
+    regressed = False
     for metric in declared:
         name = metric["name"]
         pairs = [(pair["parent"]["values"][name], pair["change"]["values"][name]) for pair in runs]
         summarize(name, metric["better"] == "higher", pairs)
-    return 1 if failed else 0
+        verdict = regression_verdict(metric["better"] == "higher", metric["bound"], pairs)
+        regressed |= verdict == "regressed"
+        print(f"  no-regression verdict, bound {metric['bound']:.0%} of the parent's median: {verdict}")
+    return 1 if failed or regressed else 0
 
 
 if __name__ == "__main__":

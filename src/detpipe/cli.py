@@ -8,23 +8,24 @@ released after its last reader.  A file that a stage writes goes to the
 later stages that read it as the value written: a predictions table, with
 the lines formatted for the write, and a label matrix, a RoI pool or a list
 of category groups when parsing the bytes would give exactly that value.
-The run keeps one BLAKE2b digest per path, of the bytes last parsed or
-written there, and no bytes: a stage that reads a file whose bytes no
-longer match parses them.  A verification file is one coded
-``VerificationTable`` from parse to hierarchy expansion, and the table
-keeps its closure over the hierarchy, so ``eval`` and every ``assign``
-that read one parse share one closure.  ``assign`` closes the whole table,
-which checks every image for conflicts, and reads its image's label
-statuses from that closure.  It, ``sample-rois``, ``partition-pool``,
-``filter-expert`` and ``eval`` take boxes and codes from the tables and
-pools, and build no row views beyond one image's ground truth.  A stage may
-not name one file for two of its outputs, nor a pipeline stage the run's
-manifest.  Outputs are written atomically (to a temporary file in the
-destination directory, then renamed).  ``main`` freezes the objects its
-imports left before it runs, so the collections that parsing triggers do
-not scan them again.  Exit status: 0 on success, 1 on validation or I/O
-errors (one machine-parsable line on stderr: ``error<TAB>type<TAB>message``),
-2 on usage errors.
+Every table a stage builds holds exactly the ids of its rows, as its parse
+would, and ``by_image`` gives a table's rows of one image.  The run keeps
+one BLAKE2b digest per path, of the bytes last parsed or written there, and
+no bytes: a stage that reads a file whose bytes no longer match parses
+them.  A verification file is one coded ``VerificationTable`` from parse to
+hierarchy expansion, and the table keeps its closure over the hierarchy, so
+``eval`` and every ``assign`` that read one parse share one closure.
+``assign`` closes the whole table, which checks every image for conflicts,
+and reads its image's label statuses from that closure.  It,
+``sample-rois``, ``partition-pool``, ``filter-expert`` and ``eval`` take
+boxes and codes from the tables and pools, and build no row views beyond
+one image's ground truth.  A stage may not name one file for two of its
+outputs, nor a pipeline stage the run's manifest.  Outputs are written
+atomically (to a temporary file in the destination directory, then
+renamed).  ``main`` freezes the objects its imports left before it runs, so
+the collections that parsing triggers do not scan them again.  Exit status:
+0 on success, 1 on validation or I/O errors (one machine-parsable line on
+stderr: ``error<TAB>type<TAB>message``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -151,7 +152,10 @@ def _write(path: str, data: bytes, parse: Callable | None = None, value: object 
     """Write a stage's output atomically.  With parse, the later stages of
     this run that read the path with parse get value, for as long as the
     file keeps these bytes: value must be exactly what parse gives for
-    them.  Without, nothing is handed and the path's next reader parses."""
+    them.  A written predictions table is: ``take`` keeps its vocabularies
+    to the ids of its rows, its other columns read back as they are, and it
+    carries the lines it was written from.  Without parse, nothing is
+    handed and the path's next reader parses."""
     _write_bytes_atomic(path, data)
     record = _store.get(path)
     if record is not None:
@@ -271,11 +275,10 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     verification = _load(fileio.parse_verification, args.verification)
     hierarchy = _load(fileio.parse_hierarchy, args.hierarchy)
     categories = _load(fileio.parse_category_list, args.categories)
-    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
+    roi_rows = pool.by_image()
     if args.image_id not in roi_rows:
         raise ValidationError(f"image {args.image_id!r} is not in the RoI pool")
-    gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
-    image_gts = gts.take(gt_rows.get(args.image_id, _NO_ROWS))
+    image_gts = gts.take(gts.by_image()[args.image_id])
     expanded = expand_verification(verification, hierarchy)
     assignment = assign_rois(pool.boxes[roi_rows[args.image_id]], image_gts, args.iou_threshold)
     matrix = build_label_matrix(assignment, image_gts, expanded, args.image_id, categories)
@@ -284,20 +287,6 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     parse = fileio.parse_label_matrix if matrix.values.size else None
     _write(args.out, fileio.write_label_matrix(matrix), parse, matrix)
     return 0
-
-
-_NO_ROWS = np.zeros(0, dtype=np.int64)
-
-
-def _rows_by_image(image_ids: tuple[str, ...], image_codes: np.ndarray) -> dict[str, np.ndarray]:
-    """Each image's row indices, in row order, given the image vocabulary
-    and each row's code in it."""
-    order = np.argsort(image_codes, kind="stable")
-    bounds = np.searchsorted(image_codes[order], np.arange(len(image_ids) + 1)).tolist()
-    return {
-        image_id: order[bounds[code] : bounds[code + 1]]
-        for code, image_id in enumerate(image_ids)
-    }
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
@@ -321,11 +310,10 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
         fg_iou_threshold=args.fg_iou_threshold,
         seed=args.seed,
     )
-    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
-    gt_rows = _rows_by_image(gts.image_ids, gts.image_codes)
+    roi_rows, gt_rows = pool.by_image(), gts.by_image()
     samples: dict[str, list[int]] = {}
     for image_id in pool.image_ids:
-        gt_boxes = gts.boxes[gt_rows.get(image_id, _NO_ROWS)]
+        gt_boxes = gts.boxes[gt_rows[image_id]]
         per_image = replace(config, seed=config.seed ^ fnv1a64(image_id))
         samples[image_id] = sample_rois(pool.boxes[roi_rows[image_id]], gt_boxes, per_image)
     _write(args.out, fileio.write_sampled_indices(samples))
@@ -335,15 +323,14 @@ def _cmd_sample_rois(args: argparse.Namespace) -> int:
 def _cmd_partition_pool(args: argparse.Namespace) -> int:
     paths = _partition_paths(args)
     pool = _load(fileio.parse_roi_pool, args.rois)
-    roi_rows = _rows_by_image(pool.image_ids, pool.image_codes)
-    parts: list[list[np.ndarray]] = [[_NO_ROWS] for _ in paths]
-    for image_id in pool.image_ids:
-        for index, chunk in enumerate(partition_pool(roi_rows[image_id], args.k)):
-            parts[index].append(np.array(chunk, dtype=np.int64))
+    parts: list[list[int]] = [[] for _ in paths]
+    for image_rows in pool.by_image().values():
+        for index, chunk in enumerate(partition_pool(image_rows.tolist(), args.k)):
+            parts[index] += chunk
     # Images in id order and each image's rows in order, as the file
     # holds them: the part reads back as itself.
     for path, rows in zip(paths, parts):
-        part = pool.take(np.concatenate(rows))
+        part = pool.take(np.array(rows, dtype=np.int64))
         _write(path, fileio.write_roi_pool(part), fileio.parse_roi_pool, part)
     return 0
 

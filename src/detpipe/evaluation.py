@@ -24,14 +24,7 @@ from .records import (
     Prediction,
     VerificationTable,
 )
-from .table import (
-    GroundTruth,
-    Predictions,
-    _merge_codes,
-    as_ground_truth,
-    as_table,
-    ground_truth_rows,
-)
+from .table import GroundTruth, GroundTruthTable, Predictions, _merge_codes, as_table
 
 __all__ = [
     "TRUE_POSITIVE",
@@ -104,7 +97,7 @@ def match_category(
     as records.
     """
     _check_iou_threshold(iou_threshold)
-    gts = ground_truth_rows(gts)
+    gts = list(gts)
     categories = {p.category_id for p in predictions} | {g.category_id for g in gts}
     if len(categories) > 1:
         raise ValidationError(
@@ -285,7 +278,7 @@ def evaluate(
     if mode not in ("box", "mask"):
         raise ValidationError(f"mode must be 'box' or 'mask', got {mode!r}")
     table = as_table(predictions)
-    gts = as_ground_truth(gts)
+    gts = as_table(gts, GroundTruthTable)
     if mode == "mask":
         missing = [
             (rows.image_ids[rows.image_codes[i]], rows.category_ids[rows.category_codes[i]])
@@ -369,8 +362,6 @@ def evaluate(
     results: list[CategoryResult] = []
     ap_values: list[float] = []
     for c, category_id in enumerate(categories):
-        if not prediction_counts[c] and not gt_counts[c]:
-            continue  # in a taken table's vocabulary, but on none of its rows
         ap = None
         if gt_counts[c]:
             ap = _average_precision(hits[bounds[c] : bounds[c + 1]], gt_counts[c])

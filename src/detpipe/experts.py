@@ -28,7 +28,6 @@ from .table import (
     PredictionTable,
     Predictions,
     _firsts,
-    as_ground_truth,
     as_table,
     select,
 )
@@ -198,7 +197,7 @@ def filter_for_expert(
     A ground-truth table gives a table and records a list of the caller's
     records.
     """
-    table = as_ground_truth(gts)
+    table = as_table(gts, GroundTruthTable)
     kept = np.flatnonzero(_covered(table.category_ids, group.categories)[table.category_codes])
     image_codes = table.image_codes[kept]
     kept_images = list(map(table.image_ids.__getitem__, image_codes[_firsts(image_codes)].tolist()))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import Box, _best_overlaps, _check_iou_threshold
 from .records import NEGATIVE, POSITIVE, Hierarchy, VerificationTable
-from .table import GroundTruth, as_ground_truth, ground_truth_rows
+from .table import GroundTruth, GroundTruthTable, as_table
 
 __all__ = [
     "Assignment",
@@ -159,7 +159,7 @@ def assign_rois(
     truth of maximal IoU, if it clears the threshold; ties break toward the
     smallest ground-truth index."""
     _check_iou_threshold(iou_threshold)
-    ious, indices = _best_overlaps(rois, as_ground_truth(gts).boxes)
+    ious, indices = _best_overlaps(rois, as_table(gts, GroundTruthTable).boxes)
     indices = np.where(ious >= iou_threshold, indices, -1).tolist()
     return Assignment(tuple(i if i >= 0 else None for i in indices), tuple(ious.tolist()))
 
@@ -178,7 +178,7 @@ def build_label_matrix(
     Every ground-truth category must be positively verified on the image.
     Ground truth may be given as a table or as records.
     """
-    gts = ground_truth_rows(gts)
+    gts = list(gts)
     categories = tuple(categories)
     column = {category_id: j for j, category_id in enumerate(categories)}
     if len(column) != len(categories):

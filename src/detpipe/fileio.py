@@ -33,7 +33,6 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, count, cycle, islice, repeat
 from math import isfinite, isnan, nan
-from operator import itemgetter
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from .table import (
     PredictionTable,
     Predictions,
     _firsts,
-    as_ground_truth,
     as_table,
 )
 
@@ -199,13 +197,6 @@ def _csv_lines(data: bytes | str, header: str):
 _CHUNK_LINES = 4096
 
 
-def _chunks(lines: list[str]):
-    """Yield (number of its first line, lines) for each _CHUNK_LINES-line
-    chunk of a file's data lines."""
-    for start in range(0, len(lines), _CHUNK_LINES):
-        yield start + 2, lines[start : start + _CHUNK_LINES]
-
-
 def _split_chunk(lines: list[str], n_fields: int) -> list[str] | None:
     """Every field of a chunk, row-major, when each line has n_fields fields;
     None otherwise.  n_fields is at least 2, so an empty line fails."""
@@ -213,6 +204,29 @@ def _split_chunk(lines: list[str], n_fields: int) -> list[str] | None:
     if list(map(str.count, lines, repeat(",", n))).count(n_fields - 1) != n:
         return None
     return ",".join(lines).split(",")
+
+
+def _chunk_columns(lines: list[str], n_fields: int, columns_of_chunk, fallback=None):
+    """Yield the columns of each _CHUNK_LINES-line chunk of a file's data
+    lines, in file order.  A chunk whose lines all have n_fields fields is
+    split into its fields, row-major, and columns_of_chunk(fields, number of
+    rows) converts them whole.  It gives None, or raises ValueError, for a
+    chunk that fails a check; then fallback(chunk, number of its first
+    line) parses the chunk row by row, for its columns or its first error.
+    A parser whose checks span chunks passes no fallback and is given None
+    for the chunk, to parse the whole file row by row."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        fields = _split_chunk(chunk, n_fields)
+        try:
+            columns = None if fields is None else columns_of_chunk(fields, len(chunk))
+        except ValueError:
+            columns = None
+        # Only the columns outlive the chunk's fields.
+        del fields
+        if columns is None and fallback is not None:
+            columns = fallback(chunk, start + 2)
+        yield columns
 
 
 def _split(line: str, line_number: int, n_fields: int) -> list[str]:
@@ -308,33 +322,26 @@ def _parse_prediction_line(number: int, line: str) -> Prediction:
         raise ParseError(number, str(exc)) from exc
 
 
-def _box_only_columns(lines: list[str], n_fields: int):
-    """The image ids, category ids and number columns of a chunk of box-only
-    rows of n_fields fields, the last three (the mask's) empty, when every
-    row passes the record checks; None for any other chunk.  The numbers are
-    the fields between the ids and the mask, through float() as in the
-    row-by-row parse: scores, each in [0, 1], then the box."""
-    n = len(lines)
-    if sum(map(str.endswith, lines, repeat(",,,", n))) != n:
+def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: int):
+    """The id columns and numbers of a chunk's n rows of n_fields fields,
+    given row-major, when they pass the record checks; None otherwise, and
+    ValueError when a number does not parse.  The first n_ids fields are
+    ids, none empty; the numbers, a [k, n] float64 array read through
+    float() as the row parse reads them, are the fields from there to the
+    box, which is followed by n_after fields: scores, each in [0, 1], then
+    the box, which passes Box's check."""
+    ids = [fields[k::n_fields] for k in range(n_ids)]
+    if any("" in column for column in ids):
         return None
-    tokens = _split_chunk(lines, n_fields)
-    if tokens is None:
-        return None
-    images, categories = tokens[0::n_fields], tokens[1::n_fields]
-    if "" in images or "" in categories:
-        return None
-    try:
-        numbers = np.array(
-            [
-                np.fromiter(map(float, tokens[k::n_fields]), np.float64, n)
-                for k in range(2, n_fields - 3)
-            ]
-        )
-    except ValueError:
-        return None
+    numbers = np.array(
+        [
+            np.fromiter(map(float, fields[k::n_fields]), np.float64, n)
+            for k in range(n_ids, n_fields - n_after)
+        ]
+    )
     scores, (x_min, y_min, x_max, y_max) = numbers[:-4], numbers[-4:]
-    # Prediction's and Box's accept tests, column by column; a sum that
-    # overflows fails here and the row-by-row parse judges the row.
+    # The accept tests column by column; a sum that overflows fails here
+    # and the row-by-row parse judges the row.
     with np.errstate(over="ignore", invalid="ignore"):
         if not (
             np.all((0.0 <= scores) & (scores <= 1.0))
@@ -343,41 +350,42 @@ def _box_only_columns(lines: list[str], n_fields: int):
             and np.all(np.isfinite(x_min + y_min + x_max + y_max))
         ):
             return None
-    return images, categories, numbers
+    return ids, numbers
 
 
 def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_numbers):
     """The columns of a predictions or ground-truth file of n_fields fields
     a row: sorted image ids and each row's code, the same for category ids,
     the numbers between the ids and the mask as a [k, N] float64 array, and
-    the masks.  Rows are parsed a chunk at a time.  A chunk of valid
-    box-only rows is parsed column by column; any other chunk (one with
-    masks, or one that fails a check) by parse_rows(chunk, number of its
-    first line), row by row, so the first bad row reports its own line, and
-    row_numbers gives a parsed row's numbers.  Each id column is interned
-    once for the whole file."""
+    the masks.  A chunk of valid box-only rows is parsed column by column;
+    any other chunk (one with masks, or one that fails a check) by
+    parse_rows(chunk, number of its first line), row by row, so the first
+    bad row reports its own line, and row_numbers gives a parsed row's
+    numbers.  Each id column is interned once for the whole file."""
+
+    def box_only(fields: list[str], n: int):
+        if any(any(fields[k::n_fields]) for k in range(n_fields - 3, n_fields)):
+            return None
+        columns = _box_columns(fields, n, n_fields, 2, 3)
+        return None if columns is None else (*columns, [None] * n)
+
+    def row_by_row(chunk: list[str], first: int):
+        rows = parse_rows(chunk, first)
+        ids = [row.image_id for row in rows], [row.category_id for row in rows]
+        return ids, np.array(list(map(row_numbers, rows))).T, [row.mask for row in rows]
+
     images, categories = _Codes(), _Codes()
     numbers, masks = [], []
-    for first, chunk in _chunks(_data_lines(data, header)):
-        columns = _box_only_columns(chunk, n_fields)
-        if columns is None:
-            rows = parse_rows(chunk, first)
-            columns = (
-                [row.image_id for row in rows],
-                [row.category_id for row in rows],
-                np.array(list(map(row_numbers, rows))).T,
-            )
-            masks += [row.mask for row in rows]
-        else:
-            masks += [None] * len(chunk)
-        images.add(columns[0])
-        categories.add(columns[1])
-        numbers.append(columns[2])
-    k = n_fields - 5
+    lines = _data_lines(data, header)
+    for ids, chunk_numbers, chunk_masks in _chunk_columns(lines, n_fields, box_only, row_by_row):
+        images.add(ids[0])
+        categories.add(ids[1])
+        numbers.append(chunk_numbers)
+        masks += chunk_masks
     return (
         *images.finish(),
         *categories.finish(),
-        np.concatenate(numbers, axis=1) if numbers else np.zeros((k, 0)),
+        np.concatenate(numbers, axis=1) if numbers else np.zeros((n_fields - 5, 0)),
         masks,
     )
 
@@ -478,7 +486,7 @@ def parse_ground_truth(data: bytes | str) -> GroundTruthTable:
 
 
 def write_ground_truth(gts: GroundTruth) -> bytes:
-    return _table(GROUND_TRUTH_HEADER, _row_lines(as_ground_truth(gts)))
+    return _table(GROUND_TRUTH_HEADER, _row_lines(as_table(gts, GroundTruthTable)))
 
 
 # -- verification --------------------------------------------------------------
@@ -508,40 +516,15 @@ def _verification_rows(lines: list[str]) -> VerificationTable:
     return VerificationTable(entries)
 
 
-def _verification_columns(lines: list[str]) -> VerificationTable | None:
-    """A file's data lines column by column, a chunk at a time; None when a
-    chunk fails a field check or a pair repeats with the other sign."""
-    images, categories = _Codes(), _Codes()
-    signs = []
-    for chunk in map(itemgetter(1), _chunks(lines)):
-        tokens = _split_chunk(chunk, 3)
-        if tokens is None:
-            return None
-        # Split ids hold no comma or newline, so non-empty ones are valid.
-        image_ids, category_ids = tokens[0::3], tokens[1::3]
-        if "" in image_ids or "" in category_ids:
-            return None
-        try:
-            signs.append(np.fromiter(map(_SIGNS.__getitem__, tokens[2::3]), np.int8, len(chunk)))
-        except KeyError:
-            return None
-        images.add(image_ids)
-        categories.add(category_ids)
-    image_vocabulary, image_codes = images.finish()
-    category_vocabulary, category_codes = categories.finish()
-    signs = np.concatenate(signs) if signs else np.zeros(0, dtype=np.int8)
-    keys = image_codes.astype(np.int64) * len(category_vocabulary) + category_codes
-    kept = _firsts(keys)
-    # A pair with both signs has more distinct (pair, sign) keys than pairs.
-    if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
+def _verification_columns(fields: list[str], n: int):
+    """A chunk's image ids, category ids and signs; None when a row fails a
+    field check.  Split ids hold no comma or newline, so non-empty ones are
+    valid."""
+    image_ids, category_ids = fields[0::3], fields[1::3]
+    signs = np.fromiter(map(_SIGNS.get, fields[2::3], repeat(0, n)), np.int8, n)
+    if "" in image_ids or "" in category_ids or not signs.all():
         return None
-    return VerificationTable.from_columns(
-        image_vocabulary,
-        category_vocabulary,
-        image_codes[kept],
-        category_codes[kept],
-        signs[kept],
-    )
+    return image_ids, category_ids, signs
 
 
 def parse_verification(data: bytes | str) -> VerificationTable:
@@ -551,8 +534,29 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     repeats with the other sign, and row by row otherwise, so the first bad
     row reports its own line."""
     lines = _data_lines(data, VERIFICATION_HEADER)
-    table = _verification_columns(lines)
-    return _verification_rows(lines) if table is None else table
+    images, categories = _Codes(), _Codes()
+    signs = []
+    for columns in _chunk_columns(lines, 3, _verification_columns):
+        if columns is None:
+            return _verification_rows(lines)
+        images.add(columns[0])
+        categories.add(columns[1])
+        signs.append(columns[2])
+    image_vocabulary, image_codes = images.finish()
+    category_vocabulary, category_codes = categories.finish()
+    signs = np.concatenate(signs) if signs else np.zeros(0, dtype=np.int8)
+    keys = image_codes.astype(np.int64) * len(category_vocabulary) + category_codes
+    kept = _firsts(keys)
+    # A pair with both signs has more distinct (pair, sign) keys than pairs.
+    if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
+        return _verification_rows(lines)
+    return VerificationTable.from_columns(
+        image_vocabulary,
+        category_vocabulary,
+        image_codes[kept],
+        category_codes[kept],
+        signs[kept],
+    )
 
 
 def write_verification(verification: VerificationTable) -> bytes:
@@ -656,51 +660,33 @@ def _roi_pool_rows(lines: list[str], max_per_image: int) -> tuple[list[str], np.
     return image_ids, np.array(numbers).reshape(-1, 5).T
 
 
-def _roi_pool_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:
+def _roi_pool_columns(fields: list[str], n: int):
     """A chunk's image ids and [5, n] numbers, as _roi_pool_rows gives them,
-    column by column, when every row passes the record checks; None
-    otherwise."""
-    tokens = _split_chunk(lines, 6)
-    if tokens is None:
+    when every row passes the record checks; None otherwise, and ValueError
+    when a number does not parse.  A given objectness must be finite."""
+    columns = _box_columns(fields, n, 6, 1, 1)
+    if columns is None:
         return None
-    image_ids, objectness = tokens[0::6], tokens[5::6]
-    if "" in image_ids:
+    (image_ids,), boxes = columns
+    texts = fields[5::6]
+    objectness = np.fromiter((float(text) if text else nan for text in texts), np.float64, n)
+    if not np.all(np.isfinite(objectness) | ~np.fromiter(map(bool, texts), bool, n)):
         return None
-    n = len(lines)
-    given = np.fromiter(map(bool, objectness), bool, n)
-    try:
-        numbers = np.array(
-            [np.fromiter(map(float, tokens[k::6]), np.float64, n) for k in range(1, 5)]
-            + [np.fromiter((float(text) if text else nan for text in objectness), np.float64, n)]
-        )
-    except ValueError:
-        return None
-    x_min, y_min, x_max, y_max, scores = numbers
-    # Box's and Roi's accept tests, column by column; a sum that overflows
-    # fails here and the row-by-row parse judges the row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (
-            np.all(x_min <= x_max)
-            and np.all(y_min <= y_max)
-            and np.all(np.isfinite(x_min + y_min + x_max + y_max))
-            and np.all(np.isfinite(scores) | ~given)
-        ):
-            return None
-    return image_ids, numbers
+    return image_ids, np.vstack((boxes, objectness))
 
 
 def parse_roi_pool(
     data: bytes | str, max_per_image: int = DEFAULT_POOL_LIMIT
 ) -> RoiPool:
-    """Parse a RoI pool file into columns.  The file is parsed column by
-    column, a chunk of rows at a time, when every chunk passes the record
-    checks and one count of each image's rows finds none over the limit;
-    otherwise row by row, so the first bad row, or the row that takes its
-    image over the limit, reports its own line."""
+    """Parse a RoI pool file into columns, once the limit is checked.  The
+    file is parsed column by column, a chunk of rows at a time, when every
+    chunk passes the record checks and one count of each image's rows finds
+    none over the limit; otherwise row by row, so the first bad row, or the
+    row that takes its image over the limit, reports its own line."""
+    _check_pool_limit(max_per_image)
     lines = _data_lines(data, ROI_POOL_HEADER)
     images, numbers = _Codes(), []
-    for _, chunk in _chunks(lines):
-        columns = _roi_pool_columns(chunk)
+    for columns in _chunk_columns(lines, 6, _roi_pool_columns):
         if columns is None:
             break
         images.add(columns[0])
@@ -716,7 +702,6 @@ def parse_roi_pool(
 
 
 def _roi_pool(image_ids, image_codes, numbers: list[np.ndarray], max_per_image: int) -> RoiPool:
-    _check_pool_limit(max_per_image)
     numbers = np.concatenate(numbers, axis=1) if numbers else np.zeros((5, 0))
     boxes = np.ascontiguousarray(numbers[:4].T)
     return RoiPool.from_columns(image_ids, image_codes, boxes, numbers[4].copy(), max_per_image)
@@ -911,19 +896,13 @@ def _logit_column(texts: list[str]) -> np.ndarray:
     return np.fromiter(map(float, texts), np.float64, len(texts))
 
 
-def _matrix_chunk(lines: list[str], value_column):
+def _matrix_columns(fields: list[str], n: int, value_column):
     """A chunk's RoI indices, category ids and values, each column converted
-    whole; None when some row has a field error."""
-    tokens = _split_chunk(lines, 3)
-    if tokens is None:
-        return None
-    rois = tokens[0::3]
-    try:
-        # A RoI's index repeats on each of its cells: convert each text once.
-        index = {text: int(text) for text in set(rois)}
-        return list(map(index.__getitem__, rois)), tokens[1::3], value_column(tokens[2::3])
-    except ValueError:
-        return None
+    whole; ValueError when some row has a field error."""
+    rois = fields[0::3]
+    # A RoI's index repeats on each of its cells: convert each text once.
+    index = {text: int(text) for text in set(rois)}
+    return list(map(index.__getitem__, rois)), fields[1::3], value_column(fields[2::3])
 
 
 def _matrix_field_error(lines: list[str], first: int, parse_value, value_name: str) -> None:
@@ -1003,11 +982,12 @@ def _parse_matrix(data: bytes | str, header: str, value_column, parse_value, val
     values: list[np.ndarray] = []
 
     def cells():
-        for first, chunk in _chunks(lines):
-            columns = _matrix_chunk(chunk, value_column)
-            if columns is None:
-                _matrix_field_error(chunk, first, parse_value, value_name)
-            rois, names, chunk_values = columns
+        for rois, names, chunk_values in _chunk_columns(
+            lines,
+            3,
+            lambda fields, n: _matrix_columns(fields, n, value_column),
+            lambda chunk, first: _matrix_field_error(chunk, first, parse_value, value_name),
+        ):
             values.append(chunk_values)
             yield rois, names
 

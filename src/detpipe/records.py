@@ -3,14 +3,24 @@
 Predictions and ground-truth instances are the payload records; the side
 tables (verification, hierarchy, occurrence stats, RoI pools, embeddings)
 describe the federated dataset they live in.
+
+``_CodedTable`` is the one core of the tables that hold a file as
+dictionary-coded columns: ``VerificationTable`` and ``RoiPool`` here, and
+``PredictionTable`` and ``GroundTruthTable`` in ``table``.  It holds each id
+column as a sorted vocabulary and int32 codes, and gives every table its
+trusted constructor, ``take``, length, row views and ``by_image``.  Its one
+``take`` rule keeps a vocabulary to the ids of the taken rows, so every
+table holds exactly the ids its rows use.  ``_Codes`` interns an id column
+a parse gives a chunk at a time.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from functools import partial
+from itertools import compress, count, zip_longest
 from math import isfinite, isnan, nan
 
 import numpy as np
@@ -157,6 +167,106 @@ def _intern(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return codes.finish()
 
 
+def _compacted(
+    vocabulary: tuple[str, ...], codes: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of a vocabulary that codes use, in order, and the codes
+    remapped to them: one bincount and one cumsum, O(codes + ids)."""
+    used = np.bincount(codes, minlength=len(vocabulary)) > 0
+    remapped = (np.cumsum(used, dtype=np.int32) - 1)[codes]
+    return tuple(compress(vocabulary, used.tolist())), remapped
+
+
+class _CodedTable:
+    """A file held as dictionary-coded columns.  Each id column named in
+    ``_ids`` is held as ``<name>_ids``, the sorted distinct ids of the rows,
+    and ``<name>_codes``, each row's int32 index among them, so that code
+    order is id order.  ``_columns`` names the other per-row columns: numpy
+    arrays indexed by row, or lists, which may be None.  A subclass lists
+    its fields in ``__slots__`` in constructor order: vocabularies, codes,
+    columns, then what ``take`` keeps as it is; last its caches, whose names
+    start with an underscore and which start as None.
+
+    The constructor and ``from_columns`` trust their columns.  ``take``
+    keeps each vocabulary to the ids of the taken rows, so a table holds
+    exactly the ids its rows use, as the parse of its file gives them.
+    ``_row`` builds a row view from the Python values of ``_row_fields``:
+    the ids of an id column, Box views of an [N, 4] array, the items of a
+    list and the values of any other array.
+    """
+
+    __slots__ = ()
+    _ids: tuple[str, ...] = ("image", "category")
+    _columns: tuple[str, ...]
+    _row_fields: tuple[str, ...]
+    _row: Callable
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip_longest(self.__slots__, fields):
+            setattr(self, name, value)
+
+    @classmethod
+    def from_columns(cls, *fields):
+        table = cls.__new__(cls)
+        _CodedTable.__init__(table, *fields)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.image_codes)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def row(self, index: int):
+        index = range(len(self))[index]
+        return self._views(slice(index, index + 1))[0]
+
+    def rows(self) -> list:
+        return self._views(slice(None))
+
+    def _views(self, rows: slice) -> list:
+        """The row views of a slice of the rows."""
+        values = []
+        for name in self._row_fields:
+            if name in self._ids:
+                vocabulary = getattr(self, f"{name}_ids")
+                column = map(vocabulary.__getitem__, getattr(self, f"{name}_codes")[rows].tolist())
+            else:
+                column = getattr(self, name)[rows]
+                if isinstance(column, np.ndarray):
+                    column = map(Box, *column.T.tolist()) if column.ndim == 2 else column.tolist()
+            values.append(column)
+        return list(map(self._row, *values))
+
+    def take(self, indices: np.ndarray):
+        """The rows at the given indices, in that order, over the ids they
+        use."""
+        picked = indices.tolist()
+        taken = {}
+        for name in self._ids:
+            taken[f"{name}_ids"], taken[f"{name}_codes"] = _compacted(
+                getattr(self, f"{name}_ids"), getattr(self, f"{name}_codes")[indices]
+            )
+        for name in self._columns:
+            column = getattr(self, name)
+            if isinstance(column, np.ndarray):
+                taken[name] = column[indices]
+            elif column is not None:
+                taken[name] = list(map(column.__getitem__, picked))
+        return self.from_columns(
+            *(taken.get(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_")
+        )
+
+    def by_image(self) -> defaultdict[str, np.ndarray]:
+        """Each image id's row indices, in row order; an empty array for an
+        image without rows."""
+        order = np.argsort(self.image_codes, kind="stable")
+        ends = np.searchsorted(self.image_codes[order], np.arange(1, len(self.image_ids) + 1)).tolist()
+        rows = defaultdict(partial(np.zeros, 0, np.intp))
+        rows.update(zip(self.image_ids, map(order.__getitem__, map(slice, [0, *ends], ends))))
+        return rows
+
+
 def _checked_entries(entries: Mapping[tuple[str, str], int]) -> dict[tuple[str, str], int]:
     """A copy of verification entries, each key an (image_id, category_id)
     pair of ids and each sign POSITIVE or NEGATIVE.  Each distinct id, and
@@ -188,65 +298,41 @@ def _checked_entries(entries: Mapping[tuple[str, str], int]) -> dict[tuple[str, 
 _FIRST = np.zeros(1, dtype=np.intp)
 
 
-class VerificationTable:
+class VerificationTable(_CodedTable):
     """Per (image, category) verification state: positive, negative, or absent.
 
     Absence of a key means the category is unverified on that image.  Each
     distinct (image, category) pair is held once, in order of first
-    appearance, as int32 codes into sorted image and category vocabularies
-    (so code order is id order), with its sign, POSITIVE or NEGATIVE, as
-    int8.  ``VerificationTable(entries)`` checks a mapping of
-    (image_id, category_id) keys to signs; ``from_columns`` trusts its
-    columns, as the parser, ``take`` and hierarchy expansion give them.
-    Two tables are equal when their entries are.  ``_closure`` keeps the
-    last hierarchy ``expand_verification`` closed the table over, with that
-    closure; every new table starts without one.
+    appearance, as a coded table (``_CodedTable``) with its sign, POSITIVE
+    or NEGATIVE, as int8; a row view is ``((image_id, category_id), sign)``.
+    ``VerificationTable(entries)`` checks a mapping of (image_id,
+    category_id) keys to signs; ``from_columns`` trusts its columns, as the
+    parser and hierarchy expansion give them.  Two tables are equal when
+    their entries are.  ``_lookup`` is built by the first status lookup:
+    each vocabulary's code of an id, and the pair keys in sorted order with
+    their signs.  ``_closure`` keeps the last hierarchy
+    ``expand_verification`` closed the table over, with that closure.
     """
 
     __slots__ = (
         "image_ids", "category_ids", "image_codes", "category_codes", "signs", "_lookup", "_closure"
     )
     __hash__ = None
+    _columns = ("signs",)
+    _row_fields = ("image", "category", "signs")
+    _row = staticmethod(lambda image_id, category_id, sign: ((image_id, category_id), sign))
 
     def __init__(self, entries: Mapping[tuple[str, str], int] | None = None) -> None:
         entries = _checked_entries(entries or {})
         images, image_codes = _intern([image_id for image_id, _ in entries])
         categories, category_codes = _intern([category_id for _, category_id in entries])
         signs = np.fromiter(entries.values(), np.int8, len(entries))
-        self._fill(images, categories, image_codes, category_codes, signs)
-
-    @classmethod
-    def from_columns(
-        cls,
-        image_ids: tuple[str, ...],
-        category_ids: tuple[str, ...],
-        image_codes: np.ndarray,
-        category_codes: np.ndarray,
-        signs: np.ndarray,
-    ) -> VerificationTable:
-        table = cls.__new__(cls)
-        table._fill(image_ids, category_ids, image_codes, category_codes, signs)
-        return table
-
-    def _fill(self, image_ids, category_ids, image_codes, category_codes, signs) -> None:
-        self.image_ids = image_ids
-        self.category_ids = category_ids
-        self.image_codes = image_codes
-        self.category_codes = category_codes
-        self.signs = signs
-        # Built by the first status lookup: each vocabulary's code of an id,
-        # and the pair keys in sorted order with their signs.
-        self._lookup = None
-        self._closure = None
+        super().__init__(images, categories, image_codes, category_codes, signs)
 
     @property
     def entries(self) -> dict[tuple[str, str], int]:
         """(image_id, category_id) -> sign, in row order."""
-        keys = zip(
-            map(self.image_ids.__getitem__, self.image_codes.tolist()),
-            map(self.category_ids.__getitem__, self.category_codes.tolist()),
-        )
-        return dict(zip(keys, self.signs.tolist()))
+        return dict(self.rows())
 
     def status(self, image_id: str, category_id: str) -> int:
         """POSITIVE, NEGATIVE, or UNVERIFIED for the given pair."""
@@ -287,19 +373,6 @@ class VerificationTable:
 
     def items(self):
         return self.entries.items()
-
-    def take(self, indices: np.ndarray) -> VerificationTable:
-        """The pairs at the given indices, in that order."""
-        return VerificationTable.from_columns(
-            self.image_ids,
-            self.category_ids,
-            self.image_codes[indices],
-            self.category_codes[indices],
-            self.signs[indices],
-        )
-
-    def __len__(self) -> int:
-        return len(self.signs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VerificationTable):
@@ -441,25 +514,28 @@ def _check_pool_limit(max_per_image: int) -> None:
         raise ValidationError(f"max_per_image must be >= 1, got {max_per_image}")
 
 
-class RoiPool:
+class RoiPool(_CodedTable):
     """Pre-computed RoIs of images, at most ``max_per_image`` an image, held
-    as columns: the sorted ids of the images that have RoIs, each row's
-    int32 code among them, ``boxes`` as float64 ``[N, 4]`` (x_min, y_min,
-    x_max, y_max) and ``objectness`` as float64 ``[N]``, NaN for none (a
-    given objectness is finite).
+    as a coded table (``_CodedTable``) of image ids, with ``boxes`` as
+    float64 ``[N, 4]`` (x_min, y_min, x_max, y_max) and ``objectness`` as
+    float64 ``[N]``, NaN for none (a given objectness is finite).  A row
+    view is a ``Roi``, and a pool's length is its number of RoIs.
 
     ``RoiPool(images)`` checks a mapping of image ids to ``Roi`` records and
     holds its rows image by image, in the mapping's order; an image without
     RoIs is not held, as a pool file has no line for it.  ``from_columns``
-    trusts its columns, as the parser and ``take`` give them.  ``images``
-    maps each image id, in the order of its first row, to the ``Roi`` views
-    of its rows, in row order; it is built on first access.  A pool's length
-    is its number of images, and two pools are equal when their images and
-    limits are.
+    trusts its columns, as the parser gives them.  ``images`` maps each
+    image id, in the order of its first row, to the ``Roi`` views of its
+    rows, in row order; it is built on first access.  Two pools are equal
+    when their images and limits are.
     """
 
     __slots__ = ("image_ids", "image_codes", "boxes", "objectness", "max_per_image", "_images")
     __hash__ = None
+    _ids = ("image",)
+    _columns = ("boxes", "objectness")
+    _row_fields = ("boxes", "objectness")
+    _row = staticmethod(lambda box, objectness: Roi(box, None if isnan(objectness) else objectness))
 
     def __init__(
         self,
@@ -481,7 +557,7 @@ class RoiPool:
             rois += image_rois
         image_ids, image_codes = _intern(ids)
         objectness = [nan if roi.objectness is None else roi.objectness for roi in rois]
-        self._fill(
+        super().__init__(
             image_ids,
             image_codes,
             _corners([roi.box for roi in rois]),
@@ -489,61 +565,17 @@ class RoiPool:
             max_per_image,
         )
 
-    @classmethod
-    def from_columns(
-        cls,
-        image_ids: tuple[str, ...],
-        image_codes: np.ndarray,
-        boxes: np.ndarray,
-        objectness: np.ndarray,
-        max_per_image: int,
-    ) -> RoiPool:
-        pool = cls.__new__(cls)
-        pool._fill(image_ids, image_codes, boxes, objectness, max_per_image)
-        return pool
-
-    def _fill(self, image_ids, image_codes, boxes, objectness, max_per_image) -> None:
-        self.image_ids = image_ids
-        self.image_codes = image_codes
-        self.boxes = boxes
-        self.objectness = objectness
-        self.max_per_image = max_per_image
-        self._images = None
-
     @property
     def images(self) -> dict[str, tuple[Roi, ...]]:
         """Image id -> the image's RoIs, in row order."""
         if self._images is None:
-            boxes = map(Box, *self.boxes.T.tolist())
-            scores = [None if isnan(value) else value for value in self.objectness.tolist()]
-            rois = list(map(Roi, boxes, scores))
-            order = np.argsort(self.image_codes, kind="stable")
-            bounds = np.searchsorted(
-                self.image_codes[order], np.arange(len(self.image_ids) + 1)
-            ).tolist()
-            firsts = order[bounds[:-1]].tolist()
+            rois = self.rows()
+            by_first_row = sorted(self.by_image().items(), key=lambda item: item[1][0])
             self._images = {
-                self.image_ids[code]: tuple(
-                    map(rois.__getitem__, order[bounds[code] : bounds[code + 1]].tolist())
-                )
-                for code in sorted(range(len(self.image_ids)), key=firsts.__getitem__)
+                image_id: tuple(map(rois.__getitem__, rows.tolist()))
+                for image_id, rows in by_first_row
             }
         return self._images
-
-    def take(self, indices: np.ndarray) -> RoiPool:
-        """The rows at the given indices, in that order, over the ids of the
-        images they hold."""
-        present, codes = np.unique(self.image_codes[indices], return_inverse=True)
-        return RoiPool.from_columns(
-            tuple(map(self.image_ids.__getitem__, present.tolist())),
-            codes.astype(np.int32),
-            self.boxes[indices],
-            self.objectness[indices],
-            self.max_per_image,
-        )
-
-    def __len__(self) -> int:
-        return len(self.image_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoiPool):

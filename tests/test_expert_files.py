@@ -17,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detpipe import (
+    BinaryMask,
     Box,
     CategoryGroup,
     GroundTruthInstance,
     Hierarchy,
     LabelMatrix,
     ParseError,
+    Prediction,
     Roi,
     RoiPool,
     ValidationError,
@@ -47,6 +49,7 @@ from detpipe.fileio import (
     _table,
 )
 from detpipe.records import DEFAULT_POOL_LIMIT, NEGATIVE, POSITIVE, _check_id
+from detpipe.table import GroundTruthTable, PredictionTable
 
 from timing import size_ratio
 
@@ -776,7 +779,65 @@ def same_pool(actual, expected):
     assert actual.max_per_image == expected.max_per_image
 
 
+MASK_VALUES = st.sampled_from([None, None, BinaryMask(2, 2, [1, 3]), BinaryMask(3, 1, [0, 3])])
+SCORE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324]) | st.floats(0, 1)
+
+
+@st.composite
+def annotation_tables(draw, kind):
+    """A table of kind, of rows or of two tables of rows concatenated, and
+    an index array into it: any rows, in any order, repeats allowed."""
+
+    row_type = Prediction if kind is PredictionTable else GroundTruthInstance
+
+    def rows():
+        out = []
+        for _ in range(draw(st.integers(0, 6))):
+            x = sorted(draw(st.lists(COORDINATE_VALUES, min_size=2, max_size=2)))
+            y = sorted(draw(st.lists(COORDINATE_VALUES, min_size=2, max_size=2)))
+            fields = [draw(st.sampled_from(IDS)), draw(st.sampled_from(IDS[:3]))]
+            if kind is PredictionTable:
+                fields.append(draw(SCORE_VALUES))
+            out.append(row_type(*fields, Box(x[0], y[0], x[1], y[1]), draw(MASK_VALUES)))
+        return out
+
+    if kind is PredictionTable and draw(st.booleans()):
+        table = PredictionTable.concat([PredictionTable.from_rows(rows()), PredictionTable.from_rows(rows())])
+    else:
+        table = kind.from_rows(rows())
+    indices = draw(st.lists(st.integers(0, len(table) - 1), max_size=8)) if len(table) else []
+    return table, np.array(indices, dtype=np.intp)
+
+
+def same_table(actual, expected):
+    """Equal tables, field by field: vocabularies, codes and the columns
+    of rows (a predictions table's lines aside)."""
+    assert type(actual) is type(expected)
+    for name in expected.__slots__:
+        value = getattr(expected, name)
+        if name.endswith("_ids"):
+            assert type(getattr(actual, name)) is tuple and getattr(actual, name) == value
+        elif isinstance(value, np.ndarray):
+            same_array(getattr(actual, name), value)
+        elif name == "masks":
+            assert getattr(actual, name) == value
+
+
 class TestHandOff:
+    @given(st.sampled_from([PredictionTable, GroundTruthTable]).flatmap(annotation_tables))
+    @settings(max_examples=300, deadline=None)
+    @example((PredictionTable.from_rows([Prediction("a", "x", 0.5, Box(0, 0, 1, 1)), Prediction("b", "y", 0.5, Box(0, 0, 1, 1))]), np.array([1])))
+    def test_annotation_tables(self, table_and_indices):
+        # A taken table, written and parsed back, is the taken table: each
+        # vocabulary holds exactly the ids of the taken rows.
+        table, indices = table_and_indices
+        write, parse = {
+            PredictionTable: (fileio.write_predictions, fileio.parse_prediction_table),
+            GroundTruthTable: (fileio.write_ground_truth, fileio.parse_ground_truth),
+        }[type(table)]
+        taken = table.take(indices)
+        same_table(parse(write(taken)), taken)
+
     @given(st.lists(CATEGORY_IDS, min_size=1, max_size=6, unique=True), st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
     def test_label_matrix(self, categories, n_rois, data):

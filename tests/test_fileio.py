@@ -260,6 +260,15 @@ class TestRoiPool:
         with pytest.raises(ParseError):
             fileio.parse_roi_pool(data, max_per_image=2)
 
+    def test_limit_is_checked_before_any_row(self):
+        # A limit below 1 is the caller's error whatever the file holds: an
+        # empty file and a one-row file give the same ValidationError.
+        for rows in ("", "im1,0.0,0.0,1.0,1.0,\n"):
+            with pytest.raises(ValidationError) as raised:
+                fileio.parse_roi_pool(fileio.ROI_POOL_HEADER + "\n" + rows, max_per_image=0)
+            assert type(raised.value) is ValidationError
+            assert str(raised.value) == "max_per_image must be >= 1, got 0"
+
 
 class TestEmbeddings:
     def test_round_trip(self):

@@ -795,10 +795,9 @@ class TestEnsembleSeeds:
         expected = ensemble_groups_ref(tables, threshold)
         actual = ensemble(tables, threshold)
         assert fileio.write_predictions(actual) == fileio.write_predictions(expected)
-        # The taken rows keep the concatenation's vocabularies, which hold
-        # every id of every input table.
-        assert set(actual.image_ids) >= set(expected.image_ids)
-        assert set(actual.category_ids) >= set(expected.category_ids)
+        # The taken rows' vocabularies are exactly the ids of those rows.
+        assert actual.image_ids == tuple(sorted({row.image_id for row in actual.rows()}))
+        assert actual.category_ids == tuple(sorted({row.category_id for row in actual.rows()}))
         same_rows(ensemble(sets, threshold), ensemble_groups_ref(sets, threshold))
 
     def test_first_bad_group_in_seed_order_is_reported(self):
