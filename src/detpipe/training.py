@@ -15,7 +15,7 @@ from typing import TypeVar
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Box, _best_overlaps, _check_integer
+from .geometry import Box, _areas, _best_overlaps, _check_integer, _corners, _iou
 
 __all__ = [
     "SplitMix64",
@@ -129,7 +129,14 @@ def sample_rois(
     if not len(rois):
         raise ValidationError("RoI pool for the image is empty")
     n_take = min(config.n_sample, len(rois))
-    is_foreground = _best_overlaps(rois, gt_boxes)[0] >= config.fg_iou_threshold
+    corners, gt_corners = _corners(rois), _corners(gt_boxes)
+    best = _best_overlaps(corners, gt_corners)[0]
+    # The best IoU is max() over the ground truth in order: a nan IoU with the
+    # first ground truth is never beaten, so its RoI is background.
+    first = gt_corners[:1]
+    if len(first):
+        best[np.isnan(_iou(corners, _areas(corners), first, _areas(first)))] = np.nan
+    is_foreground = best >= config.fg_iou_threshold
     foreground = is_foreground.nonzero()[0].tolist()
     background = (~is_foreground).nonzero()[0].tolist()
     fg_quota = math.ceil(config.fg_fraction * config.n_sample)

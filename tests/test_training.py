@@ -123,6 +123,10 @@ class TestSampleRois:
     @example([Box(0, 0, 1, 1), HUGE_BOX], [], SamplerConfig(2))
     @example([HUGE_BOX, Box(0, 0, 1, 1)], [HUGE_BOX, Box(0, 0, 1, 1)], SamplerConfig(2, 0.5))
     @example([HUGE_BOX, Box(0, 0, 1, 1)], [Box(0, 0, 1, 1), HUGE_BOX], SamplerConfig(2, 0.5))
+    # A nan IoU with the first ground truth, then an IoU of 0.5.
+    @example(
+        [Box(1, -1e308, 1.5, 0)], [Box(0, -1e308, 0, 1e308), Box(1, -1e308, 2, 0)], SamplerConfig(1)
+    )
     def test_matches_the_pair_loop(self, rois, gt_boxes, config):
         assert sample_rois(rois, gt_boxes, config) == sample_rois_loop(rois, gt_boxes, config)
 
