@@ -6,8 +6,9 @@ arguments.  Within one pipeline run, a file that several stages read is
 parsed once, as a predictions, ground-truth or verification table, and
 released after its last reader.  A file that a stage writes goes to the
 later stages that read it as the value written: a predictions table, with
-the lines formatted for the write, and a label matrix, a RoI pool or a list
-of category groups when parsing the bytes would give exactly that value.
+its rows' lines as the one encoded buffer the file was written from, and a
+label matrix, a RoI pool or a list of category groups when parsing the
+bytes would give exactly that value.
 Every table a stage builds holds exactly the ids of its rows, as its parse
 would, and ``by_image`` gives a table's rows of one image.  The run keeps
 one BLAKE2b digest per path, of the bytes last parsed or written there, and
@@ -154,7 +155,8 @@ def _write(path: str, data: bytes, parse: Callable | None = None, value: object 
     file keeps these bytes: value must be exactly what parse gives for
     them.  A written predictions table is: ``take`` keeps its vocabularies
     to the ids of its rows, its other columns read back as they are, and it
-    carries the lines it was written from.  Without parse, nothing is
+    carries the encoded lines it was written from, which a later stage's
+    ``take`` copies and trim sizes its rows by.  Without parse, nothing is
     handed and the path's next reader parses."""
     _write_bytes_atomic(path, data)
     record = _store.get(path)
@@ -164,8 +166,9 @@ def _write(path: str, data: bytes, parse: Callable | None = None, value: object 
 
 
 def _write_predictions(path: str, table: PredictionTable) -> None:
-    """Write a predictions table, formatting its rows once, and hand it,
-    with those lines, to the path's later readers."""
+    """Write a predictions table, formatting its rows once into one encoded
+    buffer, a chunk of rows at a time, and hand it, with that buffer, to the
+    path's later readers: the file is the header and the buffer."""
     table.lines = _prediction_lines(table)
     _write(path, fileio.write_predictions(table), fileio.parse_prediction_table, table)
 

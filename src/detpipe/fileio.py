@@ -59,6 +59,7 @@ from .table import (
     PredictionTable,
     Predictions,
     _firsts,
+    _RowLines,
     as_table,
 )
 
@@ -134,9 +135,35 @@ def _fmt_float(value: float) -> str:
     return repr(float(value))
 
 
+# Rows parsed or formatted per step: enough to spread numpy's per-call
+# cost, few enough that one chunk's field tokens stay within a few megabytes.
+_CHUNK_LINES = 4096
+# A parsed chunk's characters, unless it is one longer line: this bounds a
+# chunk of long (masked) lines.
+_CHUNK_CHARS = 1 << 18
+
+
+def _encoded(lines: Sequence[str]) -> bytes:
+    """Lines as UTF-8, each with its LF."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _slices(n: int):
+    """Yield the slices of n rows, _CHUNK_LINES rows each."""
+    return (slice(start, start + _CHUNK_LINES) for start in range(0, n, _CHUNK_LINES))
+
+
+def _file(header: str, chunks: Iterable[Sequence[str]]) -> bytes:
+    """A file of the header and one LF-terminated line per row, from the
+    rows' lines a chunk at a time: only one chunk's text is held."""
+    return b"".join([_encoded([header]), *map(_encoded, chunks)])
+
+
 def _table(header: str, rows: Iterable[str]) -> bytes:
-    """A file of the header and one LF-terminated line per row."""
-    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+    """A file of the header and one LF-terminated line per row, the rows
+    taken _CHUNK_LINES at a time."""
+    rows = iter(rows)
+    return _file(header, iter(lambda: list(islice(rows, _CHUNK_LINES)), []))
 
 
 def _decode(data: bytes | str) -> str:
@@ -154,27 +181,41 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _lines(data: bytes | str) -> list[str]:
-    """A file's lines, without their LFs, once it is valid UTF-8 without
-    carriage returns."""
+def _text(data: bytes | str) -> str:
+    """A file's text, once it is valid UTF-8 without carriage returns."""
     text = _decode(data)
     if "\r" in text:
         line = text.count("\n", 0, text.index("\r")) + 1
         raise ParseError(line, "carriage returns are not allowed; files are LF-terminated")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    return text
+
+
+def _lines(data: bytes | str) -> list[str]:
+    """A file's lines, without their LFs, once it is valid UTF-8 without
+    carriage returns."""
+    lines = _text(data).split("\n")
+    if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _data_text(data: bytes | str, header: str) -> tuple[str, int]:
+    """A file's text and the offset where its line 2 starts, once the file
+    is valid UTF-8 without carriage returns and its header matches."""
+    text = _text(data)
+    if not text:
+        raise ParseError(1, f"missing header; expected {header!r}")
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    if first != header:
+        raise ParseError(1, f"bad header {first!r}; expected {header!r}")
+    return text, len(first) + 1
 
 
 def _data_lines(data: bytes | str, header: str) -> list[str]:
     """The lines after the header, the first being line 2, once the file is
     valid UTF-8 without carriage returns and its header matches."""
-    lines = _lines(data)
-    if not lines:
-        raise ParseError(1, f"missing header; expected {header!r}")
-    if lines[0] != header:
-        raise ParseError(1, f"bad header {lines[0]!r}; expected {header!r}")
+    lines = _lines(_data_text(data, header)[0])
     del lines[0]
     return lines
 
@@ -192,32 +233,58 @@ def _csv_lines(data: bytes | str, header: str):
     return _numbered(_data_lines(data, header), 2)
 
 
-# Rows parsed per vectorized step: enough to spread numpy's per-call cost,
-# few enough that one chunk's field tokens stay within a few megabytes.
-_CHUNK_LINES = 4096
+def _row_count(text: str, start: int) -> int:
+    """The number of lines of text from offset start."""
+    return text.count("\n", start) + (start < len(text) and text[-1] != "\n")
 
 
-def _split_chunk(lines: list[str], n_fields: int) -> list[str] | None:
-    """Every field of a chunk, row-major, when each line has n_fields fields;
-    None otherwise.  n_fields is at least 2, so an empty line fails."""
+def _chunks(text: str, start: int):
+    """Yield (number of its first line, its lines without their LFs) for
+    each chunk of the lines of text from offset start, which begins line 2.
+    A chunk has at most _CHUNK_LINES lines and, unless it is one longer
+    line, fewer than _CHUNK_CHARS characters; only its lines are split."""
+    number = 2
+    while start < len(text):
+        stop = text.rfind("\n", start, start + _CHUNK_CHARS)
+        if stop < 0:
+            stop = text.find("\n", start)
+            if stop < 0:
+                stop = len(text)
+        lines = text[start:stop].split("\n")
+        if len(lines) > _CHUNK_LINES:
+            del lines[_CHUNK_LINES:]
+            stop = start + sum(map(len, lines)) + _CHUNK_LINES - 1
+        yield number, lines
+        number += len(lines)
+        start = stop + 1
+
+
+def _split_chunk(lines: list[str], n_fields: int, ending: str) -> list[str] | None:
+    """Every field of a chunk, row-major, when each line has n_fields fields
+    and ends with ending; None otherwise.  n_fields is at least 2, so an
+    empty line fails."""
     n = len(lines)
+    if ending and not all(map(str.endswith, lines, repeat(ending, n))):
+        return None
     if list(map(str.count, lines, repeat(",", n))).count(n_fields - 1) != n:
         return None
     return ",".join(lines).split(",")
 
 
-def _chunk_columns(lines: list[str], n_fields: int, columns_of_chunk, fallback=None):
-    """Yield the columns of each _CHUNK_LINES-line chunk of a file's data
-    lines, in file order.  A chunk whose lines all have n_fields fields is
-    split into its fields, row-major, and columns_of_chunk(fields, number of
-    rows) converts them whole.  It gives None, or raises ValueError, for a
-    chunk that fails a check; then fallback(chunk, number of its first
-    line) parses the chunk row by row, for its columns or its first error.
-    A parser whose checks span chunks passes no fallback and is given None
+def _chunk_columns(
+    text: str, start: int, n_fields: int, columns_of_chunk, fallback=None, ending: str = ""
+):
+    """Yield the columns of each chunk (see _chunks) of a file's data lines,
+    which start at offset start of its text, in file order.  A chunk whose
+    lines all have n_fields fields and end with ending is split into its
+    fields, row-major, and columns_of_chunk(fields, number of rows)
+    converts them whole.  It gives None, or raises ValueError, for a chunk
+    that fails a check; then fallback(chunk, number of its first line)
+    parses the chunk row by row, for its columns or its first error.  A
+    parser whose checks span chunks passes no fallback and is given None
     for the chunk, to parse the whole file row by row."""
-    for start in range(0, len(lines), _CHUNK_LINES):
-        chunk = lines[start : start + _CHUNK_LINES]
-        fields = _split_chunk(chunk, n_fields)
+    for first, chunk in _chunks(text, start):
+        fields = _split_chunk(chunk, n_fields, ending)
         try:
             columns = None if fields is None else columns_of_chunk(fields, len(chunk))
         except ValueError:
@@ -225,7 +292,7 @@ def _chunk_columns(lines: list[str], n_fields: int, columns_of_chunk, fallback=N
         # Only the columns outlive the chunk's fields.
         del fields
         if columns is None and fallback is not None:
-            columns = fallback(chunk, start + 2)
+            columns = fallback(chunk, first)
         yield columns
 
 
@@ -356,16 +423,17 @@ def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: 
 def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_numbers):
     """The columns of a predictions or ground-truth file of n_fields fields
     a row: sorted image ids and each row's code, the same for category ids,
-    the numbers between the ids and the mask as a [k, N] float64 array, and
-    the masks.  A chunk of valid box-only rows is parsed column by column;
-    any other chunk (one with masks, or one that fails a check) by
+    the numbers between the ids and the box as a [k, N] float64 array (a
+    score, or none), the boxes as [N, 4] and the masks, each array filled a
+    chunk at a time.  A chunk of valid box-only rows is parsed column by
+    column; any other chunk (one with masks, or one that fails a check) by
     parse_rows(chunk, number of its first line), row by row, so the first
     bad row reports its own line, and row_numbers gives a parsed row's
-    numbers.  Each id column is interned once for the whole file."""
+    numbers.  A chunk with a line that does not end in three empty mask
+    fields goes to the rows unsplit.  Each id column is interned once for
+    the whole file."""
 
     def box_only(fields: list[str], n: int):
-        if any(any(fields[k::n_fields]) for k in range(n_fields - 3, n_fields)):
-            return None
         columns = _box_columns(fields, n, n_fields, 2, 3)
         return None if columns is None else (*columns, [None] * n)
 
@@ -374,20 +442,20 @@ def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_
         ids = [row.image_id for row in rows], [row.category_id for row in rows]
         return ids, np.array(list(map(row_numbers, rows))).T, [row.mask for row in rows]
 
+    text, start = _data_text(data, header)
+    n = _row_count(text, start)
     images, categories = _Codes(), _Codes()
-    numbers, masks = [], []
-    lines = _data_lines(data, header)
-    for ids, chunk_numbers, chunk_masks in _chunk_columns(lines, n_fields, box_only, row_by_row):
+    scores, boxes, masks = np.empty((n_fields - 9, n)), np.empty((n, 4)), []
+    for ids, numbers, chunk_masks in _chunk_columns(
+        text, start, n_fields, box_only, row_by_row, ",,,"
+    ):
         images.add(ids[0])
         categories.add(ids[1])
-        numbers.append(chunk_numbers)
+        rows = slice(len(masks), len(masks) + len(chunk_masks))
+        scores[:, rows] = numbers[:-4]
+        boxes[rows] = numbers[-4:].T
         masks += chunk_masks
-    return (
-        *images.finish(),
-        *categories.finish(),
-        np.concatenate(numbers, axis=1) if numbers else np.zeros((n_fields - 5, 0)),
-        masks,
-    )
+    return *images.finish(), *categories.finish(), scores, boxes, masks
 
 
 def _box_numbers(box: Box) -> tuple[float, float, float, float]:
@@ -396,14 +464,14 @@ def _box_numbers(box: Box) -> tuple[float, float, float, float]:
 
 def parse_prediction_table(data: bytes | str) -> PredictionTable:
     """Parse a predictions file into a table; see _parse_coded."""
-    images, image_codes, categories, category_codes, numbers, masks = _parse_coded(
+    images, image_codes, categories, category_codes, scores, boxes, masks = _parse_coded(
         data,
         PREDICTIONS_HEADER,
         10,
         lambda chunk, first: list(map(_parse_prediction_line, count(first), chunk)),
         lambda p: (p.score, *_box_numbers(p.box)),
     )
-    scores, boxes = numbers[0].copy(), np.ascontiguousarray(numbers[1:].T)
+    (scores,) = scores
     return PredictionTable(images, categories, image_codes, category_codes, scores, boxes, masks)
 
 
@@ -412,40 +480,45 @@ def parse_predictions(data: bytes | str) -> list[Prediction]:
     return parse_prediction_table(data).rows()
 
 
-def _row_lines(table: PredictionTable | GroundTruthTable, *texts) -> list[str]:
-    """Each row's CSV line, without its LF: its ids, its field of each of
-    texts, its box and its mask fields.  Floats are written with repr(), the
-    shortest string that round-trips."""
-    coordinates = map(repr, table.boxes.ravel().tolist())
+def _row_lines(table: PredictionTable | GroundTruthTable, rows: slice) -> list[str]:
+    """The CSV lines of a slice of a table's rows, without their LFs: ids,
+    the score when the table has scores, box and mask fields.  Floats are
+    written with repr(), the shortest string that round-trips."""
+    scores = [map(repr, table.scores[rows].tolist())] if isinstance(table, PredictionTable) else []
+    coordinates = map(repr, table.boxes[rows].ravel().tolist())
     return list(
         map(
             ",".join,
             zip(
-                map(table.image_ids.__getitem__, table.image_codes.tolist()),
-                map(table.category_ids.__getitem__, table.category_codes.tolist()),
-                *texts,
+                map(table.image_ids.__getitem__, table.image_codes[rows].tolist()),
+                map(table.category_ids.__getitem__, table.category_codes[rows].tolist()),
+                *scores,
                 map(",".join, zip(*[coordinates] * 4)),
-                map(_mask_fields, table.masks),
+                map(_mask_fields, table.masks[rows]),
             ),
         )
     )
 
 
-def _prediction_lines(table: PredictionTable) -> list[str]:
-    """Each row's CSV line, without its LF: ``table.lines`` when set, else
-    formatted here and not kept, since the table may be shared."""
+def _prediction_lines(table: PredictionTable) -> _RowLines:
+    """Each row's line in the written file: ``table.lines`` when set, else
+    formatted and encoded here _CHUNK_LINES rows at a time, and not kept,
+    since the table may be shared."""
     if table.lines is not None:
         return table.lines
-    return _row_lines(table, map(repr, table.scores.tolist()))
-
-
-def _line_sizes(lines: list[str]) -> np.ndarray:
-    """Byte length each line contributes to the serialized file."""
-    return np.fromiter(map(len, map(str.encode, lines)), np.int64, len(lines)) + 1
+    chunks, sizes = [], [np.zeros(0, np.int64)]
+    for rows in _slices(len(table)):
+        lines = _row_lines(table, rows)
+        chunks.append(_encoded(lines))
+        encoded = lines if chunks[-1].isascii() else map(str.encode, lines)
+        sizes.append(np.fromiter(map(len, encoded), np.int64, len(lines)) + 1)
+    return _RowLines(b"".join(chunks), np.cumsum(np.concatenate(sizes)))
 
 
 def write_predictions(predictions: Predictions) -> bytes:
-    return _table(PREDICTIONS_HEADER, _prediction_lines(as_table(predictions)))
+    """The header, then the rows' lines as they are held or formatted."""
+    lines = _prediction_lines(as_table(predictions))
+    return b"".join((_encoded([PREDICTIONS_HEADER]), lines.data))
 
 
 def empty_predictions_size() -> int:
@@ -455,8 +528,7 @@ def empty_predictions_size() -> int:
 
 def serialized_size(predictions: Predictions) -> int:
     """Exact byte length write_predictions() would produce."""
-    sizes = _line_sizes(_prediction_lines(as_table(predictions)))
-    return empty_predictions_size() + int(sizes.sum())
+    return empty_predictions_size() + len(_prediction_lines(as_table(predictions)).data)
 
 
 # -- ground truth --------------------------------------------------------------
@@ -478,15 +550,15 @@ def _ground_truth_rows(lines: list[str], first: int) -> list[GroundTruthInstance
 
 def parse_ground_truth(data: bytes | str) -> GroundTruthTable:
     """Parse a ground-truth file into a table; see _parse_coded."""
-    images, image_codes, categories, category_codes, numbers, masks = _parse_coded(
+    images, image_codes, categories, category_codes, _, boxes, masks = _parse_coded(
         data, GROUND_TRUTH_HEADER, 9, _ground_truth_rows, lambda g: _box_numbers(g.box)
     )
-    boxes = np.ascontiguousarray(numbers.T)
     return GroundTruthTable(images, categories, image_codes, category_codes, boxes, masks)
 
 
 def write_ground_truth(gts: GroundTruth) -> bytes:
-    return _table(GROUND_TRUTH_HEADER, _row_lines(as_table(gts, GroundTruthTable)))
+    table = as_table(gts, GroundTruthTable)
+    return _file(GROUND_TRUTH_HEADER, (_row_lines(table, rows) for rows in _slices(len(table))))
 
 
 # -- verification --------------------------------------------------------------
@@ -533,12 +605,12 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     column by column when every chunk passes the field checks and no pair
     repeats with the other sign, and row by row otherwise, so the first bad
     row reports its own line."""
-    lines = _data_lines(data, VERIFICATION_HEADER)
+    text, start = _data_text(data, VERIFICATION_HEADER)
     images, categories = _Codes(), _Codes()
     signs = []
-    for columns in _chunk_columns(lines, 3, _verification_columns):
+    for columns in _chunk_columns(text, start, 3, _verification_columns):
         if columns is None:
-            return _verification_rows(lines)
+            return _verification_rows(_data_lines(text, VERIFICATION_HEADER))
         images.add(columns[0])
         categories.add(columns[1])
         signs.append(columns[2])
@@ -549,7 +621,7 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     kept = _firsts(keys)
     # A pair with both signs has more distinct (pair, sign) keys than pairs.
     if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
-        return _verification_rows(lines)
+        return _verification_rows(_data_lines(text, VERIFICATION_HEADER))
     return VerificationTable.from_columns(
         image_vocabulary,
         category_vocabulary,
@@ -561,13 +633,24 @@ def parse_verification(data: bytes | str) -> VerificationTable:
 
 def write_verification(verification: VerificationTable) -> bytes:
     """One line per pair, in (image_id, category_id) order."""
-    order = np.lexsort((verification.category_codes, verification.image_codes)).tolist()
-    images = map(verification.image_ids.__getitem__, verification.image_codes[order].tolist())
-    categories = map(
-        verification.category_ids.__getitem__, verification.category_codes[order].tolist()
-    )
-    signs = map(_SIGN_TEXT.__getitem__, verification.signs[order].tolist())
-    return _table(VERIFICATION_HEADER, map(",".join, zip(images, categories, signs)))
+    order = np.lexsort((verification.category_codes, verification.image_codes))
+
+    def lines(rows: slice) -> list[str]:
+        picked = order[rows]
+        images = verification.image_codes[picked].tolist()
+        categories = verification.category_codes[picked].tolist()
+        return list(
+            map(
+                ",".join,
+                zip(
+                    map(verification.image_ids.__getitem__, images),
+                    map(verification.category_ids.__getitem__, categories),
+                    map(_SIGN_TEXT.__getitem__, verification.signs[picked].tolist()),
+                ),
+            )
+        )
+
+    return _file(VERIFICATION_HEADER, map(lines, _slices(len(order))))
 
 
 # -- hierarchy -----------------------------------------------------------------
@@ -684,45 +767,50 @@ def parse_roi_pool(
     none over the limit; otherwise row by row, so the first bad row, or the
     row that takes its image over the limit, reports its own line."""
     _check_pool_limit(max_per_image)
-    lines = _data_lines(data, ROI_POOL_HEADER)
-    images, numbers = _Codes(), []
-    for columns in _chunk_columns(lines, 6, _roi_pool_columns):
+    text, start = _data_text(data, ROI_POOL_HEADER)
+    n = _row_count(text, start)
+    images, boxes, objectness = _Codes(), np.empty((n, 4)), np.empty(n)
+    end = 0
+    for columns in _chunk_columns(text, start, 6, _roi_pool_columns):
         if columns is None:
             break
-        images.add(columns[0])
-        numbers.append(columns[1])
+        image_ids, numbers = columns
+        images.add(image_ids)
+        boxes[end : end + len(image_ids)] = numbers[:4].T
+        objectness[end : end + len(image_ids)] = numbers[4]
+        end += len(image_ids)
     else:
         image_ids, image_codes = images.finish()
         if np.bincount(image_codes).max(initial=0) <= max_per_image:
-            return _roi_pool(image_ids, image_codes, numbers, max_per_image)
+            return RoiPool.from_columns(image_ids, image_codes, boxes, objectness, max_per_image)
     # The rows one by one raise the first row's error, or give every row
     # when only the column checks turned one away (a sum that overflows).
-    image_ids, numbers = _roi_pool_rows(lines, max_per_image)
-    return _roi_pool(*_intern(image_ids), [numbers], max_per_image)
-
-
-def _roi_pool(image_ids, image_codes, numbers: list[np.ndarray], max_per_image: int) -> RoiPool:
-    numbers = np.concatenate(numbers, axis=1) if numbers else np.zeros((5, 0))
+    image_ids, numbers = _roi_pool_rows(_data_lines(text, ROI_POOL_HEADER), max_per_image)
     boxes = np.ascontiguousarray(numbers[:4].T)
-    return RoiPool.from_columns(image_ids, image_codes, boxes, numbers[4].copy(), max_per_image)
+    return RoiPool.from_columns(*_intern(image_ids), boxes, numbers[4].copy(), max_per_image)
 
 
 def write_roi_pool(pool: RoiPool) -> bytes:
     """One line per RoI, image by image in id order, each image's RoIs in
     row order."""
     order = np.argsort(pool.image_codes, kind="stable")
-    coordinates = map(repr, pool.boxes[order].ravel().tolist())
-    return _table(
-        ROI_POOL_HEADER,
-        map(
-            ",".join,
-            zip(
-                map(pool.image_ids.__getitem__, pool.image_codes[order].tolist()),
-                map(",".join, zip(*[coordinates] * 4)),
-                ["" if isnan(value) else repr(value) for value in pool.objectness[order].tolist()],
-            ),
-        ),
-    )
+
+    def lines(rows: slice) -> list[str]:
+        picked = order[rows]
+        coordinates = map(repr, pool.boxes[picked].ravel().tolist())
+        objectness = pool.objectness[picked].tolist()
+        return list(
+            map(
+                ",".join,
+                zip(
+                    map(pool.image_ids.__getitem__, pool.image_codes[picked].tolist()),
+                    map(",".join, zip(*[coordinates] * 4)),
+                    ["" if isnan(value) else repr(value) for value in objectness],
+                ),
+            )
+        )
+
+    return _file(ROI_POOL_HEADER, map(lines, _slices(len(order))))
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -973,35 +1061,43 @@ def _matrix_layout(chunks) -> tuple[str, ...]:
     return tuple(categories)
 
 
-def _parse_matrix(data: bytes | str, header: str, value_column, parse_value, value_name: str):
-    """The (RoI x category) values of a matrix file and its categories.
-    Each chunk's columns are converted whole; a chunk that fails is parsed
-    row by row, that chunk alone, for its field error.  The layout is
-    checked over every chunk's cells once all have parsed."""
-    lines = _data_lines(data, header)
-    values: list[np.ndarray] = []
+def _parse_matrix(
+    data: bytes | str, header: str, value_column, parse_value, value_name: str, dtype
+):
+    """The (RoI x category) values of a matrix file, of dtype, and its
+    categories.  Each chunk's columns are converted whole into the values;
+    a chunk that fails is parsed row by row, that chunk alone, for its
+    field error.  The layout is checked over every chunk's cells once all
+    have parsed."""
+    text, start = _data_text(data, header)
+    values = np.empty(_row_count(text, start), dtype)
 
     def cells():
+        end = 0
         for rois, names, chunk_values in _chunk_columns(
-            lines,
+            text,
+            start,
             3,
             lambda fields, n: _matrix_columns(fields, n, value_column),
             lambda chunk, first: _matrix_field_error(chunk, first, parse_value, value_name),
         ):
-            values.append(chunk_values)
+            values[end : end + len(rois)] = chunk_values
+            end += len(rois)
             yield rois, names
 
     categories = _matrix_layout(cells())
     if not categories:
         raise ParseError(1, f"{value_name} matrix has no rows")
-    return np.concatenate(values).reshape(-1, len(categories)), categories
+    return values.reshape(-1, len(categories)), categories
 
 
 def parse_label_matrix(data: bytes | str):
     """Parse a label CSV into a LabelMatrix."""
     from .federated import LabelMatrix
 
-    values, categories = _parse_matrix(data, LABELS_HEADER, _label_column, _parse_label, "label")
+    values, categories = _parse_matrix(
+        data, LABELS_HEADER, _label_column, _parse_label, "label", np.int8
+    )
     ones = values == 1
     doubled = np.flatnonzero(ones.sum(axis=1) > 1)
     if doubled.size:
@@ -1014,15 +1110,20 @@ def parse_label_matrix(data: bytes | str):
     return LabelMatrix(values, categories)
 
 
-def _matrix_file(header: str, cells: list[list[str]]) -> bytes:
-    """A long-format matrix file, one line per cell, RoI-major, from each
-    RoI's cells as ",category_id,value" texts: one join per RoI."""
-    lines = [header]
-    for roi, row in enumerate(cells):
-        if row:
-            index = str(roi)
-            lines.append(index + ("\n" + index).join(row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _matrix_file(header: str, values: np.ndarray, cells_of) -> bytes:
+    """A long-format matrix file, one line per cell, RoI-major, from a
+    (RoI x category) array: cells_of(some RoIs' rows of values) gives each
+    of those RoIs' cells as ",category_id,value" texts.  One join per RoI;
+    about _CHUNK_LINES cells are formatted and encoded at a time."""
+    n_rois, n_categories = values.shape
+    step = max(1, _CHUNK_LINES // max(1, n_categories))
+
+    def chunks():
+        for start in range(0, n_rois if n_categories else 0, step):
+            cells = cells_of(values[start : start + step])
+            yield [f"{roi}" + f"\n{roi}".join(row) for roi, row in enumerate(cells, start)]
+
+    return _file(header, chunks())
 
 
 def write_label_matrix(matrix) -> bytes:
@@ -1032,13 +1133,14 @@ def write_label_matrix(matrix) -> bytes:
         [[f",{category_id},{text}" for category_id in matrix.categories] for text in _LABEL_TEXT],
         dtype=object,
     ).reshape(len(_LABEL_TEXT), -1)
-    return _matrix_file(LABELS_HEADER, texts[matrix.values, np.arange(texts.shape[1])].tolist())
+    columns = np.arange(texts.shape[1])
+    return _matrix_file(LABELS_HEADER, matrix.values, lambda rows: texts[rows, columns].tolist())
 
 
 def parse_logit_matrix(data: bytes | str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Parse a logit CSV into a float64 (RoI x category) array and its
     categories."""
-    return _parse_matrix(data, LOGITS_HEADER, _logit_column, _parse_float, "logit")
+    return _parse_matrix(data, LOGITS_HEADER, _logit_column, _parse_float, "logit", np.float64)
 
 
 def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:
@@ -1048,7 +1150,8 @@ def write_logit_matrix(logits: np.ndarray, categories: Sequence[str]) -> bytes:
     # repr() of a Python float is the shortest string that round-trips.
     return _matrix_file(
         LOGITS_HEADER,
-        [[f",{c},{v!r}" for c, v in zip(categories, row)] for row in arr.tolist()],
+        arr,
+        lambda rows: [[f",{c},{v!r}" for c, v in zip(categories, row)] for row in rows.tolist()],
     )
 
 

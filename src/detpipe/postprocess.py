@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _line_sizes, _prediction_lines, empty_predictions_size
+from .fileio import _prediction_lines, empty_predictions_size
 from .geometry import mask_area
 from .records import Prediction
 from .table import PredictionTable, Predictions, as_table, select
@@ -122,11 +122,13 @@ def trim_to_budget(
     Survivors keep their input order: a table for a table, else a list.
     """
     table = as_table(predictions)
-    # Rows are sized from the lines the writer joins.  The survivors carry
-    # them; the given table may be shared, so it is left as it is.
+    # Rows are sized from the row ends of the lines the writer copies.  The
+    # survivors carry their lines, gathered by take when the given table
+    # holds them, else here: the given table may be shared, so it is left
+    # as it is.
     lines = _prediction_lines(table)
-    kept, report = _trim(table, _line_sizes(lines), max_bytes)
+    kept, report = _trim(table, lines.sizes(), max_bytes)
     survivors = select(predictions, kept)
-    if isinstance(survivors, PredictionTable):
-        survivors.lines = [lines[i] for i in kept.tolist()]
+    if isinstance(survivors, PredictionTable) and survivors.lines is None:
+        survivors.lines = lines.take(kept)
     return survivors, report

@@ -182,10 +182,11 @@ class _CodedTable:
     ``_ids`` is held as ``<name>_ids``, the sorted distinct ids of the rows,
     and ``<name>_codes``, each row's int32 index among them, so that code
     order is id order.  ``_columns`` names the other per-row columns: numpy
-    arrays indexed by row, or lists, which may be None.  A subclass lists
-    its fields in ``__slots__`` in constructor order: vocabularies, codes,
-    columns, then what ``take`` keeps as it is; last its caches, whose names
-    start with an underscore and which start as None.
+    arrays indexed by row, lists, or objects with their own ``take``; any
+    may be None.  A subclass lists its fields in ``__slots__`` in
+    constructor order: vocabularies, codes, columns, then what ``take``
+    keeps as it is; last its caches, whose names start with an underscore
+    and which start as None.
 
     The constructor and ``from_columns`` trust their columns.  ``take``
     keeps each vocabulary to the ids of the taken rows, so a table holds
@@ -251,8 +252,10 @@ class _CodedTable:
             column = getattr(self, name)
             if isinstance(column, np.ndarray):
                 taken[name] = column[indices]
-            elif column is not None:
+            elif isinstance(column, list):
                 taken[name] = list(map(column.__getitem__, picked))
+            elif column is not None:
+                taken[name] = column.take(indices)
         return self.from_columns(
             *(taken.get(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_")
         )

@@ -37,6 +37,48 @@ __all__ = [
 ]
 
 
+# Rows whose lines ``_RowLines.take`` copies per step, which bounds the
+# slices and copies of single lines it holds at once.
+_TAKE_ROWS = 4096
+
+
+class _RowLines:
+    """A table's rows as the lines of its file: each row's CSV line, UTF-8
+    encoded with its LF, back to back in ``data``, and ``ends``, the int64
+    offset in data where each row's line ends.  Never changed once built,
+    so tables share one."""
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self, data: bytes | bytearray, ends: np.ndarray) -> None:
+        self.data = data
+        self.ends = ends
+
+    def sizes(self) -> np.ndarray:
+        """Each row's byte length in the file, its LF included."""
+        return np.diff(self.ends, prepend=0)
+
+    def take(self, indices: np.ndarray) -> _RowLines:
+        """The lines of the rows at indices, in that order: these lines for
+        every row in order, else copied _TAKE_ROWS rows at a time into one
+        buffer."""
+        n = len(self.ends)
+        if len(indices) == n and np.array_equal(indices, np.arange(n)):
+            return self
+        stops = self.ends[indices]
+        starts = np.where(indices > 0, self.ends[indices - 1], 0)
+        ends = np.cumsum(stops - starts)
+        data = bytearray(int(ends[-1]) if len(ends) else 0)
+        end = 0
+        for first in range(0, len(indices), _TAKE_ROWS):
+            rows = slice(first, first + _TAKE_ROWS)
+            lines = map(slice, starts[rows].tolist(), stops[rows].tolist())
+            chunk = b"".join(map(self.data.__getitem__, lines))
+            data[end : end + len(chunk)] = chunk
+            end += len(chunk)
+        return _RowLines(data, ends)
+
+
 class _Annotations(_CodedTable):
     """The columns that predictions and ground truth share: image and
     category ids, boxes and masks, and scores when the table has them."""
@@ -70,11 +112,15 @@ class PredictionTable(_Annotations):
     ``from_rows`` takes rows that are records already, and ``take`` and
     ``concat`` take rows of other tables.
 
-    ``lines`` is the CSV line of each row, without its LF, or None.  Only
+    ``lines`` is None, or the rows' lines as they are written
+    (``_RowLines``): one buffer of every row's UTF-8 CSV line with
+    its LF, formatted a chunk of rows at a time, and int64 row ends.  Only
     the formatter sets it: ``trim`` on its survivors, and the CLI on each
     table it writes, which a pipeline hands to the later stages that read
-    the file.  ``take`` carries it along, and the writer joins it instead
-    of formatting the rows.
+    the file.  ``take`` gathers it a chunk of rows at a time, or shares it
+    when it takes every row in order; ``trim`` sizes rows from its row ends;
+    and the writer copies it after the header instead of formatting the
+    rows.
     """
 
     __slots__ = (
