@@ -569,14 +569,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         "run_dir": str(run_dir.resolve()),
         "stages": [],
     }
-    manifest_path = run_dir / "manifest.json"
-
-    def flush_manifest() -> None:
-        _write_bytes_atomic(
-            str(manifest_path),
-            (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
-        )
-
     try:
         readers = Counter(path for plan in plans for path in set(plan.inputs))
         _store.update((path, _Record(count)) for path, count in readers.items())
@@ -595,13 +587,17 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 entry["status"] = "failed"
                 entry["error"] = str(exc)
                 manifest["stages"].append(entry)
-                flush_manifest()
                 raise ValidationError(f"stage {plan.section!r} failed: {exc}") from exc
             _finished(plan.inputs)
             manifest["stages"].append(entry)
-            flush_manifest()
     finally:
         _store.clear()
+        # Written once, however the stage loop ends: one encode of every
+        # entry, not one per stage.
+        _write_bytes_atomic(
+            str(run_dir / "manifest.json"),
+            (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
+        )
     return 0
 
 

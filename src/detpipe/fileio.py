@@ -6,6 +6,11 @@ record types enforce this).  Floats are rendered with the shortest decimal
 representation that round-trips, so ``write(parse(f)) == f`` for any file this
 module wrote and ``parse(write(records)) == records`` for any record list.
 
+Every CSV parser reads a file's decoded text a chunk of lines at a time
+(``_chunks``, the only code here that splits text into lines), whether it
+converts a chunk's columns whole or walks its rows one by one
+(``_csv_lines``), so no parse holds a list of every line of a file.
+
 Formats
 -------
 predictions      ``image_id,category_id,score,x_min,y_min,x_max,y_max,mask_width,mask_height,mask_rle``
@@ -30,8 +35,9 @@ trim report      ``kind,key,value``
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, count, cycle, islice, repeat
+from itertools import count, islice, repeat
 from math import isfinite, isnan, nan
 
 import numpy as np
@@ -190,15 +196,6 @@ def _text(data: bytes | str) -> str:
     return text
 
 
-def _lines(data: bytes | str) -> list[str]:
-    """A file's lines, without their LFs, once it is valid UTF-8 without
-    carriage returns."""
-    lines = _text(data).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def _data_text(data: bytes | str, header: str) -> tuple[str, int]:
     """A file's text and the offset where its line 2 starts, once the file
     is valid UTF-8 without carriage returns and its header matches."""
@@ -212,25 +209,12 @@ def _data_text(data: bytes | str, header: str) -> tuple[str, int]:
     return text, len(first) + 1
 
 
-def _data_lines(data: bytes | str, header: str) -> list[str]:
-    """The lines after the header, the first being line 2, once the file is
-    valid UTF-8 without carriage returns and its header matches."""
-    lines = _lines(_data_text(data, header)[0])
-    del lines[0]
-    return lines
-
-
 def _numbered(lines: list[str], first: int):
     """Yield (line_number, line) for lines numbered from first, none empty."""
     for number, line in enumerate(lines, first):
         if line == "":
             raise ParseError(number, "empty line")
         yield number, line
-
-
-def _csv_lines(data: bytes | str, header: str):
-    """Yield (line_number, line) for data rows after validating the header."""
-    return _numbered(_data_lines(data, header), 2)
 
 
 def _row_count(text: str, start: int) -> int:
@@ -257,6 +241,14 @@ def _chunks(text: str, start: int):
         yield number, lines
         number += len(lines)
         start = stop + 1
+
+
+def _csv_lines(text: str, start: int):
+    """Yield (line_number, line) for the lines of text from offset start,
+    which begins line 2, a chunk (see _chunks) at a time; an empty line is
+    a ParseError."""
+    for first, lines in _chunks(text, start):
+        yield from _numbered(lines, first)
 
 
 def _split_chunk(lines: list[str], n_fields: int, ending: str) -> list[str] | None:
@@ -361,32 +353,34 @@ def _parse_mask_fields(
         raise ParseError(line_number, str(exc)) from exc
 
 
-# The record constructors store coordinates and scores as floats, so repr()
-# gives the shortest string that round-trips without _fmt_float's float().
-def _box_fields(box: Box) -> str:
-    return f"{box.x_min!r},{box.y_min!r},{box.x_max!r},{box.y_max!r}"
-
-
 def _mask_fields(mask: BinaryMask | None) -> str:
     if mask is None:
         return ",,"
     return f"{mask.width},{mask.height},{' '.join(map(str, mask.runs))}"
 
 
-# -- predictions --------------------------------------------------------------
+# -- predictions and ground truth ----------------------------------------------
 
-def _parse_prediction_line(number: int, line: str) -> Prediction:
-    """One row, field by field: the source of every row's ParseError."""
-    if line == "":
-        raise ParseError(number, "empty line")
-    parts = _split(line, number, 10)
-    mask = _parse_mask_fields(parts[7:10], number)
-    box = _parse_box(parts[3:7], number)
-    score = _parse_float(parts[2], number, "score")
-    try:
-        return Prediction(parts[0], parts[1], score, box, mask)
-    except ValidationError as exc:
-        raise ParseError(number, str(exc)) from exc
+def _annotation_rows(lines: list[str], first: int, n_fields: int):
+    """A chunk of predictions lines (10 fields, with a score) or ground-truth
+    lines (9, without) from line first, row by row and field by field: the
+    columns _parse_coded takes, or the first bad row's ParseError."""
+    record = Prediction if n_fields == 10 else GroundTruthInstance
+    image_ids, category_ids, numbers, masks = [], [], [], []
+    for number, line in _numbered(lines, first):
+        parts = _split(line, number, n_fields)
+        mask = _parse_mask_fields(parts[-3:], number)
+        box = _parse_box(parts[-7:-3], number)
+        scores = [_parse_float(parts[2], number, "score")] if n_fields == 10 else []
+        try:
+            record(parts[0], parts[1], *scores, box, mask)
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from exc
+        image_ids.append(parts[0])
+        category_ids.append(parts[1])
+        numbers.append((*scores, box.x_min, box.y_min, box.x_max, box.y_max))
+        masks.append(mask)
+    return (image_ids, category_ids), np.array(numbers).T, masks
 
 
 def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: int):
@@ -420,34 +414,32 @@ def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: 
     return ids, numbers
 
 
-def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_numbers):
-    """The columns of a predictions or ground-truth file of n_fields fields
-    a row: sorted image ids and each row's code, the same for category ids,
-    the numbers between the ids and the box as a [k, N] float64 array (a
-    score, or none), the boxes as [N, 4] and the masks, each array filled a
-    chunk at a time.  A chunk of valid box-only rows is parsed column by
-    column; any other chunk (one with masks, or one that fails a check) by
-    parse_rows(chunk, number of its first line), row by row, so the first
-    bad row reports its own line, and row_numbers gives a parsed row's
-    numbers.  A chunk with a line that does not end in three empty mask
-    fields goes to the rows unsplit.  Each id column is interned once for
-    the whole file."""
+def _parse_coded(data: bytes | str, header: str, n_fields: int):
+    """The columns of a predictions (n_fields 10) or ground-truth (9) file:
+    sorted image ids and each row's code, the same for category ids, the
+    scores as a [k, N] float64 array (one row, or none), the boxes as
+    [N, 4] and the masks, each array filled a chunk at a time.  A chunk of
+    valid box-only rows is parsed column by column; any other chunk (one
+    with masks, or one that fails a check) by _annotation_rows, row by row,
+    so the first bad row reports its own line.  A chunk with a line that
+    does not end in three empty mask fields goes to the rows unsplit.  Each
+    id column is interned once for the whole file."""
 
     def box_only(fields: list[str], n: int):
         columns = _box_columns(fields, n, n_fields, 2, 3)
         return None if columns is None else (*columns, [None] * n)
-
-    def row_by_row(chunk: list[str], first: int):
-        rows = parse_rows(chunk, first)
-        ids = [row.image_id for row in rows], [row.category_id for row in rows]
-        return ids, np.array(list(map(row_numbers, rows))).T, [row.mask for row in rows]
 
     text, start = _data_text(data, header)
     n = _row_count(text, start)
     images, categories = _Codes(), _Codes()
     scores, boxes, masks = np.empty((n_fields - 9, n)), np.empty((n, 4)), []
     for ids, numbers, chunk_masks in _chunk_columns(
-        text, start, n_fields, box_only, row_by_row, ",,,"
+        text,
+        start,
+        n_fields,
+        box_only,
+        lambda chunk, first: _annotation_rows(chunk, first, n_fields),
+        ",,,",
     ):
         images.add(ids[0])
         categories.add(ids[1])
@@ -458,18 +450,10 @@ def _parse_coded(data: bytes | str, header: str, n_fields: int, parse_rows, row_
     return *images.finish(), *categories.finish(), scores, boxes, masks
 
 
-def _box_numbers(box: Box) -> tuple[float, float, float, float]:
-    return box.x_min, box.y_min, box.x_max, box.y_max
-
-
 def parse_prediction_table(data: bytes | str) -> PredictionTable:
     """Parse a predictions file into a table; see _parse_coded."""
     images, image_codes, categories, category_codes, scores, boxes, masks = _parse_coded(
-        data,
-        PREDICTIONS_HEADER,
-        10,
-        lambda chunk, first: list(map(_parse_prediction_line, count(first), chunk)),
-        lambda p: (p.score, *_box_numbers(p.box)),
+        data, PREDICTIONS_HEADER, 10
     )
     (scores,) = scores
     return PredictionTable(images, categories, image_codes, category_codes, scores, boxes, masks)
@@ -531,27 +515,10 @@ def serialized_size(predictions: Predictions) -> int:
     return empty_predictions_size() + len(_prediction_lines(as_table(predictions)).data)
 
 
-# -- ground truth --------------------------------------------------------------
-
-
-def _ground_truth_rows(lines: list[str], first: int) -> list[GroundTruthInstance]:
-    """Row by row, field by field: the source of every row's ParseError."""
-    out: list[GroundTruthInstance] = []
-    for number, line in _numbered(lines, first):
-        parts = _split(line, number, 9)
-        mask = _parse_mask_fields(parts[6:9], number)
-        box = _parse_box(parts[2:6], number)
-        try:
-            out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
-        except ValidationError as exc:
-            raise ParseError(number, str(exc)) from exc
-    return out
-
-
 def parse_ground_truth(data: bytes | str) -> GroundTruthTable:
     """Parse a ground-truth file into a table; see _parse_coded."""
     images, image_codes, categories, category_codes, _, boxes, masks = _parse_coded(
-        data, GROUND_TRUTH_HEADER, 9, _ground_truth_rows, lambda g: _box_numbers(g.box)
+        data, GROUND_TRUTH_HEADER, 9
     )
     return GroundTruthTable(images, categories, image_codes, category_codes, boxes, masks)
 
@@ -567,11 +534,11 @@ _SIGNS = {"1": 1, "-1": -1}
 _SIGN_TEXT = {1: "1", -1: "-1"}
 
 
-def _verification_rows(lines: list[str]) -> VerificationTable:
-    """A file's data lines, row by row: the source of every verification
-    ParseError."""
+def _verification_rows(rows) -> VerificationTable:
+    """A file's numbered data lines (see _csv_lines), row by row: the source
+    of every verification ParseError."""
     entries: dict[tuple[str, str], int] = {}
-    for number, line in _numbered(lines, 2):
+    for number, line in rows:
         parts = _split(line, number, 3)
         _parse_id(parts[0], number, "image_id")
         _parse_id(parts[1], number, "category_id")
@@ -610,7 +577,7 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     signs = []
     for columns in _chunk_columns(text, start, 3, _verification_columns):
         if columns is None:
-            return _verification_rows(_data_lines(text, VERIFICATION_HEADER))
+            return _verification_rows(_csv_lines(text, start))
         images.add(columns[0])
         categories.add(columns[1])
         signs.append(columns[2])
@@ -621,7 +588,7 @@ def parse_verification(data: bytes | str) -> VerificationTable:
     kept = _firsts(keys)
     # A pair with both signs has more distinct (pair, sign) keys than pairs.
     if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
-        return _verification_rows(_data_lines(text, VERIFICATION_HEADER))
+        return _verification_rows(_csv_lines(text, start))
     return VerificationTable.from_columns(
         image_vocabulary,
         category_vocabulary,
@@ -693,7 +660,7 @@ def write_hierarchy(hierarchy: Hierarchy) -> bytes:
 
 def parse_category_stats(data: bytes | str) -> CategoryStats:
     counts: dict[str, int] = {}
-    for number, line in _csv_lines(data, STATS_HEADER):
+    for number, line in _csv_lines(*_data_text(data, STATS_HEADER)):
         parts = _split(line, number, 2)
         _parse_id(parts[0], number, "category_id")
         if parts[0] in counts:
@@ -714,13 +681,14 @@ def write_category_stats(stats: CategoryStats) -> bytes:
 # -- RoI pool ------------------------------------------------------------------
 
 
-def _roi_pool_rows(lines: list[str], max_per_image: int) -> tuple[list[str], np.ndarray]:
+def _roi_pool_rows(rows, max_per_image: int) -> tuple[list[str], np.ndarray]:
     """A file's image ids and its [5, N] numbers (the box, then objectness,
-    NaN for none), row by row: the source of every RoI pool ParseError."""
+    NaN for none) from its numbered data lines (see _csv_lines), row by row:
+    the source of every RoI pool ParseError."""
     counts: dict[str, int] = {}
     image_ids: list[str] = []
     numbers: list[tuple[float, ...]] = []
-    for number, line in _numbered(lines, 2):
+    for number, line in rows:
         parts = _split(line, number, 6)
         _parse_id(parts[0], number, "image_id")
         objectness = None
@@ -739,7 +707,8 @@ def _roi_pool_rows(lines: list[str], max_per_image: int) -> tuple[list[str], np.
             )
         counts[parts[0]] = held + 1
         image_ids.append(parts[0])
-        numbers.append((*_box_numbers(box), nan if roi.objectness is None else roi.objectness))
+        objectness = nan if roi.objectness is None else roi.objectness
+        numbers.append((box.x_min, box.y_min, box.x_max, box.y_max, objectness))
     return image_ids, np.array(numbers).reshape(-1, 5).T
 
 
@@ -785,7 +754,7 @@ def parse_roi_pool(
             return RoiPool.from_columns(image_ids, image_codes, boxes, objectness, max_per_image)
     # The rows one by one raise the first row's error, or give every row
     # when only the column checks turned one away (a sum that overflows).
-    image_ids, numbers = _roi_pool_rows(_data_lines(text, ROI_POOL_HEADER), max_per_image)
+    image_ids, numbers = _roi_pool_rows(_csv_lines(text, start), max_per_image)
     boxes = np.ascontiguousarray(numbers[:4].T)
     return RoiPool.from_columns(*_intern(image_ids), boxes, numbers[4].copy(), max_per_image)
 
@@ -817,20 +786,17 @@ def write_roi_pool(pool: RoiPool) -> bytes:
 
 
 def parse_embeddings(data: bytes | str) -> EmbeddingTable:
-    lines = _lines(data)
-    if not lines:
+    text = _text(data)
+    if not text:
         raise ParseError(1, "missing embeddings header")
-    header = lines[0].split(",")
-    if header[0] != EMBEDDINGS_HEADER_PREFIX or len(header) < 2:
-        raise ParseError(1, f"bad embeddings header {lines[0]!r}")
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    header = first.split(",")
     dimension = len(header) - 1
-    expected = [EMBEDDINGS_HEADER_PREFIX] + [f"v{i}" for i in range(dimension)]
-    if header != expected:
-        raise ParseError(1, f"bad embeddings header {lines[0]!r}")
+    if dimension < 1 or header != [EMBEDDINGS_HEADER_PREFIX, *(f"v{i}" for i in range(dimension))]:
+        raise ParseError(1, f"bad embeddings header {first!r}")
     vectors: dict[str, list[float]] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        if line == "":
-            raise ParseError(number, "empty line")
+    for number, line in _csv_lines(text, len(first) + 1):
         parts = line.split(",")
         if len(parts) != dimension + 1:
             raise ParseError(
@@ -867,7 +833,7 @@ def write_embeddings(table: EmbeddingTable) -> bytes:
 def _parse_id_list(data: bytes | str, header: str, noun: str) -> list[str]:
     ids: list[str] = []
     seen: set[str] = set()
-    for number, line in _csv_lines(data, header):
+    for number, line in _csv_lines(*_data_text(data, header)):
         (value,) = _split(line, number, 1)
         if value in seen:
             raise ParseError(number, f"duplicate {noun} {value!r}")
@@ -902,7 +868,7 @@ def parse_category_groups(data: bytes | str):
     from .experts import CategoryGroup
 
     groups: list[list[str]] = []
-    for number, line in _csv_lines(data, GROUPS_HEADER):
+    for number, line in _csv_lines(*_data_text(data, GROUPS_HEADER)):
         parts = _split(line, number, 2)
         index = _parse_int(parts[0], number, "group_index")
         if index == len(groups):
@@ -941,7 +907,7 @@ def write_category_groups(groups) -> bytes:
 
 def parse_sampled_indices(data: bytes | str) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {}
-    for number, line in _csv_lines(data, SAMPLED_HEADER):
+    for number, line in _csv_lines(*_data_text(data, SAMPLED_HEADER)):
         parts = _split(line, number, 2)
         _parse_id(parts[0], number, "image_id")
         index = _parse_int(parts[1], number, "roi_index")
@@ -985,16 +951,21 @@ def _logit_column(texts: list[str]) -> np.ndarray:
 
 
 def _matrix_columns(fields: list[str], n: int, value_column):
-    """A chunk's RoI indices, category ids and values, each column converted
-    whole; ValueError when some row has a field error."""
+    """A chunk's RoI indices (int64, or object when one is beyond int64),
+    category ids and values, each column converted whole; ValueError when
+    some row has a field error."""
     rois = fields[0::3]
     # A RoI's index repeats on each of its cells: convert each text once.
     index = {text: int(text) for text in set(rois)}
-    return list(map(index.__getitem__, rois)), fields[1::3], value_column(fields[2::3])
+    try:
+        indices = np.fromiter(map(index.__getitem__, rois), np.int64, n)
+    except OverflowError:
+        indices = np.array(list(map(index.__getitem__, rois)), dtype=object)
+    return indices, fields[1::3], value_column(fields[2::3])
 
 
 def _matrix_field_error(lines: list[str], first: int, parse_value, value_name: str) -> None:
-    """Raise the first field error of a chunk that _matrix_chunk rejected,
+    """Raise the first field error of a chunk that _matrix_columns rejected,
     row by row: empty line, field count, roi_index, then the value."""
     for number, line in _numbered(lines, first):
         parts = _split(line, number, 3)
@@ -1002,63 +973,39 @@ def _matrix_field_error(lines: list[str], first: int, parse_value, value_name: s
         parse_value(parts[2], number, value_name)
 
 
-def _matrix_layout(chunks) -> tuple[str, ...]:
-    """RoI 0's categories, from the (RoI indices, category ids) of a matrix's
-    cells, a chunk at a time in file order; () when there are no cells.
-
-    The layout rule: the cells run RoI by RoI from 0, and every RoI names
-    RoI 0's categories, none twice, in RoI 0's order.  Only RoI 0's
-    categories and the first cell out of place are kept, and every chunk is
-    read before an error is raised, so a field error in a later chunk wins.
-    The error names, in this order, a category repeated in RoI 0, a first
-    cell not in RoI 0, the last cell of a matrix that ends mid-row, or the
-    first cell out of place, its RoI index checked before its category.
-    Cell k is on line k + 2."""
-    categories: list[str] = []
-    # Once RoI 0's cells end: the RoI index and the category due in each
-    # later cell.  They are read only while categories is not empty.
-    expected = None
-    misplaced = None
-    cells = 0
-    for rois, names in chunks:
-        first_line = cells + 2
-        cells += len(rois)
-        start = 0
-        if expected is None:
-            start = next((k for k, roi in enumerate(rois) if roi != 0), len(rois))
-            categories += names[:start]
-            if start < len(rois):
-                n = len(categories)
-                expected = chain.from_iterable(map(repeat, count(1), repeat(n))), cycle(categories)
-        if expected and categories and misplaced is None:
-            want_rois, want_names = (list(islice(it, len(rois) - start)) for it in expected)
-            rois, names = rois[start:], names[start:]
-            if rois != want_rois or names != want_names:
-                k = next(
-                    k
-                    for k, cell in enumerate(zip(rois, names))
-                    if cell != (want_rois[k], want_names[k])
-                )
-                misplaced = ParseError(
-                    first_line + start + k,
-                    f"expected roi_index {want_rois[k]}, got {rois[k]}"
-                    if rois[k] != want_rois[k]
-                    else f"expected category {want_names[k]!r}, got {names[k]!r}",
-                )
-    if not cells:
-        return ()
-    seen: set[str] = set()
-    for line, name in enumerate(categories, 2):
-        if name in seen:
-            raise ParseError(line, f"duplicate category {name!r} for roi 0")
-        seen.add(name)
-    if not categories:
-        raise ParseError(2, "first roi_index must be 0")
-    if cells % len(categories):
-        raise ParseError(cells + 1, "matrix ends mid-row")
-    if misplaced is not None:
-        raise misplaced
-    return tuple(categories)
+def _layout_check(rois: np.ndarray, names: list[str], first: int, width, codes):
+    """Check a chunk's cells, from cell first, against the layout rule (see
+    _parse_matrix), coding RoI 0's categories in codes: the width w, once
+    known (0 when RoI 0 has no cells), and the error of the first cell that
+    breaks the rule, or None.  The RoI column is compared in numpy; after
+    RoI 0 the category column is compared as one list with the categories
+    of codes k % w, since coding every cell through the dict took longer
+    than the rest of the check."""
+    k = np.arange(first, first + len(names))
+    if width is None:
+        others = np.flatnonzero(rois != 0)
+        end = int(others[0]) if others.size else len(names)
+        chunk_codes = np.fromiter(map(codes.__getitem__, names[:end]), np.int64, end)
+        repeats = np.flatnonzero(chunk_codes != k[:end])
+        if repeats.size:
+            i = int(repeats[0])
+            return None, ParseError(first + i + 2, f"duplicate category {names[i]!r} for roi 0")
+        if end == len(names):
+            return None, None
+        width = first + end
+        if not width:
+            return 0, ParseError(2, "first roi_index must be 0")
+    start = first % width
+    due = (list(codes) * (len(names) // width + 2))[start : start + len(names)]
+    bad_rois = rois != k // width
+    if names == due and not bad_rois.any():
+        return width, None
+    i = next(i for i, name in enumerate(names) if bad_rois[i] or name != due[i])
+    if bad_rois[i]:
+        reason = f"expected roi_index {k[i] // width}, got {rois[i]}"
+    else:
+        reason = f"expected category {due[i]!r}, got {names[i]!r}"
+    return width, ParseError(first + i + 2, reason)
 
 
 def _parse_matrix(
@@ -1067,28 +1014,40 @@ def _parse_matrix(
     """The (RoI x category) values of a matrix file, of dtype, and its
     categories.  Each chunk's columns are converted whole into the values;
     a chunk that fails is parsed row by row, that chunk alone, for its
-    field error.  The layout is checked over every chunk's cells once all
-    have parsed."""
+    field error.
+
+    The layout is one rule.  Code the categories in order of first sight,
+    and let w be the number of cells in RoI 0: cell k, on line k + 2, has
+    RoI k // w and code k % w, and while w is still unknown, RoI 0's cell k
+    has code k.  Each chunk is checked whole (_layout_check) until a cell
+    breaks the rule; the error waits until every chunk has parsed, so a
+    field error anywhere wins.  It names, in this order, a category
+    repeated in RoI 0, a first cell not in RoI 0, the last line of a matrix
+    that ends mid-row, or the first cell out of place, its RoI index
+    checked before its category."""
     text, start = _data_text(data, header)
     values = np.empty(_row_count(text, start), dtype)
-
-    def cells():
-        end = 0
-        for rois, names, chunk_values in _chunk_columns(
-            text,
-            start,
-            3,
-            lambda fields, n: _matrix_columns(fields, n, value_column),
-            lambda chunk, first: _matrix_field_error(chunk, first, parse_value, value_name),
-        ):
-            values[end : end + len(rois)] = chunk_values
-            end += len(rois)
-            yield rois, names
-
-    categories = _matrix_layout(cells())
-    if not categories:
+    codes: defaultdict[str, int] = defaultdict(count().__next__)
+    width = layout_error = None
+    cells = 0
+    for rois, names, chunk_values in _chunk_columns(
+        text,
+        start,
+        3,
+        lambda fields, n: _matrix_columns(fields, n, value_column),
+        lambda chunk, first: _matrix_field_error(chunk, first, parse_value, value_name),
+    ):
+        values[cells : cells + len(names)] = chunk_values
+        if layout_error is None:
+            width, layout_error = _layout_check(rois, names, cells, width, codes)
+        cells += len(names)
+    if not cells:
         raise ParseError(1, f"{value_name} matrix has no rows")
-    return values.reshape(-1, len(categories)), categories
+    if width and cells % width:
+        raise ParseError(cells + 1, "matrix ends mid-row")
+    if layout_error is not None:
+        raise layout_error
+    return values.reshape(-1, len(codes)), tuple(codes)
 
 
 def parse_label_matrix(data: bytes | str):

@@ -30,6 +30,8 @@ __all__ = [
 # object.__setattr__, bound once here to save a lookup per field.
 _set = object.__setattr__
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class Box:
@@ -93,7 +95,9 @@ class BinaryMask:
 
     Runs alternate between 0-pixels and 1-pixels, starting with 0-pixels; a
     leading zero-length run lets a mask start with a 1-pixel.  Only the first
-    run may be zero-length, so every valid mask is in canonical form.
+    run may be zero-length, so every valid mask is in canonical form.  A
+    mask has at most int64's maximum of pixels, so its runs and their sums
+    fit the int64 arrays that fusion and mask IoU use.
     """
 
     width: int
@@ -103,6 +107,10 @@ class BinaryMask:
     def __init__(self, width: int, height: int, runs: Sequence[int]) -> None:
         width = _check_dimension("mask width", width)
         height = _check_dimension("mask height", height)
+        if width * height > _INT64_MAX:
+            raise ValidationError(
+                f"mask width*height = {width * height} is above the int64 maximum"
+            )
         runs = tuple(runs)
         # The parser passes ints; anything else is checked run by run.
         if set(map(type, runs)) != {int}:

@@ -4,7 +4,8 @@ Everything here is written from the operation definitions, not from the
 package code: IoU from raw corner tuples, NMS as a literal O(n^2) sweep, AP
 as a brute-force enumeration of the interpolated precision envelope, and
 budget trimming as a step-through of the removal rule with full
-re-serialization each round, and a verification table as a plain dict.
+re-serialization each round, a verification table as a plain dict, and a
+CSV file's data lines from its whole text split on LF.
 """
 
 from __future__ import annotations
@@ -144,3 +145,24 @@ def verification_ref(entries) -> tuple[dict | None, str | None]:
             return None, f"verification for {key!r} must be 1 or -1, got {sign!r}"
         copied[(image_id, category_id)] = int(sign)
     return copied, None
+
+
+def csv_lines_ref(data, header: str):
+    """Yield (line_number, line) for each data line of a CSV file, from its
+    whole text split on LF, once its first line is header; an empty line is
+    a ParseError.  The UTF-8 and carriage-return checks that come first are
+    fileio._text's, which every reader shares.  The package is imported
+    here because detbench loads this module without it on the path."""
+    from detpipe import ParseError, fileio
+
+    lines = fileio._text(data).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(1, f"missing header; expected {header!r}")
+    if lines[0] != header:
+        raise ParseError(1, f"bad header {lines[0]!r}; expected {header!r}")
+    for number, line in enumerate(lines[1:], 2):
+        if line == "":
+            raise ParseError(number, "empty line")
+        yield number, line

@@ -33,7 +33,6 @@ from detpipe.fileio import (
     PREDICTIONS_HEADER,
     ROI_POOL_HEADER,
     VERIFICATION_HEADER,
-    _csv_lines,
     _parse_box,
     _parse_float,
     _parse_id,
@@ -41,6 +40,8 @@ from detpipe.fileio import (
     _split,
 )
 from detpipe.records import POSITIVE, _Codes
+
+from oracles import csv_lines_ref
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detpipe"
 FIXTURE = Path(__file__).parent / "fixtures" / "expert_pipeline"
@@ -58,7 +59,7 @@ def intern_ref(ids):
 
 def parse_ground_truth_ref(data):
     out = []
-    for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
+    for number, line in csv_lines_ref(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
         mask = _parse_mask_fields(parts[6:9], number)
         box = _parse_box(parts[2:6], number)
@@ -71,7 +72,7 @@ def parse_ground_truth_ref(data):
 
 def parse_verification_ref(data):
     entries = {}
-    for number, line in _csv_lines(data, VERIFICATION_HEADER):
+    for number, line in csv_lines_ref(data, VERIFICATION_HEADER):
         parts = _split(line, number, 3)
         _parse_id(parts[0], number, "image_id")
         _parse_id(parts[1], number, "category_id")
@@ -90,7 +91,7 @@ def parse_verification_ref(data):
 
 def parse_predictions_ref(data):
     out = []
-    for number, line in _csv_lines(data, PREDICTIONS_HEADER):
+    for number, line in csv_lines_ref(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
         mask = _parse_mask_fields(parts[7:10], number)
         box = _parse_box(parts[3:7], number)

@@ -39,7 +39,6 @@ from detpipe.evaluation import (
 from detpipe.fileio import (
     GROUND_TRUTH_HEADER,
     PREDICTIONS_HEADER,
-    _csv_lines,
     _parse_float,
     _parse_int,
     _split,
@@ -48,6 +47,7 @@ from detpipe.records import NEGATIVE, POSITIVE
 from detpipe.table import PredictionTable, _intern
 
 from generators import random_box
+from oracles import csv_lines_ref
 from timing import size_ratio
 
 
@@ -75,7 +75,7 @@ def parse_mask_fields_ref(parts, line_number):
 def parse_predictions_ref(data):
     """Reference: every row through the validating constructors."""
     out = []
-    for number, line in _csv_lines(data, PREDICTIONS_HEADER):
+    for number, line in csv_lines_ref(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
         mask = parse_mask_fields_ref(parts[7:10], number)
         try:
@@ -104,7 +104,7 @@ def parse_predictions_ref(data):
 def parse_ground_truth_ref(data):
     """Reference: every row through the validating constructors."""
     out = []
-    for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
+    for number, line in csv_lines_ref(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
         mask = parse_mask_fields_ref(parts[6:9], number)
         try:

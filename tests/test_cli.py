@@ -316,6 +316,38 @@ class TestParseErrors:
             capsys, argv, "line 3: category_id must be a non-empty string, got ''"
         )
 
+    @pytest.mark.parametrize("stage", ["ensemble", "eval"])
+    def test_mask_above_int64_pixels(self, tmp_path, capsys, stage):
+        # Two overlapping rows whose masks have 10**21 pixels: fusion and
+        # mask IoU would count their runs in int64.
+        _, _, _, paths = small_world(tmp_path)
+        row = b"im1,c1,0.9,0,0,10,10,1000000000000000000000,1,0 1000000000000000000000\n"
+        header = fileio.PREDICTIONS_HEADER.encode() + b"\n"
+        write(paths["preds"], header + row + row.replace(b"0.9", b"0.8", 1))
+        if stage == "ensemble":
+            argv = ["ensemble", str(paths["preds"]), "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = [
+                "eval",
+                "--predictions",
+                str(paths["preds"]),
+                "--ground-truth",
+                str(paths["gt"]),
+                "--verification",
+                str(paths["ver"]),
+                "--hierarchy",
+                str(paths["hier"]),
+                "--mode",
+                "mask",
+                "--out-report",
+                str(tmp_path / "report.csv"),
+            ]
+        self.assert_one_error(
+            capsys,
+            argv,
+            "line 2: mask width*height = 1000000000000000000000 is above the int64 maximum",
+        )
+
     def test_deeply_nested_hierarchy(self, tmp_path, capsys):
         _, _, _, paths = small_world(tmp_path)
         write(paths["hier"], b"[" * 200_000 + b"]" * 200_000)

@@ -38,7 +38,6 @@ from detpipe.fileio import (
     LOGITS_HEADER,
     ROI_POOL_HEADER,
     VERIFICATION_HEADER,
-    _csv_lines,
     _fmt_float,
     _parse_box,
     _parse_float,
@@ -51,6 +50,7 @@ from detpipe.fileio import (
 from detpipe.records import DEFAULT_POOL_LIMIT, NEGATIVE, POSITIVE, _check_id
 from detpipe.table import GroundTruthTable, PredictionTable
 
+from oracles import csv_lines_ref
 from timing import size_ratio
 
 # -- references ------------------------------------------------------------------
@@ -58,7 +58,7 @@ from timing import size_ratio
 
 def parse_matrix_ref(data, header, parse_value, value_name):
     entries = []
-    for number, line in _csv_lines(data, header):
+    for number, line in csv_lines_ref(data, header):
         parts = _split(line, number, 3)
         roi_index = _parse_int(parts[0], number, "roi_index")
         value = parse_value(parts[2], number, value_name)
@@ -167,7 +167,7 @@ def verification_entries_ref(entries):
 
 def parse_verification_ref(data):
     entries = {}
-    for number, line in _csv_lines(data, VERIFICATION_HEADER):
+    for number, line in csv_lines_ref(data, VERIFICATION_HEADER):
         parts = _split(line, number, 3)
         _parse_id(parts[0], number, "image_id")
         _parse_id(parts[1], number, "category_id")
@@ -186,7 +186,7 @@ def parse_verification_ref(data):
 
 def parse_ground_truth_ref(data):
     out = []
-    for number, line in _csv_lines(data, GROUND_TRUTH_HEADER):
+    for number, line in csv_lines_ref(data, GROUND_TRUTH_HEADER):
         parts = _split(line, number, 9)
         mask = _parse_mask_fields(parts[6:9], number)
         box = _parse_box(parts[2:6], number)
@@ -199,7 +199,7 @@ def parse_ground_truth_ref(data):
 
 def parse_roi_pool_ref(data, max_per_image=DEFAULT_POOL_LIMIT):
     images = {}
-    for number, line in _csv_lines(data, ROI_POOL_HEADER):
+    for number, line in csv_lines_ref(data, ROI_POOL_HEADER):
         parts = _split(line, number, 6)
         _parse_id(parts[0], number, "image_id")
         objectness = None
@@ -378,6 +378,12 @@ class TestMatrices:
     @example([f"{10**30},a,0"], 1)
     @example([f"0,a,{-2**63}"], 1)
     @example(["0,a,0", "0,b,0", "0,c,0", "1,a,0", "1,b,0", "1,c,0", "2,a,0"], 2)
+    # Layout cases: a RoI index beyond int64 and one of -1 after RoI 0, a
+    # category first seen after RoI 0, a repeat in a RoI 0 over two chunks.
+    @example(["0,a,0", "0,b,0", "99999999999999999999,a,0", "1,b,0"], 1)
+    @example(["0,a,0", "0,b,0", "-1,a,0", "1,b,0"], 2)
+    @example(["0,a,0", "0,b,0", "1,c,0", "1,a,0"], 3)
+    @example(["0,a,0", "0,b,0", "0,a,0", "1,a,0"], 2)
     def test_parse_label_matrix(self, rows, chunk_lines):
         data = as_file(LABELS_HEADER, rows)
         expected = outcome(parse_label_matrix_ref, data)
@@ -394,6 +400,12 @@ class TestMatrices:
     @example(["0,a,-0.0", "0,b,nan", "1,a,inf", "1,b,1e999"], 1)
     @example(["0,a,1_0", "0,b, 1", "1,a,-1e308", "1,b,x"], 3)
     @example(["0,a,0", "0,b,0", "1,b,0", "1,a,0"], 2)
+    # Layout cases: a RoI index beyond int64 and one of -1 after RoI 0, a
+    # category first seen after RoI 0, a repeat in a RoI 0 over two chunks.
+    @example(["0,a,0", "0,b,0", "99999999999999999999,a,0", "1,b,0"], 1)
+    @example(["0,a,0", "0,b,0", "-1,a,0", "1,b,0"], 2)
+    @example(["0,a,0", "0,b,0", "1,c,0", "1,a,0"], 3)
+    @example(["0,a,0", "0,b,0", "0,a,0", "1,a,0"], 2)
     def test_parse_logit_matrix(self, rows, chunk_lines):
         data = as_file(LOGITS_HEADER, rows)
         expected = outcome(parse_logit_matrix_ref, data)
@@ -884,7 +896,7 @@ def test_valid_files_never_take_the_row_path():
         for name in ("verification.csv", "ground_truth.csv", "rois.csv", "expert_0.csv", "logits_im0.csv")
     }
     labels = (FIXTURE / "expected" / "labels_im0.csv").read_bytes()
-    row_paths = ("_matrix_field_error", "_verification_rows", "_ground_truth_rows", "_roi_pool_rows", "_parse_prediction_line")
+    row_paths = ("_matrix_field_error", "_verification_rows", "_roi_pool_rows", "_annotation_rows")
     for chunk_lines in (*range(1, 13), 4096):
         with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines), contextlib.ExitStack() as stack:
             for name in row_paths:

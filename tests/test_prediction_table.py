@@ -41,8 +41,6 @@ from detpipe import (
 from detpipe.evaluation import evaluate
 from detpipe.fileio import (
     PREDICTIONS_HEADER,
-    _box_fields,
-    _csv_lines,
     _mask_fields,
     _parse_box,
     _parse_float,
@@ -55,12 +53,14 @@ from detpipe.geometry import _check_iou_threshold
 from detpipe.records import NEGATIVE, POSITIVE, VerificationTable
 from detpipe.table import PredictionTable, as_table
 
+from oracles import csv_lines_ref
+
 # -- references ------------------------------------------------------------------
 
 
 def parse_predictions_ref(data):
     out = []
-    for number, line in _csv_lines(data, PREDICTIONS_HEADER):
+    for number, line in csv_lines_ref(data, PREDICTIONS_HEADER):
         parts = _split(line, number, 10)
         mask = _parse_mask_fields(parts[7:10], number)
         box = _parse_box(parts[3:7], number)
@@ -72,9 +72,15 @@ def parse_predictions_ref(data):
     return out
 
 
+def box_fields_ref(box):
+    # The record constructors store coordinates as floats, so repr() gives
+    # the shortest string that round-trips.
+    return f"{box.x_min!r},{box.y_min!r},{box.x_max!r},{box.y_max!r}"
+
+
 def prediction_row_ref(p):
     return ",".join(
-        (p.image_id, p.category_id, repr(p.score), _box_fields(p.box), _mask_fields(p.mask))
+        (p.image_id, p.category_id, repr(p.score), box_fields_ref(p.box), _mask_fields(p.mask))
     )
 
 

@@ -2,8 +2,9 @@
 replaced.  Those converted and checked every field in ``__post_init__`` on
 every construction; the constructors now store valid, well-typed fields after
 a few comparisons and run the same checks on anything else.  The references
-below keep the earlier ``__post_init__`` bodies as they were, but for one
-later rule: a mask run, like a mask width or height, must be an integer.
+below keep the earlier ``__post_init__`` bodies as they were, but for two
+later rules: a mask run, like a mask width or height, must be an integer,
+and a mask's width times its height must not be above int64's maximum.
 Last, the coded verification table is checked against a plain dict."""
 
 import math
@@ -61,6 +62,10 @@ class BinaryMaskRef:
     def __post_init__(self) -> None:
         object.__setattr__(self, "width", _check_dimension("mask width", self.width))
         object.__setattr__(self, "height", _check_dimension("mask height", self.height))
+        if self.width * self.height > 2**63 - 1:
+            raise ValidationError(
+                f"mask width*height = {self.width * self.height} is above the int64 maximum"
+            )
         runs = tuple(_check_integer("mask run", r) for r in self.runs)
         if not runs:
             raise ValidationError("mask runs must not be empty")
@@ -224,6 +229,9 @@ class TestConstructorsMatchReference:
     @example({"width": 2, "height": 2, "runs": [np.int64(1), 3.0]})
     @example({"width": True, "height": 1, "runs": [1]})
     @example({"width": 0, "height": "x", "runs": [0]})
+    @example({"width": 2**62, "height": 2, "runs": [0, 2**63]})
+    @example({"width": 2**63 - 1, "height": 1, "runs": [0, 2**63 - 1]})
+    @example({"width": 10**21, "height": 1, "runs": [-1]})
     def test_binary_mask(self, kwargs):
         assert_same(BinaryMask, BinaryMaskRef, kwargs)
 
