@@ -57,7 +57,6 @@ from .records import (
     _check_id,
     _check_pool_limit,
     _Codes,
-    _intern,
 )
 from .table import (
     GroundTruth,
@@ -251,32 +250,26 @@ def _csv_lines(text: str, start: int):
         yield from _numbered(lines, first)
 
 
-def _split_chunk(lines: list[str], n_fields: int, ending: str) -> list[str] | None:
-    """Every field of a chunk, row-major, when each line has n_fields fields
-    and ends with ending; None otherwise.  n_fields is at least 2, so an
-    empty line fails."""
+def _split_chunk(lines: list[str], n_fields: int) -> list[str] | None:
+    """Every field of a chunk, row-major, when each line has n_fields fields;
+    None otherwise.  n_fields is at least 2, so an empty line fails."""
     n = len(lines)
-    if ending and not all(map(str.endswith, lines, repeat(ending, n))):
-        return None
     if list(map(str.count, lines, repeat(",", n))).count(n_fields - 1) != n:
         return None
     return ",".join(lines).split(",")
 
 
-def _chunk_columns(
-    text: str, start: int, n_fields: int, columns_of_chunk, fallback=None, ending: str = ""
-):
+def _chunk_columns(text: str, start: int, n_fields: int, columns_of_chunk, fallback=None):
     """Yield the columns of each chunk (see _chunks) of a file's data lines,
     which start at offset start of its text, in file order.  A chunk whose
-    lines all have n_fields fields and end with ending is split into its
-    fields, row-major, and columns_of_chunk(fields, number of rows)
-    converts them whole.  It gives None, or raises ValueError, for a chunk
-    that fails a check; then fallback(chunk, number of its first line)
-    parses the chunk row by row, for its columns or its first error.  A
-    parser whose checks span chunks passes no fallback and is given None
-    for the chunk, to parse the whole file row by row."""
+    lines all have n_fields fields is split into its fields, row-major, and
+    columns_of_chunk(fields, number of rows) converts them whole.  It gives
+    None, or raises ValueError, for a chunk that fails a check; then
+    fallback(chunk, number of its first line) walks the chunk row by row
+    and raises its first error.  A parser whose checks span chunks passes
+    no fallback and is given None for the chunk, to walk the whole file."""
     for first, chunk in _chunks(text, start):
-        fields = _split_chunk(chunk, n_fields, ending)
+        fields = _split_chunk(chunk, n_fields)
         try:
             columns = None if fields is None else columns_of_chunk(fields, len(chunk))
         except ValueError:
@@ -284,7 +277,8 @@ def _chunk_columns(
         # Only the columns outlive the chunk's fields.
         del fields
         if columns is None and fallback is not None:
-            columns = fallback(chunk, first)
+            fallback(chunk, first)
+            raise AssertionError(f"line {first}: the rows pass the checks their columns fail")
         yield columns
 
 
@@ -361,12 +355,11 @@ def _mask_fields(mask: BinaryMask | None) -> str:
 
 # -- predictions and ground truth ----------------------------------------------
 
-def _annotation_rows(lines: list[str], first: int, n_fields: int):
-    """A chunk of predictions lines (10 fields, with a score) or ground-truth
-    lines (9, without) from line first, row by row and field by field: the
-    columns _parse_coded takes, or the first bad row's ParseError."""
+def _annotation_rows(lines: list[str], first: int, n_fields: int) -> None:
+    """Raise the first error of a chunk of predictions lines (10 fields, with
+    a score) or ground-truth lines (9, without) from line first, row by row
+    and field by field."""
     record = Prediction if n_fields == 10 else GroundTruthInstance
-    image_ids, category_ids, numbers, masks = [], [], [], []
     for number, line in _numbered(lines, first):
         parts = _split(line, number, n_fields)
         mask = _parse_mask_fields(parts[-3:], number)
@@ -376,11 +369,6 @@ def _annotation_rows(lines: list[str], first: int, n_fields: int):
             record(parts[0], parts[1], *scores, box, mask)
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
-        image_ids.append(parts[0])
-        category_ids.append(parts[1])
-        numbers.append((*scores, box.x_min, box.y_min, box.x_max, box.y_max))
-        masks.append(mask)
-    return (image_ids, category_ids), np.array(numbers).T, masks
 
 
 def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: int):
@@ -390,7 +378,7 @@ def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: 
     ids, none empty; the numbers, a [k, n] float64 array read through
     float() as the row parse reads them, are the fields from there to the
     box, which is followed by n_after fields: scores, each in [0, 1], then
-    the box, which passes Box's check."""
+    the box, ordered with each coordinate finite, as Box checks it."""
     ids = [fields[k::n_fields] for k in range(n_ids)]
     if any("" in column for column in ids):
         return None
@@ -401,33 +389,42 @@ def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: 
         ]
     )
     scores, (x_min, y_min, x_max, y_max) = numbers[:-4], numbers[-4:]
-    # The accept tests column by column; a sum that overflows fails here
-    # and the row-by-row parse judges the row.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (
-            np.all((0.0 <= scores) & (scores <= 1.0))
-            and np.all(x_min <= x_max)
-            and np.all(y_min <= y_max)
-            and np.all(np.isfinite(x_min + y_min + x_max + y_max))
-        ):
-            return None
+    if not (
+        np.all((0.0 <= scores) & (scores <= 1.0))
+        and np.all(x_min <= x_max)
+        and np.all(y_min <= y_max)
+        and np.isfinite(numbers[-4:]).all()
+    ):
+        return None
     return ids, numbers
+
+
+def _mask_column(widths: list[str], heights: list[str], rles: list[str]) -> list:
+    """Each row's mask, None where its three mask fields are empty;
+    ValueError when a mask does not parse or fails BinaryMask's checks."""
+    return [
+        None if w == h == rle == "" else BinaryMask(int(w), int(h), [*map(int, rle.split(" "))])
+        for w, h, rle in zip(widths, heights, rles)
+    ]
 
 
 def _parse_coded(data: bytes | str, header: str, n_fields: int):
     """The columns of a predictions (n_fields 10) or ground-truth (9) file:
     sorted image ids and each row's code, the same for category ids, the
     scores as a [k, N] float64 array (one row, or none), the boxes as
-    [N, 4] and the masks, each array filled a chunk at a time.  A chunk of
-    valid box-only rows is parsed column by column; any other chunk (one
-    with masks, or one that fails a check) by _annotation_rows, row by row,
-    so the first bad row reports its own line.  A chunk with a line that
-    does not end in three empty mask fields goes to the rows unsplit.  Each
-    id column is interned once for the whole file."""
+    [N, 4] and the masks, each array filled a chunk at a time.  A chunk is
+    parsed column by column; one that fails a check goes to
+    _annotation_rows, row by row, so the first bad row reports its own
+    line.  Each id column is interned once for the whole file."""
 
-    def box_only(fields: list[str], n: int):
+    def columns(fields: list[str], n: int):
         columns = _box_columns(fields, n, n_fields, 2, 3)
-        return None if columns is None else (*columns, [None] * n)
+        if columns is None:
+            return None
+        mask_fields = [fields[k::n_fields] for k in range(n_fields - 3, n_fields)]
+        if all(column.count("") == n for column in mask_fields):
+            return (*columns, [None] * n)
+        return (*columns, _mask_column(*mask_fields))
 
     text, start = _data_text(data, header)
     n = _row_count(text, start)
@@ -437,9 +434,8 @@ def _parse_coded(data: bytes | str, header: str, n_fields: int):
         text,
         start,
         n_fields,
-        box_only,
+        columns,
         lambda chunk, first: _annotation_rows(chunk, first, n_fields),
-        ",,,",
     ):
         images.add(ids[0])
         categories.add(ids[1])
@@ -534,9 +530,9 @@ _SIGNS = {"1": 1, "-1": -1}
 _SIGN_TEXT = {1: "1", -1: "-1"}
 
 
-def _verification_rows(rows) -> VerificationTable:
-    """A file's numbered data lines (see _csv_lines), row by row: the source
-    of every verification ParseError."""
+def _verification_rows(rows) -> None:
+    """Raise the first error of a file's numbered data lines (see
+    _csv_lines), row by row: the source of every verification ParseError."""
     entries: dict[tuple[str, str], int] = {}
     for number, line in rows:
         parts = _split(line, number, 3)
@@ -552,7 +548,6 @@ def _verification_rows(rows) -> VerificationTable:
                 f"conflicting verification for image {key[0]!r}, category {key[1]!r}",
             )
         entries[key] = sign
-    return VerificationTable(entries)
 
 
 def _verification_columns(fields: list[str], n: int):
@@ -569,33 +564,35 @@ def _verification_columns(fields: list[str], n: int):
 def parse_verification(data: bytes | str) -> VerificationTable:
     """Parse a verification file into coded pairs, each distinct pair once;
     a repeat of a pair with the same sign is accepted.  The file is parsed
-    column by column when every chunk passes the field checks and no pair
-    repeats with the other sign, and row by row otherwise, so the first bad
-    row reports its own line."""
+    column by column; when a chunk fails the field checks, or a pair repeats
+    with the other sign, it is walked row by row, so the first bad row
+    reports its own line."""
     text, start = _data_text(data, VERIFICATION_HEADER)
     images, categories = _Codes(), _Codes()
     signs = []
     for columns in _chunk_columns(text, start, 3, _verification_columns):
         if columns is None:
-            return _verification_rows(_csv_lines(text, start))
+            break
         images.add(columns[0])
         categories.add(columns[1])
         signs.append(columns[2])
-    image_vocabulary, image_codes = images.finish()
-    category_vocabulary, category_codes = categories.finish()
-    signs = np.concatenate(signs) if signs else np.zeros(0, dtype=np.int8)
-    keys = image_codes.astype(np.int64) * len(category_vocabulary) + category_codes
-    kept = _firsts(keys)
-    # A pair with both signs has more distinct (pair, sign) keys than pairs.
-    if len(_firsts(keys * 2 + (signs > 0))) != len(kept):
-        return _verification_rows(_csv_lines(text, start))
-    return VerificationTable.from_columns(
-        image_vocabulary,
-        category_vocabulary,
-        image_codes[kept],
-        category_codes[kept],
-        signs[kept],
-    )
+    else:
+        image_vocabulary, image_codes = images.finish()
+        category_vocabulary, category_codes = categories.finish()
+        signs = np.concatenate(signs) if signs else np.zeros(0, dtype=np.int8)
+        keys = image_codes.astype(np.int64) * len(category_vocabulary) + category_codes
+        kept = _firsts(keys)
+        # A pair with both signs has more distinct (pair, sign) keys than pairs.
+        if len(_firsts(keys * 2 + (signs > 0))) == len(kept):
+            return VerificationTable.from_columns(
+                image_vocabulary,
+                category_vocabulary,
+                image_codes[kept],
+                category_codes[kept],
+                signs[kept],
+            )
+    _verification_rows(_csv_lines(text, start))
+    raise AssertionError("the rows pass the checks their columns fail")
 
 
 def write_verification(verification: VerificationTable) -> bytes:
@@ -681,22 +678,17 @@ def write_category_stats(stats: CategoryStats) -> bytes:
 # -- RoI pool ------------------------------------------------------------------
 
 
-def _roi_pool_rows(rows, max_per_image: int) -> tuple[list[str], np.ndarray]:
-    """A file's image ids and its [5, N] numbers (the box, then objectness,
-    NaN for none) from its numbered data lines (see _csv_lines), row by row:
-    the source of every RoI pool ParseError."""
+def _roi_pool_rows(rows, max_per_image: int) -> None:
+    """Raise the first error of a file's numbered data lines (see
+    _csv_lines), row by row: the source of every RoI pool ParseError."""
     counts: dict[str, int] = {}
-    image_ids: list[str] = []
-    numbers: list[tuple[float, ...]] = []
     for number, line in rows:
         parts = _split(line, number, 6)
         _parse_id(parts[0], number, "image_id")
-        objectness = None
-        if parts[5] != "":
-            objectness = _parse_float(parts[5], number, "objectness")
+        objectness = _parse_float(parts[5], number, "objectness") if parts[5] else None
         box = _parse_box(parts[1:5], number)
         try:
-            roi = Roi(box, objectness)
+            Roi(box, objectness)
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
         held = counts.get(parts[0], 0)
@@ -706,16 +698,13 @@ def _roi_pool_rows(rows, max_per_image: int) -> tuple[list[str], np.ndarray]:
                 f"image {parts[0]!r} exceeds the pool limit of {max_per_image} RoIs",
             )
         counts[parts[0]] = held + 1
-        image_ids.append(parts[0])
-        objectness = nan if roi.objectness is None else roi.objectness
-        numbers.append((box.x_min, box.y_min, box.x_max, box.y_max, objectness))
-    return image_ids, np.array(numbers).reshape(-1, 5).T
 
 
 def _roi_pool_columns(fields: list[str], n: int):
-    """A chunk's image ids and [5, n] numbers, as _roi_pool_rows gives them,
-    when every row passes the record checks; None otherwise, and ValueError
-    when a number does not parse.  A given objectness must be finite."""
+    """A chunk's image ids and [5, n] numbers (the box, then objectness, NaN
+    for none) when every row passes the record checks; None otherwise, and
+    ValueError when a number does not parse.  A given objectness must be
+    finite."""
     columns = _box_columns(fields, n, 6, 1, 1)
     if columns is None:
         return None
@@ -731,9 +720,9 @@ def parse_roi_pool(
     data: bytes | str, max_per_image: int = DEFAULT_POOL_LIMIT
 ) -> RoiPool:
     """Parse a RoI pool file into columns, once the limit is checked.  The
-    file is parsed column by column, a chunk of rows at a time, when every
-    chunk passes the record checks and one count of each image's rows finds
-    none over the limit; otherwise row by row, so the first bad row, or the
+    file is parsed column by column, a chunk of rows at a time; when a chunk
+    fails the record checks, or one count of each image's rows finds one
+    over the limit, it is walked row by row, so the first bad row, or the
     row that takes its image over the limit, reports its own line."""
     _check_pool_limit(max_per_image)
     text, start = _data_text(data, ROI_POOL_HEADER)
@@ -752,11 +741,8 @@ def parse_roi_pool(
         image_ids, image_codes = images.finish()
         if np.bincount(image_codes).max(initial=0) <= max_per_image:
             return RoiPool.from_columns(image_ids, image_codes, boxes, objectness, max_per_image)
-    # The rows one by one raise the first row's error, or give every row
-    # when only the column checks turned one away (a sum that overflows).
-    image_ids, numbers = _roi_pool_rows(_csv_lines(text, start), max_per_image)
-    boxes = np.ascontiguousarray(numbers[:4].T)
-    return RoiPool.from_columns(*_intern(image_ids), boxes, numbers[4].copy(), max_per_image)
+    _roi_pool_rows(_csv_lines(text, start), max_per_image)
+    raise AssertionError("the rows pass the checks their columns fail")
 
 
 def write_roi_pool(pool: RoiPool) -> bytes:

@@ -102,6 +102,10 @@ class SamplerConfig:
         n_sample = _check_integer("n_sample", self.n_sample)
         if n_sample < 1:
             raise ValidationError(f"n_sample must be >= 1, got {n_sample}")
+        try:
+            float(n_sample)
+        except OverflowError as exc:
+            raise ValidationError("n_sample is too large to convert to a float") from exc
         object.__setattr__(self, "n_sample", n_sample)
         object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         if not 0.0 < self.fg_fraction < 1.0:

@@ -245,9 +245,8 @@ class TestPredictions:
 
 # -- one vocabulary per parse ------------------------------------------------------
 
-# Two-line chunks.  In the predictions and ground-truth files a masked row
-# sends its chunk row by row, so row-by-row chunks sit among column-parsed
-# ones; the verification file repeats a pair across chunks.
+# Two-line chunks.  In the predictions and ground-truth files some chunks
+# hold a masked row; the verification file repeats a pair across chunks.
 SORTED_ONCE = [
     (
         fileio.parse_prediction_table,

@@ -21,7 +21,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize(
     "fixture, expected_spans",
     [
-        ("pipeline", {"cli.run"}),
+        # The masked fixture: its parse, mask fusion and mask decoding are
+        # the layers the mask-submission workload times.
+        (
+            "pipeline",
+            {"cli.run", "fileio.parse_prediction_table", "ensemble.fuse_group", "geometry.mask_decode"},
+        ),
         ("expert_pipeline", {"cli.run", "federated.expand_verification"}),
     ],
 )

@@ -13,11 +13,12 @@ encoded buffer.
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from detpipe import ParseError, fileio
+from detpipe import BinaryMask, ParseError, fileio
 from detpipe.federated import LabelMatrix
 
 # Sizes the parsers run at here: one line at a time, chunks cut by the line
@@ -209,9 +210,9 @@ class TestChunkSizes:
         assert message.startswith(reason)
 
 
-def test_a_masked_chunk_goes_to_the_rows_unsplit(monkeypatch):
-    # Only chunks whose lines all end in three empty mask fields are split
-    # into fields for the column path.
+def test_a_masked_chunk_is_split_once_and_parsed_by_columns(monkeypatch):
+    # A chunk with a masked line is split into its fields, as any other
+    # chunk is, and converted whole: no row walker sees it.
     splits = []
     real = fileio._split_chunk
 
@@ -221,12 +222,13 @@ def test_a_masked_chunk_goes_to_the_rows_unsplit(monkeypatch):
         return fields
 
     monkeypatch.setattr(fileio, "_split_chunk", split_chunk)
+    monkeypatch.setattr(fileio, "_annotation_rows", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(fileio, "_CHUNK_LINES", 4)
     parse, header, rows = PARSERS["predictions"]
     table = parse(file_of(header, rows))
     # Rows 4-7 hold the masked row 5.
-    assert splits == [True, False, True]
-    assert table.masks[5] is not None and table.masks.count(None) == ROWS - 1
+    assert splits == [True, True, True]
+    assert table.masks[5] == BinaryMask(2, 2, [1, 3]) and table.masks.count(None) == ROWS - 1
 
 
 # -- memory ---------------------------------------------------------------------------

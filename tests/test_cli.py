@@ -70,6 +70,65 @@ def small_world(tmp_path: Path):
     return predictions, gts, table, paths
 
 
+EXPERT, PIPELINE = FIXTURES / "expert_pipeline", FIXTURES / "pipeline"
+# Each numeric flag of each subcommand, last in an argv whose other
+# arguments are valid; outputs are named relative to the run's directory.
+# partition-pool's --k writes k files, so no value from 4 to its limit of
+# 16000 is given it.
+_SAMPLE = ["sample-rois", "--rois", str(EXPERT / "rois.csv"),
+           "--ground-truth", str(EXPERT / "ground_truth.csv"), "--out", "o.csv"]
+_RANK = ["split-experts", "--by", "rank", "--stats", str(EXPERT / "stats.csv"), "--out", "o.csv"]
+NUMERIC_FLAGS = {
+    "nms --iou-threshold": ["nms", "--in", str(PIPELINE / "preds_a.csv"), "--out", "o.csv"],
+    "ensemble --iou-threshold": [
+        "ensemble", str(PIPELINE / "preds_a.csv"), str(PIPELINE / "preds_b.csv"), "--out", "o.csv"
+    ],
+    "assign --iou-threshold": [
+        "assign", "--image-id", "im0", "--rois", str(EXPERT / "rois.csv"),
+        "--ground-truth", str(EXPERT / "ground_truth.csv"),
+        "--verification", str(EXPERT / "verification.csv"),
+        "--hierarchy", str(EXPERT / "hierarchy.json"),
+        "--categories", str(EXPERT / "categories.csv"), "--out", "o.csv",
+    ],
+    "eval --iou-threshold": [
+        "eval", "--predictions", str(PIPELINE / "preds_a.csv"),
+        "--ground-truth", str(PIPELINE / "ground_truth.csv"),
+        "--verification", str(PIPELINE / "verification.csv"),
+        "--hierarchy", str(PIPELINE / "hierarchy.json"), "--out-report", "o.csv",
+    ],
+    "sample-rois --n-sample": _SAMPLE,
+    "sample-rois --fg-fraction": _SAMPLE,
+    "sample-rois --fg-iou-threshold": _SAMPLE,
+    "sample-rois --seed": _SAMPLE,
+    "partition-pool --k": ["partition-pool", "--rois", str(EXPERT / "rois.csv"), "--out-prefix", "p"],
+    "lr --batch-size": ["lr", "--at", "0.5"],
+    "lr --eta0": ["lr", "--at", "0.5"],
+    "lr --at": ["lr", "--eta0", "0.1"],
+    "split-experts --start-rank": [*_RANK, "--end-rank", "6", "--num-experts", "2"],
+    "split-experts --end-rank": [*_RANK, "--start-rank", "0", "--num-experts", "2"],
+    "split-experts --num-experts": [*_RANK, "--start-rank", "0", "--end-rank", "6"],
+    "filter-expert --group-index": [
+        "filter-expert", "--ground-truth", str(EXPERT / "ground_truth.csv"),
+        "--verification", str(EXPERT / "verification.csv"),
+        "--group-file", str(EXPERT / "expected" / "groups.csv"),
+        "--out-ground-truth", "g.csv", "--out-verification", "v.csv", "--out-images", "i.csv",
+    ],
+    "restrict --group-index": [
+        "restrict", "--in", str(EXPERT / "expert_0.csv"),
+        "--group-file", str(EXPERT / "expected" / "groups.csv"), "--out", "o.csv",
+    ],
+    "drop-small-masks --min-area": [
+        "drop-small-masks", "--in", str(PIPELINE / "preds_a.csv"), "--out", "o.csv"
+    ],
+    "trim --max-bytes": [
+        "trim", "--in", str(PIPELINE / "preds_a.csv"), "--out", "o.csv", "--report", "r.csv"
+    ],
+}
+NUMERIC_FLAGS = {name: [*argv, name.split(" ")[1]] for name, argv in NUMERIC_FLAGS.items()}
+NUMERIC_VALUES = {"10**400": str(10**400), "-10**400": str(-(10**400))}
+NUMERIC_VALUES.update((text, text) for text in ("0", "-1", "nan", "inf", "-inf", "1e308", "3"))
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.run(["definitely-not-a-command"]) == 2
@@ -125,6 +184,36 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error\tValidationError\tbatch_size is too large to convert to a float\n"
         )
+
+    def test_n_sample_too_large_for_a_float(self, tmp_path, capsys):
+        expert = FIXTURES / "expert_pipeline"
+        argv = [
+            "sample-rois", "--rois", str(expert / "rois.csv"),
+            "--ground-truth", str(expert / "ground_truth.csv"),
+            "--out", str(tmp_path / "sampled.csv"), "--n-sample", "1" + "0" * 400,
+        ]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error\tValidationError\tn_sample is too large to convert to a float\n"
+        )
+        assert not (tmp_path / "sampled.csv").exists()
+
+    @pytest.mark.parametrize("value", NUMERIC_VALUES)
+    @pytest.mark.parametrize("name", NUMERIC_FLAGS)
+    def test_every_numeric_flag_keeps_the_error_contract(
+        self, name, value, tmp_path, monkeypatch, capsys
+    ):
+        # Exit 0; exit 1 with one error line; or exit 2, argparse's usage
+        # error, for a value its type does not read.  Never a traceback.
+        monkeypatch.chdir(tmp_path)
+        code = cli.run([*NUMERIC_FLAGS[name], NUMERIC_VALUES[value]])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith("error\t"), err
+        elif code == 2:
+            assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1], err
+        else:
+            assert (code, err) == (0, "")
 
     @staticmethod
     def run_with_small_address_space(argv, cwd):

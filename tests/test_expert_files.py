@@ -36,6 +36,7 @@ from detpipe.fileio import (
     GROUND_TRUTH_HEADER,
     LABELS_HEADER,
     LOGITS_HEADER,
+    PREDICTIONS_HEADER,
     ROI_POOL_HEADER,
     VERIFICATION_HEADER,
     _fmt_float,
@@ -192,6 +193,20 @@ def parse_ground_truth_ref(data):
         box = _parse_box(parts[2:6], number)
         try:
             out.append(GroundTruthInstance(parts[0], parts[1], box, mask))
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from exc
+    return out
+
+
+def parse_predictions_ref(data):
+    out = []
+    for number, line in csv_lines_ref(data, PREDICTIONS_HEADER):
+        parts = _split(line, number, 10)
+        mask = _parse_mask_fields(parts[7:10], number)
+        box = _parse_box(parts[3:7], number)
+        score = _parse_float(parts[2], number, "score")
+        try:
+            out.append(Prediction(parts[0], parts[1], score, box, mask))
         except ValidationError as exc:
             raise ParseError(number, str(exc)) from exc
     return out
@@ -886,16 +901,26 @@ class TestHandOff:
 # -- the column path ---------------------------------------------------------------
 
 FIXTURE = Path(__file__).parent / "fixtures" / "expert_pipeline"
+PIPELINE = Path(__file__).parent / "fixtures" / "pipeline"
 
 
 def test_valid_files_never_take_the_row_path():
     # The row loops are the fallback for a chunk or file that fails a check;
-    # a valid file, whatever the chunk size, must not reach them.
+    # a valid file, masked or not, whatever the chunk size, must not reach
+    # them.
     files = {
         name: (FIXTURE / name).read_bytes()
         for name in ("verification.csv", "ground_truth.csv", "rois.csv", "expert_0.csv", "logits_im0.csv")
     }
     labels = (FIXTURE / "expected" / "labels_im0.csv").read_bytes()
+    masked = [(PIPELINE / name).read_bytes() for name in ("preds_a.csv", "preds_b.csv")]
+    rows = fileio.parse_predictions(masked[0])
+    masked_ground_truth = fileio.write_ground_truth(
+        [GroundTruthInstance(p.image_id, p.category_id, p.box, p.mask) for p in rows]
+    )
+    assert all(gt.mask is not None for gt in fileio.parse_ground_truth(masked_ground_truth).rows())
+    # Four coordinates of 1e308 make a valid box whose sum overflows.
+    huge = "1e308,1e308,1e308,1e308"
     row_paths = ("_matrix_field_error", "_verification_rows", "_roi_pool_rows", "_annotation_rows")
     for chunk_lines in (*range(1, 13), 4096):
         with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines), contextlib.ExitStack() as stack:
@@ -907,6 +932,73 @@ def test_valid_files_never_take_the_row_path():
             fileio.parse_ground_truth(files["ground_truth.csv"])
             fileio.parse_roi_pool(files["rois.csv"])
             fileio.parse_prediction_table(files["expert_0.csv"])
+            for data in masked:
+                fileio.parse_prediction_table(data)
+            fileio.parse_ground_truth(masked_ground_truth)
+            fileio.parse_ground_truth(f"{GROUND_TRUTH_HEADER}\nim0,c,{huge},,,\n")
+            fileio.parse_roi_pool(f"{ROI_POOL_HEADER}\nim0,{huge},\n")
+
+
+# Tokens on which a column check and a row check could part: NaN, infinities,
+# coordinates whose sum overflows, -0.0, empty fields, mask fields partly
+# empty, and runs that are not a mask of their size.
+TOKENS = ["0", "1", "0.5", "-0.0", "1e308", "-1e308", "nan", "inf", "-inf", "x", ""]
+VALID_MASKS = [",,", ",,", "2,2,1 3", "2,2,0 4", "1,1,0 1"]
+BAD_MASKS = ["2,2,", "2,,1 3", ",2,1 3", ",,1 3", "2,2,1 2", "2,2,0 0 4", "2,2,1 x", "0,2,0", "2,2,1  3"]
+ANNOTATIONS = {
+    True: (fileio.parse_prediction_table, parse_predictions_ref, PREDICTIONS_HEADER),
+    False: (fileio.parse_ground_truth, parse_ground_truth_ref, GROUND_TRUTH_HEADER),
+}
+
+
+@st.composite
+def annotation_files(draw):
+    """Whether the file is a predictions file (scored) or a ground-truth
+    file, and its bytes: valid rows, masked or not, some with one field
+    made any of the tokens or their mask fields made bad."""
+    scored = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        ids = [draw(st.sampled_from(IDS)) for _ in "ic"]
+        scores = [draw(st.sampled_from(TOKENS[:4]))] * scored
+        x, y = (sorted(draw(st.lists(st.sampled_from(TOKENS[:6]), min_size=2, max_size=2)), key=float) for _ in "xy")
+        fields = [*ids, *scores, x[0], y[0], x[1], y[1]]
+        mask = draw(st.sampled_from(VALID_MASKS))
+        if not draw(st.integers(0, 3)):
+            if draw(st.booleans()):
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            else:
+                mask = draw(st.sampled_from(BAD_MASKS))
+        rows.append(",".join([*fields, mask]))
+    return scored, as_file(ANNOTATIONS[scored][2], rows)
+
+
+@given(annotation_files(), st.sampled_from([1, 4096]))
+@settings(max_examples=400, deadline=None)
+@example((False, as_file(GROUND_TRUTH_HEADER, ["a,c,1e308,1e308,1e308,1e308,,,"])), 4096)
+@example((True, as_file(PREDICTIONS_HEADER, ["a,c,0.5,1e308,1e308,1e308,1e308,2,2,1 3"])), 4096)
+@example((True, as_file(PREDICTIONS_HEADER, ["a,c,-0.0,-0.0,-0.0,-0.0,-0.0,1,1,0 1"])), 1)
+@example((True, as_file(PREDICTIONS_HEADER, ["a,c,0.5,0,0,1,1,2,2,1 3", "a,c,0.5,0,0,1,1,2,,1 3"])), 4096)
+@example((False, as_file(GROUND_TRUTH_HEADER, ["a,c,0,0,1,1,,,", "a,c,0,0,1,1,2,2,"])), 1)
+@example((False, as_file(GROUND_TRUTH_HEADER, ["a,c,0,0,1,1,2,2,0 4", "a,c,0,0,1,1,2,2,1 2"])), 4096)
+@example((False, as_file(GROUND_TRUTH_HEADER, ["a,c,0,0,1,1,,,", "a,c,0,-inf,1,1,2,2,0 4"])), 4096)
+def test_masked_and_box_only_rows_parse_as_the_rows_do(case, chunk_lines):
+    # Every chunk is parsed by columns; a chunk the columns reject is walked
+    # row by row for its first error.  So a valid file never reaches the row
+    # walker and gives the reference's rows, and any other file gives the
+    # reference's ParseError, line and message.
+    scored, data = case
+    parse, reference, _ = ANNOTATIONS[scored]
+    expected = outcome(reference, data)
+    walker = mock.patch.object(fileio, "_annotation_rows", wraps=fileio._annotation_rows)
+    with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines), walker as row_path:
+        actual = outcome(parse, data)
+    if expected[0] == "ok":
+        assert actual[0] == "ok", actual
+        same_records(actual[1].rows(), expected[1])
+        assert not row_path.called
+    else:
+        assert actual == expected
 
 
 # -- linear cost -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ class TestSampleRois:
         ):
             with pytest.raises(ValidationError, match="must be an integer"):
                 SamplerConfig(**fields)
+
+    def test_n_sample_must_convert_to_a_float(self):
+        # The foreground quota is fg_fraction * n_sample, a float.
+        with pytest.raises(ValidationError, match="^n_sample is too large to convert to a float$"):
+            SamplerConfig(n_sample=10**400)
+        largest = int(sys.float_info.max)
+        pool, gt = [Box(0, 0, 1, 1), Box(5, 5, 6, 6)], [Box(0, 0, 1, 1)]
+        assert sorted(sample_rois(pool, gt, SamplerConfig(n_sample=largest))) == [0, 1]
 
     def test_integral_counts_and_seeds_are_stored_as_ints(self):
         config = SamplerConfig(n_sample=4.0, seed=7.0)
