@@ -13,7 +13,9 @@ Every table a stage builds holds exactly the ids of its rows, as its parse
 would, and ``by_image`` gives a table's rows of one image.  The run keeps
 one BLAKE2b digest per path, of the bytes last parsed or written there, and
 no bytes: a stage that reads a file whose bytes no longer match parses
-them.  A verification file is one coded ``VerificationTable`` from parse to
+them.  A parser is given a file's decoded text, its bytes already dropped,
+and ``ensemble`` parses its files one at a time, each released after its
+NMS.  A verification file is one coded ``VerificationTable`` from parse to
 hierarchy expansion, and the table keeps its closure over the hierarchy, so
 ``eval`` and every ``assign`` that read one parse share one closure.
 ``assign`` closes the whole table, which checks every image for conflicts,
@@ -66,7 +68,7 @@ from .federated import (
     classification_loss,
     expand_verification,
 )
-from .fileio import _decode, _prediction_lines
+from .fileio import _decode, _prediction_file, _prediction_lines
 from .postprocess import (
     DEFAULT_BYTE_BUDGET,
     DEFAULT_MIN_MASK_AREA,
@@ -92,13 +94,15 @@ def _read_bytes(path: str) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _write_bytes_atomic(path: str, data: bytes) -> None:
+def _write_bytes_atomic(path: str, *parts: bytes) -> None:
+    """Write the file of parts, one after another, without joining them."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp_name, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -132,45 +136,60 @@ class _Record:
 _store: dict[str, _Record] = {}
 
 
-def _load(parse: Callable[[bytes], object], path: str):
-    """parse(the bytes at path), or what this run kept for the same parser
+def _digest(*parts: bytes) -> bytes:
+    """The BLAKE2b digest of the file of parts."""
+    hasher = blake2b()
+    for part in parts:
+        hasher.update(part)
+    return hasher.digest()
+
+
+def _load(parse: Callable[[str], object], path: str):
+    """parse(the text at path), or what this run kept for the same parser
     and the same bytes at that path: an earlier stage's parse, or the value
-    that a stage wrote there."""
+    that a stage wrote there.  The bytes are hashed when a record needs
+    their digest, then decoded, and dropped before the parse: a parser is
+    given the text alone.  A decode error is the ParseError every parser
+    raises first."""
     data = _read_bytes(path)
     record = _store.get(path)
-    if record is None or (record.parse is None and record.readers == 1):
-        return parse(data)
-    digest = blake2b(data).digest()
-    if record.parse is parse and record.digest == digest:
-        return record.result
-    result = parse(data)
-    if record.readers > 1:
+    digest = b""
+    if record is not None and (record.parse is not None or record.readers > 1):
+        digest = _digest(data)
+        if record.parse is parse and record.digest == digest:
+            return record.result
+    text = _decode(data)
+    del data
+    result = parse(text)
+    if record is not None and record.readers > 1:
         _store[path] = _Record(record.readers, digest, parse, result)
     return result
 
 
-def _write(path: str, data: bytes, parse: Callable | None = None, value: object = None) -> None:
-    """Write a stage's output atomically.  With parse, the later stages of
-    this run that read the path with parse get value, for as long as the
-    file keeps these bytes: value must be exactly what parse gives for
-    them.  A written predictions table is: ``take`` keeps its vocabularies
-    to the ids of its rows, its other columns read back as they are, and it
-    carries the encoded lines it was written from, which a later stage's
-    ``take`` copies and trim sizes its rows by.  Without parse, nothing is
-    handed and the path's next reader parses."""
-    _write_bytes_atomic(path, data)
+def _write(path: str, *parts: bytes, parse: Callable | None = None, value: object = None) -> None:
+    """Write a stage's output atomically, as the file of parts, which are
+    written and hashed one after another and never joined.  With parse,
+    the later stages of this run that read the path with parse get value,
+    for as long as the file keeps these bytes: value must be exactly what
+    parse gives for them.  A written predictions table is: ``take`` keeps
+    its vocabularies to the ids of its rows, its other columns read back as
+    they are, and it carries the encoded lines it was written from, which a
+    later stage's ``take`` copies and trim sizes its rows by.  Without
+    parse, nothing is handed and the path's next reader parses."""
+    _write_bytes_atomic(path, *parts)
     record = _store.get(path)
     if record is not None:
-        digest = blake2b(data).digest() if parse else b""
+        digest = _digest(*parts) if parse else b""
         _store[path] = _Record(record.readers, digest, parse, value)
 
 
 def _write_predictions(path: str, table: PredictionTable) -> None:
     """Write a predictions table, formatting its rows once into one encoded
     buffer, a chunk of rows at a time, and hand it, with that buffer, to the
-    path's later readers: the file is the header and the buffer."""
+    path's later readers: the file is the header and the buffer, written
+    one after the other."""
     table.lines = _prediction_lines(table)
-    _write(path, fileio.write_predictions(table), fileio.parse_prediction_table, table)
+    _write(path, *_prediction_file(table), parse=fileio.parse_prediction_table, value=table)
 
 
 def _finished(inputs: list[str]) -> None:
@@ -267,7 +286,8 @@ def _cmd_nms(args: argparse.Namespace) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    tables = [_load(fileio.parse_prediction_table, p) for p in args.inputs]
+    # One file parsed at a time: ensemble drops each table after its NMS.
+    tables = (_load(fileio.parse_prediction_table, path) for path in args.inputs)
     _write_predictions(args.out, ensemble(tables, args.iou_threshold))
     return 0
 
@@ -288,7 +308,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     # The parser rejects a matrix without cells; the categories come from a
     # parsed category list, so any other matrix reads back as itself.
     parse = fileio.parse_label_matrix if matrix.values.size else None
-    _write(args.out, fileio.write_label_matrix(matrix), parse, matrix)
+    _write(args.out, fileio.write_label_matrix(matrix), parse=parse, value=matrix)
     return 0
 
 
@@ -334,7 +354,7 @@ def _cmd_partition_pool(args: argparse.Namespace) -> int:
     # holds them: the part reads back as itself.
     for path, rows in zip(paths, parts):
         part = pool.take(np.array(rows, dtype=np.int64))
-        _write(path, fileio.write_roi_pool(part), fileio.parse_roi_pool, part)
+        _write(path, fileio.write_roi_pool(part), parse=fileio.parse_roi_pool, value=part)
     return 0
 
 
@@ -378,7 +398,12 @@ def _cmd_split_experts(args: argparse.Namespace) -> int:
         groups = split_by_embedding(table, args.k, seed=args.seed)
     # A group file records only each group's categories.
     written = [CategoryGroup(group.categories) for group in groups]
-    _write(args.out, fileio.write_category_groups(groups), fileio.parse_category_groups, written)
+    _write(
+        args.out,
+        fileio.write_category_groups(groups),
+        parse=fileio.parse_category_groups,
+        value=written,
+    )
     return 0
 
 

@@ -8,7 +8,7 @@ score, with a confidence- and proximity-weighted average mask.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +67,11 @@ def _claims(iou: np.ndarray, iou_threshold: float) -> np.ndarray:
     return iou >= iou_threshold
 
 
+# (other, seed) pairs whose IoUs one step of _greedy computes at a time,
+# which bounds its box and IoU temporaries.
+_PAIR_BLOCK = 4096
+
+
 def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.ndarray, np.ndarray]:
     """Greedy overlap resolution within each (image, category) stratum.
 
@@ -76,15 +81,16 @@ def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.nd
     uncovered position seeds and covers every uncovered position of the
     stratum whose IoU with it passes `covers`.  All strata advance together,
     one seed each per step; a stratum with one uncovered member needs no IoU.
+    A step's pairs are compared _PAIR_BLOCK at a time, their boxes gathered
+    from the table's rows through the order.
     """
     order = np.lexsort((-table.scores, table.category_codes, table.image_codes))
     n = len(order)
     images, categories = table.image_codes[order], table.category_codes[order]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (images[1:] != images[:-1]) | (categories[1:] != categories[:-1])
+    del images, categories
     stratum = np.cumsum(starts)
-    boxes = table.boxes[order]
-    areas = _areas(boxes)
     owner = np.arange(n)
     uncovered = np.arange(n)
     while len(uncovered):
@@ -92,9 +98,11 @@ def _greedy(table: PredictionTable, iou_threshold: float, covers) -> tuple[np.nd
         seeds[1:] = stratum[uncovered[1:]] != stratum[uncovered[:-1]]
         seed_of = uncovered[seeds][np.cumsum(seeds) - 1]
         others, seed_of = uncovered[~seeds], seed_of[~seeds]
-        covered = covers(
-            _iou(boxes[others], areas[others], boxes[seed_of], areas[seed_of]), iou_threshold
-        )
+        covered = np.empty(len(others), dtype=bool)
+        for first in range(0, len(others), _PAIR_BLOCK):
+            block = slice(first, first + _PAIR_BLOCK)
+            a, b = table.boxes[order[others[block]]], table.boxes[order[seed_of[block]]]
+            covered[block] = covers(_iou(a, _areas(a), b, _areas(b)), iou_threshold)
         owner[others[covered]] = seed_of[covered]
         uncovered = others[~covered]
     return order, owner
@@ -195,7 +203,7 @@ def fuse_group(group: PredictionGroup) -> Prediction:
 
 
 def ensemble(
-    prediction_sets: Sequence[Predictions],
+    prediction_sets: Iterable[Predictions],
     iou_threshold: float = 0.5,
 ) -> list[Prediction] | PredictionTable:
     """Suppress each model's predictions, concatenate in set order, group the
@@ -204,13 +212,29 @@ def ensemble(
     concatenation; only a group with a masked member builds its rows and goes
     through `fuse_group`, whose mask replaces the seed's.  Output is sorted by
     (image_id, category_id, descending score): a table when every set is a
-    table, else a list of its rows."""
-    _check_iou_threshold(iou_threshold)
-    if not prediction_sets:
+    table, else a list of its rows.
+
+    The sets are taken one at a time, and only each one's survivors are kept
+    before the next is asked for, so a generator of sets is held one set at
+    a time.  With an invalid threshold every set is still taken, so an error
+    raised while producing one comes first."""
+    sets = iter(prediction_sets)
+    try:
+        _check_iou_threshold(iou_threshold)
+    except ValidationError:
+        for _ in sets:
+            pass
+        raise
+    survivors, all_tables = [], True
+    for predictions in sets:
+        survivors.append(nms(as_table(predictions), iou_threshold))
+        all_tables = all_tables and isinstance(predictions, PredictionTable)
+        # Unreferenced before the next set is produced.
+        del predictions
+    if not survivors:
         raise ValidationError("ensemble needs at least one prediction set")
-    concatenated = PredictionTable.concat(
-        [nms(as_table(predictions), iou_threshold) for predictions in prediction_sets]
-    )
+    concatenated = PredictionTable.concat(survivors)
+    del survivors
     order, owner = _greedy(concatenated, iou_threshold, _claims)
     seeds = owner == np.arange(len(owner))
     fused = concatenated.take(order[seeds])
@@ -222,6 +246,4 @@ def ensemble(
     for slot, (seed, rows) in zip(slots, _groups(order, owner, np.flatnonzero(masked[owner]))):
         group = PredictionGroup(tuple(map(concatenated.row, rows)), rows.index(seed))
         fused.masks[slot] = fuse_group(group).mask
-    if all(isinstance(predictions, PredictionTable) for predictions in prediction_sets):
-        return fused
-    return fused.rows()
+    return fused if all_tables else fused.rows()

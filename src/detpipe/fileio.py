@@ -7,9 +7,12 @@ representation that round-trips, so ``write(parse(f)) == f`` for any file this
 module wrote and ``parse(write(records)) == records`` for any record list.
 
 Every CSV parser reads a file's decoded text a chunk of lines at a time
-(``_chunks``, the only code here that splits text into lines), whether it
-converts a chunk's columns whole or walks its rows one by one
-(``_csv_lines``), so no parse holds a list of every line of a file.
+(``_chunks``, the only code here that splits text into lines, and only the
+lines a chunk yields), whether it converts a chunk's columns whole or walks
+its rows one by one (``_csv_lines``), so no parse holds a list of every
+line of a file.  The writers format and encode a chunk of rows at a time;
+a predictions file is two parts, its header and its rows' buffer
+(``_prediction_file``), which the CLI writes one after the other.
 
 Formats
 -------
@@ -141,8 +144,9 @@ def _fmt_float(value: float) -> str:
 
 
 # Rows parsed or formatted per step: enough to spread numpy's per-call
-# cost, few enough that one chunk's field tokens stay within a few megabytes.
-_CHUNK_LINES = 4096
+# cost, few enough that one chunk's field tokens stay within about a
+# megabyte.
+_CHUNK_LINES = 1024
 # A parsed chunk's characters, unless it is one longer line: this bounds a
 # chunk of long (masked) lines.
 _CHUNK_CHARS = 1 << 18
@@ -225,7 +229,9 @@ def _chunks(text: str, start: int):
     """Yield (number of its first line, its lines without their LFs) for
     each chunk of the lines of text from offset start, which begins line 2.
     A chunk has at most _CHUNK_LINES lines and, unless it is one longer
-    line, fewer than _CHUNK_CHARS characters; only its lines are split."""
+    line, fewer than _CHUNK_CHARS characters.  Only the lines a chunk
+    yields are split: the window of _CHUNK_CHARS characters is held as one
+    string, never as a line per row it holds."""
     number = 2
     while start < len(text):
         stop = text.rfind("\n", start, start + _CHUNK_CHARS)
@@ -233,10 +239,10 @@ def _chunks(text: str, start: int):
             stop = text.find("\n", start)
             if stop < 0:
                 stop = len(text)
-        lines = text[start:stop].split("\n")
+        lines = text[start:stop].split("\n", _CHUNK_LINES)
         if len(lines) > _CHUNK_LINES:
-            del lines[_CHUNK_LINES:]
-            stop = start + sum(map(len, lines)) + _CHUNK_LINES - 1
+            # The window's unsplit rest starts the next chunk.
+            stop -= len(lines.pop()) + 1
         yield number, lines
         number += len(lines)
         start = stop + 1
@@ -495,10 +501,15 @@ def _prediction_lines(table: PredictionTable) -> _RowLines:
     return _RowLines(b"".join(chunks), np.cumsum(np.concatenate(sizes)))
 
 
+def _prediction_file(table: PredictionTable) -> tuple[bytes, bytes | bytearray]:
+    """A predictions file's two parts: the header line, then the rows'
+    lines as they are held or formatted."""
+    return _encoded([PREDICTIONS_HEADER]), _prediction_lines(table).data
+
+
 def write_predictions(predictions: Predictions) -> bytes:
-    """The header, then the rows' lines as they are held or formatted."""
-    lines = _prediction_lines(as_table(predictions))
-    return b"".join((_encoded([PREDICTIONS_HEADER]), lines.data))
+    """The file of _prediction_file's parts, joined."""
+    return b"".join(_prediction_file(as_table(predictions)))
 
 
 def empty_predictions_size() -> int:

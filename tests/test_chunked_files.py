@@ -13,10 +13,13 @@ encoded buffer.
 
 import gc
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpipe import BinaryMask, ParseError, fileio
 from detpipe.federated import LabelMatrix
@@ -231,6 +234,31 @@ def test_a_masked_chunk_is_split_once_and_parsed_by_columns(monkeypatch):
     assert table.masks[5] == BinaryMask(2, 2, [1, 3]) and table.masks.count(None) == ROWS - 1
 
 
+@given(
+    st.lists(st.text("ab,\u00e9", max_size=40), max_size=30),
+    st.booleans(),
+    st.integers(1, 5),
+    st.integers(1, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_chunks_are_the_lines_under_both_caps(lines, final_lf, max_lines, max_chars):
+    # Lines up to 40 characters against caps of up to 30: a chunk may be cut
+    # by its line count, by its characters, or be one over-long line.
+    text = "\n".join(["header", *lines]) + ("\n" if final_lf else "")
+    body = text[7:]
+    expected = body.removesuffix("\n").split("\n") if body else []
+    with mock.patch.object(fileio, "_CHUNK_LINES", max_lines), mock.patch.object(
+        fileio, "_CHUNK_CHARS", max_chars
+    ):
+        chunks = list(fileio._chunks(text, 7))
+    assert [line for _, chunk in chunks for line in chunk] == expected
+    sizes = [len(chunk) for _, chunk in chunks]
+    assert [first for first, _ in chunks] == list(accumulate(sizes, initial=2))[:-1]
+    for _, chunk in chunks:
+        assert 1 <= len(chunk) <= max_lines
+        assert len(chunk) == 1 or len("\n".join(chunk)) < max_chars
+
+
 # -- memory ---------------------------------------------------------------------------
 
 
@@ -245,6 +273,20 @@ def traced(fn, *args):
     finally:
         tracemalloc.stop()
     return result, held - before, peak - before
+
+
+def test_chunks_split_only_the_lines_they_yield(monkeypatch):
+    # 100k short lines in one window of 1 Mi characters, 64 lines a chunk.
+    # Splitting the whole window held a str per line of it, a peak of 6.7 MB
+    # here (Python 3.11); splitting only the yielded lines holds the
+    # window's text, as its slice and its unsplit rest, and one chunk's
+    # lines: 0.79 MB.
+    monkeypatch.setattr(fileio, "_CHUNK_LINES", 64)
+    monkeypatch.setattr(fileio, "_CHUNK_CHARS", 1 << 20)
+    text = "header\n" + "".join(f"{i % 1000}\n" for i in range(100_000))
+    rows, _, peak = traced(lambda: sum(len(lines) for _, lines in fileio._chunks(text, 7)))
+    assert rows == 100_000
+    assert peak <= 2 * len(text) + 64 * 1024, (peak, len(text))
 
 
 def predictions_text(n: int) -> str:

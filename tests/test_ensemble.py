@@ -1,3 +1,6 @@
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,12 @@ from detpipe import (
     nms,
 )
 
+from detpipe.table import PredictionTable
+
 from generators import random_predictions
 from oracles import nms_ref
+
+ensemble_module = importlib.import_module("detpipe.ensemble")
 
 
 def pred(score, box, image="im1", category="c1", mask=None):
@@ -243,3 +250,50 @@ class TestEnsemble:
         fused = ensemble(sets, 0.5)
         best = max(p.score for s in sets for p in s)
         assert all(p.score <= best for p in fused)
+
+    def test_sets_are_taken_one_at_a_time(self):
+        # Each set's table is unreferenced once its survivors are kept, by
+        # the time the next set is asked for.
+        rng = np.random.default_rng(47)
+        rows = [random_predictions(rng, 100) for _ in range(3)]
+        still_held = []
+
+        def sets():
+            for set_rows in rows:
+                table = PredictionTable.from_rows(set_rows)
+                boxes = weakref.ref(table.boxes)
+                yield table
+                del table
+                still_held.append(boxes() is not None)
+
+        fused = ensemble(sets(), 0.5)
+        assert still_held == [False, False, False]
+        assert isinstance(fused, PredictionTable)
+        assert fused.rows() == ensemble(rows, 0.5)
+
+    def test_an_invalid_threshold_is_raised_after_every_set_is_taken(self):
+        # An error in producing any set comes before the threshold's.
+        taken = []
+
+        def sets():
+            for k in range(3):
+                taken.append(k)
+                yield []
+
+        with pytest.raises(ValidationError, match="IoU threshold"):
+            ensemble(sets(), 2.0)
+        assert taken == [0, 1, 2]
+
+    def test_a_generator_of_no_sets_is_rejected(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            ensemble(iter([]), 0.5)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_any_pair_block_gives_the_same_groups(block, monkeypatch):
+    rng = np.random.default_rng(48)
+    sets = [random_predictions(rng, 150) for _ in range(2)]
+    expected = [group_predictions(sets[0] + sets[1], 0.5), ensemble(sets, 0.5)]
+    monkeypatch.setattr(ensemble_module, "_PAIR_BLOCK", block)
+    assert sorted(map(id, nms(sets[0], 0.5))) == sorted(map(id, nms_ref(sets[0], 0.5)))
+    assert [group_predictions(sets[0] + sets[1], 0.5), ensemble(sets, 0.5)] == expected

@@ -10,11 +10,12 @@ from detpipe import cli
 
 from generators import box_submission
 
-# This test measured a slope of 146 B per prediction row when the bound was
-# last lowered (Python 3.11, numpy 2.4), once files were read and written a
-# chunk at a time; the bound is that plus about a tenth.  A change that
-# lowers the slope lowers the bound with it.
-SLOPE_BOUND = 161
+# This test measured a slope of 99 B per prediction row when the bound was
+# last lowered (Python 3.11, numpy 2.4), once chunks split only the lines
+# they yield, ensemble held one input at a time and a parse was given the
+# text without the bytes; the bound is that plus about a tenth.  A change
+# that lowers the slope lowers the bound with it.
+SLOPE_BOUND = 109
 
 
 def peak_bytes(folder, files: dict[str, bytes]) -> int:
@@ -38,7 +39,7 @@ def prediction_rows(files: dict[str, bytes]) -> int:
     return sum(files[name].count(b"\n") - 1 for name in ("model_a.csv", "model_b.csv"))
 
 
-def test_pipeline_peak_grows_at_most_161_bytes_per_prediction_row(tmp_path):
+def test_pipeline_peak_grows_at_most_109_bytes_per_prediction_row(tmp_path):
     peaks, rows = [], []
     for scale in (1, 2):
         files = box_submission(0, scale)
