@@ -14,9 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _areas, _check_iou_threshold, _iou, _mask_from_segments, _segments, box_iou
+from .geometry import (
+    BinaryMask,
+    _areas,
+    _check_iou_threshold,
+    _iou,
+    _mask_from_segments,
+    _runs,
+    _segments,
+    box_iou,
+)
 from .records import Prediction
-from .table import PredictionTable, Predictions, as_table, select
+from .table import PredictionTable, Predictions, _Masks, as_table, select
 
 __all__ = [
     "PredictionGroup",
@@ -163,6 +172,26 @@ def group_predictions(
     ]
 
 
+def _fused_runs(runs: list[np.ndarray], weights: list[float]) -> np.ndarray:
+    """The int64 runs of the per-pixel average of same-size masks, given as
+    their runs, weighted by weights and binarized at 0.5; a plain mean when
+    the weights sum to at most 0.  Per segment of the masks' common run
+    boundaries, not per pixel: each segment gets exactly the float
+    operations each of its pixels would."""
+    lengths, bits = _segments(runs)
+    accumulator = np.zeros(len(lengths), dtype=np.float64)
+    total_weight = 0.0
+    for weight, member_bits in zip(weights, bits):
+        accumulator += weight * member_bits
+        total_weight += weight
+    if total_weight > 0.0:
+        soft = accumulator / total_weight
+    else:
+        # All-zero scores leave the weights degenerate; fall back to a plain mean.
+        soft = sum(bits, start=np.zeros(len(lengths), dtype=np.float64)) / len(runs)
+    return _mask_from_segments(lengths, np.clip(soft, 0.0, 1.0) >= 0.5)
+
+
 def fuse_group(group: PredictionGroup) -> Prediction:
     """Collapse a group into its representative prediction.
 
@@ -184,22 +213,29 @@ def fuse_group(group: PredictionGroup) -> Prediction:
                 f"group mask dimensions differ: {size} vs "
                 f"({member.mask.width}, {member.mask.height})"
             )
-    # Per segment of the members' common run boundaries, not per pixel: each
-    # segment gets exactly the float operations each of its pixels would.
-    lengths, bits = _segments([m.mask for m in group.members])
-    accumulator = np.zeros(len(lengths), dtype=np.float64)
-    total_weight = 0.0
-    for member, member_bits in zip(group.members, bits):
-        weight = member.score * box_iou(member.box, seed.box)
-        accumulator += weight * member_bits
-        total_weight += weight
-    if total_weight > 0.0:
-        soft = accumulator / total_weight
-    else:
-        # All-zero scores leave the weights degenerate; fall back to a plain mean.
-        soft = sum(bits, start=np.zeros(len(lengths), dtype=np.float64)) / len(group.members)
-    fused = _mask_from_segments(size[0], size[1], lengths, np.clip(soft, 0.0, 1.0) >= 0.5)
+    runs = _fused_runs(
+        [_runs(m.mask) for m in group.members],
+        [m.score * box_iou(m.box, seed.box) for m in group.members],
+    )
+    fused = BinaryMask(size[0], size[1], tuple(runs.tolist()))
     return Prediction(seed.image_id, seed.category_id, seed.score, seed.box, fused)
+
+
+def _fused_group(table: PredictionTable, seed: int, rows: list[int]) -> np.ndarray:
+    """The runs of fuse_group's mask for the group of a table's rows, in row
+    order, seeded by row seed, read from the table's columns: its errors,
+    in its order, and its weights, whose IoUs _iou gives bit for bit."""
+    masks = table.masks
+    widths, heights = masks.widths[rows], masks.heights[rows]
+    if not widths.all():
+        raise ValidationError("group mixes masked and mask-less predictions")
+    differ = np.flatnonzero((widths != widths[0]) | (heights != heights[0]))
+    if len(differ):
+        size, other = ((int(widths[k]), int(heights[k])) for k in (0, differ[0]))
+        raise ValidationError(f"group mask dimensions differ: {size} vs {other}")
+    boxes, seed_box = table.boxes[rows], table.boxes[seed : seed + 1]
+    ious = _iou(boxes, _areas(boxes), seed_box, _areas(seed_box))
+    return _fused_runs(list(map(masks.row_runs, rows)), (table.scores[rows] * ious).tolist())
 
 
 def ensemble(
@@ -209,10 +245,10 @@ def ensemble(
     """Suppress each model's predictions, concatenate in set order, group the
     concatenation as `group_predictions` does, and fuse each group as
     `fuse_group` does.  A group without masks is its seed row, taken from the
-    concatenation; only a group with a masked member builds its rows and goes
-    through `fuse_group`, whose mask replaces the seed's.  Output is sorted by
-    (image_id, category_id, descending score): a table when every set is a
-    table, else a list of its rows.
+    concatenation; a group with a masked member is fused from the
+    concatenation's columns (`_fused_group`), and its mask replaces the
+    seed's.  Output is sorted by (image_id, category_id, descending score):
+    a table when every set is a table, else a list of its rows.
 
     The sets are taken one at a time, and only each one's survivors are kept
     before the next is asked for, so a generator of sets is held one set at
@@ -236,14 +272,17 @@ def ensemble(
     concatenated = PredictionTable.concat(survivors)
     del survivors
     order, owner = _greedy(concatenated, iou_threshold, _claims)
-    seeds = owner == np.arange(len(owner))
-    fused = concatenated.take(order[seeds])
-    has_mask = np.array([mask is not None for mask in concatenated.masks], dtype=bool)
+    kept = order[owner == np.arange(len(owner))]
     # By position in `order`: whether the group seeded there has a masked member.
     masked = np.zeros(len(owner), dtype=bool)
-    masked[owner[has_mask[order]]] = True
-    slots = np.flatnonzero(masked[seeds]).tolist()
-    for slot, (seed, rows) in zip(slots, _groups(order, owner, np.flatnonzero(masked[owner]))):
-        group = PredictionGroup(tuple(map(concatenated.row, rows)), rows.index(seed))
-        fused.masks[slot] = fuse_group(group).mask
+    masked[owner[concatenated.masks.masked()[order]]] = True
+    groups = _groups(order, owner, np.flatnonzero(masked[owner]))
+    runs = [_fused_group(concatenated, seed, rows) for seed, rows in groups]
+    # The fused runs replace the seeds' own, so the take copies none.
+    masks, concatenated.masks = concatenated.masks, _Masks(len(concatenated))
+    fused = concatenated.take(kept)
+    if runs:
+        counts = np.zeros(len(kept), dtype=np.int64)
+        counts[np.flatnonzero(masks.widths[kept])] = list(map(len, runs))
+        fused.masks = _Masks._of(masks.widths[kept], masks.heights[kept], counts, np.concatenate(runs))
     return fused if all_tables else fused.rows()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .federated import expand_verification
-from .geometry import _areas, _check_iou_threshold, _iou, box_iou, mask_iou
+from .geometry import _areas, _check_iou_threshold, _iou, _run_iou, box_iou, mask_iou
 from .records import (
     POSITIVE,
     UNVERIFIED,
@@ -280,17 +280,14 @@ def evaluate(
     table = as_table(predictions)
     gts = as_table(gts, GroundTruthTable)
     if mode == "mask":
-        missing = [
-            (rows.image_ids[rows.image_codes[i]], rows.category_ids[rows.category_codes[i]])
-            for rows in (table, gts)
-            for i, mask in enumerate(rows.masks)
-            if mask is None
-        ]
-        if missing:
-            raise ValidationError(
-                f"mask-mode evaluation requires masks; missing on image "
-                f"{missing[0][0]!r}, category {missing[0][1]!r}"
-            )
+        for rows in (table, gts):
+            missing = np.flatnonzero(~rows.masks.masked())
+            if len(missing):
+                row = rows.row(missing[0])
+                raise ValidationError(
+                    f"mask-mode evaluation requires masks; missing on image "
+                    f"{row.image_id!r}, category {row.category_id!r}"
+                )
     expanded = expand_verification(verification, hierarchy)
     unverified = np.flatnonzero(
         expanded.statuses(gts.image_ids, gts.image_codes, gts.category_ids, gts.category_codes)
@@ -322,15 +319,15 @@ def evaluate(
     mismatches: list[tuple[int, int]] = []
     if mode == "mask":
 
+        predicted, true = table.masks, gts.masks
+
         def overlap(p: np.ndarray, g: np.ndarray) -> np.ndarray:
             # A pair of masks whose sizes differ is recorded and gets 0.0.
             values = np.zeros(len(p))
-            for k, (i, j) in enumerate(zip(p.tolist(), g.tolist())):
-                a, b = table.masks[i], gts.masks[j]
-                if (a.width, a.height) != (b.width, b.height):
-                    mismatches.append((i, j))
-                else:
-                    values[k] = mask_iou(a, b)
+            same = (predicted.widths[p] == true.widths[g]) & (predicted.heights[p] == true.heights[g])
+            mismatches.extend(zip(p[~same].tolist(), g[~same].tolist()))
+            for k, i, j in zip(np.flatnonzero(same).tolist(), p[same].tolist(), g[same].tolist()):
+                values[k] = _run_iou(predicted.row_runs(i), true.row_runs(j))
             return values
 
     else:

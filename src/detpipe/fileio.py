@@ -10,7 +10,9 @@ Every CSV parser reads a file's decoded text a chunk of lines at a time
 (``_chunks``, the only code here that splits text into lines, and only the
 lines a chunk yields), whether it converts a chunk's columns whole or walks
 its rows one by one (``_csv_lines``), so no parse holds a list of every
-line of a file.  The writers format and encode a chunk of rows at a time;
+line of a file.  A chunk's mask runs are read one row at a time into one
+int64 buffer (``table._Masks.from_fields``), never as a list of the
+chunk's tokens.  The writers format and encode a chunk of rows at a time;
 a predictions file is two parts, its header and its rows' buffer
 (``_prediction_file``), which the CLI writes one after the other.
 
@@ -67,6 +69,7 @@ from .table import (
     PredictionTable,
     Predictions,
     _firsts,
+    _Masks,
     _RowLines,
     as_table,
 )
@@ -270,7 +273,8 @@ def _chunk_columns(text: str, start: int, n_fields: int, columns_of_chunk, fallb
     which start at offset start of its text, in file order.  A chunk whose
     lines all have n_fields fields is split into its fields, row-major, and
     columns_of_chunk(fields, number of rows) converts them whole.  It gives
-    None, or raises ValueError, for a chunk that fails a check; then
+    None, or raises ValueError or OverflowError (an int64 that a number
+    does not fit), for a chunk that fails a check; then
     fallback(chunk, number of its first line) walks the chunk row by row
     and raises its first error.  A parser whose checks span chunks passes
     no fallback and is given None for the chunk, to walk the whole file."""
@@ -278,7 +282,7 @@ def _chunk_columns(text: str, start: int, n_fields: int, columns_of_chunk, fallb
         fields = _split_chunk(chunk, n_fields)
         try:
             columns = None if fields is None else columns_of_chunk(fields, len(chunk))
-        except ValueError:
+        except (ValueError, OverflowError):
             columns = None
         # Only the columns outlive the chunk's fields.
         del fields
@@ -353,12 +357,6 @@ def _parse_mask_fields(
         raise ParseError(line_number, str(exc)) from exc
 
 
-def _mask_fields(mask: BinaryMask | None) -> str:
-    if mask is None:
-        return ",,"
-    return f"{mask.width},{mask.height},{' '.join(map(str, mask.runs))}"
-
-
 # -- predictions and ground truth ----------------------------------------------
 
 def _annotation_rows(lines: list[str], first: int, n_fields: int) -> None:
@@ -405,37 +403,26 @@ def _box_columns(fields: list[str], n: int, n_fields: int, n_ids: int, n_after: 
     return ids, numbers
 
 
-def _mask_column(widths: list[str], heights: list[str], rles: list[str]) -> list:
-    """Each row's mask, None where its three mask fields are empty;
-    ValueError when a mask does not parse or fails BinaryMask's checks."""
-    return [
-        None if w == h == rle == "" else BinaryMask(int(w), int(h), [*map(int, rle.split(" "))])
-        for w, h, rle in zip(widths, heights, rles)
-    ]
-
-
 def _parse_coded(data: bytes | str, header: str, n_fields: int):
     """The columns of a predictions (n_fields 10) or ground-truth (9) file:
     sorted image ids and each row's code, the same for category ids, the
     scores as a [k, N] float64 array (one row, or none), the boxes as
-    [N, 4] and the masks, each array filled a chunk at a time.  A chunk is
-    parsed column by column; one that fails a check goes to
-    _annotation_rows, row by row, so the first bad row reports its own
-    line.  Each id column is interned once for the whole file."""
+    [N, 4] and the masks as int64 run columns (table._Masks), each filled a
+    chunk at a time.  A chunk is parsed column by column; one that fails a
+    check goes to _annotation_rows, row by row, so the first bad row reports
+    its own line.  Each id column is interned once for the whole file."""
 
     def columns(fields: list[str], n: int):
         columns = _box_columns(fields, n, n_fields, 2, 3)
         if columns is None:
             return None
-        mask_fields = [fields[k::n_fields] for k in range(n_fields - 3, n_fields)]
-        if all(column.count("") == n for column in mask_fields):
-            return (*columns, [None] * n)
-        return (*columns, _mask_column(*mask_fields))
+        masks = _Masks.from_fields(*(fields[k::n_fields] for k in range(n_fields - 3, n_fields)))
+        return None if masks is None else (*columns, masks)
 
     text, start = _data_text(data, header)
     n = _row_count(text, start)
     images, categories = _Codes(), _Codes()
-    scores, boxes, masks = np.empty((n_fields - 9, n)), np.empty((n, 4)), []
+    scores, boxes, masks, end = np.empty((n_fields - 9, n)), np.empty((n, 4)), [], 0
     for ids, numbers, chunk_masks in _chunk_columns(
         text,
         start,
@@ -445,11 +432,12 @@ def _parse_coded(data: bytes | str, header: str, n_fields: int):
     ):
         images.add(ids[0])
         categories.add(ids[1])
-        rows = slice(len(masks), len(masks) + len(chunk_masks))
+        rows = slice(end, end + len(chunk_masks))
+        end = rows.stop
         scores[:, rows] = numbers[:-4]
         boxes[rows] = numbers[-4:].T
-        masks += chunk_masks
-    return *images.finish(), *categories.finish(), scores, boxes, masks
+        masks.append(chunk_masks)
+    return *images.finish(), *categories.finish(), scores, boxes, _Masks.concat(masks)
 
 
 def parse_prediction_table(data: bytes | str) -> PredictionTable:
@@ -480,7 +468,7 @@ def _row_lines(table: PredictionTable | GroundTruthTable, rows: slice) -> list[s
                 map(table.category_ids.__getitem__, table.category_codes[rows].tolist()),
                 *scores,
                 map(",".join, zip(*[coordinates] * 4)),
-                map(_mask_fields, table.masks[rows]),
+                table.masks.fields(rows),
             ),
         )
     )

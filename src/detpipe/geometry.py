@@ -1,6 +1,11 @@
 """Axis-aligned boxes and their IoU, one box at a time or over arrays; the
 one best-IoU rule for RoIs; and run-length-encoded binary mask rasters.
 
+A ``BinaryMask`` record holds its runs as a tuple of ints; a table holds
+its masks' runs as one int64 array (``table._Masks``).  Fusion and mask
+IoU work on int64 run arrays (``_segments``, ``_mask_from_segments`` and
+``_run_iou``): a record's runs, or a row's slice of a table's runs.
+
 Everything else in the toolkit builds on these primitives. All operations are
 pure functions on immutable values and safe to call concurrently.
 """
@@ -129,6 +134,21 @@ class BinaryMask:
         _set(self, "runs", runs)
 
 
+def _mask(width: int, height: int, runs: tuple[int, ...]) -> BinaryMask:
+    """The BinaryMask of fields that passed its checks already, as a
+    table's mask column holds them: not checked again."""
+    mask = object.__new__(BinaryMask)
+    _set(mask, "width", width)
+    _set(mask, "height", height)
+    _set(mask, "runs", runs)
+    return mask
+
+
+def _runs(mask: BinaryMask) -> np.ndarray:
+    """A mask's runs as an int64 array."""
+    return np.asarray(mask.runs, dtype=np.int64)
+
+
 def box_area(box: Box) -> float:
     """Area of a box; zero for degenerate boxes."""
     return (box.x_max - box.x_min) * (box.y_max - box.y_min)
@@ -199,7 +219,7 @@ def mask_decode(mask: BinaryMask) -> np.ndarray:
     """Expand runs into a (height, width) uint8 grid."""
     values = np.zeros(len(mask.runs), dtype=np.uint8)
     values[1::2] = 1
-    flat = np.repeat(values, np.asarray(mask.runs, dtype=np.int64))
+    flat = np.repeat(values, _runs(mask))
     return flat.reshape(mask.height, mask.width)
 
 
@@ -220,14 +240,15 @@ def mask_encode(grid) -> BinaryMask:
     return BinaryMask(arr.shape[1], arr.shape[0], tuple(runs))
 
 
-def _segments(masks: Sequence[BinaryMask]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Cut the row-major pixel sequence at every run boundary of every mask.
+def _segments(runs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cut the row-major pixel sequence at every run boundary of every mask,
+    each given as its int64 runs.
 
     The masks must share one size.  Returns the length of each segment and,
     per mask, its bit (0 or 1) on each segment: every pixel of a segment has
     the same bit in each mask, so per-pixel work can be done per segment.
     """
-    ends = [np.cumsum(np.asarray(m.runs, dtype=np.int64)) for m in masks]
+    ends = [np.cumsum(r) for r in runs]
     # Sort and drop repeats by hand: np.unique imports numpy.ma on first use.
     bounds = np.sort(np.concatenate(ends))
     steps = np.diff(bounds, prepend=0)
@@ -238,15 +259,22 @@ def _segments(masks: Sequence[BinaryMask]) -> tuple[np.ndarray, list[np.ndarray]
     return lengths, [np.searchsorted(e, starts, side="right") % 2 for e in ends]
 
 
-def _mask_from_segments(
-    width: int, height: int, lengths: np.ndarray, bits: np.ndarray
-) -> BinaryMask:
-    """Canonical mask whose pixels take bits[i] along the i-th segment."""
+def _mask_from_segments(lengths: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The canonical int64 runs of the mask whose pixels take bits[i] along
+    the i-th segment."""
     firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    runs = np.add.reduceat(lengths, firsts).tolist()
-    if bits[0]:
-        runs.insert(0, 0)
-    return BinaryMask(width, height, tuple(runs))
+    runs = np.add.reduceat(lengths, firsts)
+    return np.concatenate(([0], runs)) if bits[0] else runs
+
+
+def _run_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """mask_iou of two same-size masks given as their int64 runs."""
+    lengths, (in_a, in_b) = _segments((a, b))
+    inter = int(lengths @ (in_a & in_b))
+    union = int(lengths @ (in_a | in_b))
+    if union == 0:
+        return 0.0
+    return inter / union
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -258,9 +286,4 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
         raise ValidationError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    lengths, (in_a, in_b) = _segments((a, b))
-    inter = int(lengths @ (in_a & in_b))
-    union = int(lengths @ (in_a | in_b))
-    if union == 0:
-        return 0.0
-    return inter / union
+    return _run_iou(_runs(a), _runs(b))

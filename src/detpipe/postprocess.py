@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fileio import _prediction_lines, empty_predictions_size
-from .geometry import mask_area
 from .records import Prediction
 from .table import PredictionTable, Predictions, as_table, select
 
@@ -51,7 +50,7 @@ class TrimReport:
 
 
 def _kept_mask_rows(table: PredictionTable, min_area: int) -> np.ndarray:
-    return np.flatnonzero([m is None or mask_area(m) >= min_area for m in table.masks])
+    return np.flatnonzero(~table.masks.masked() | (table.masks.areas() >= min_area))
 
 
 def drop_small_masks(

@@ -182,18 +182,19 @@ class _CodedTable:
     ``_ids`` is held as ``<name>_ids``, the sorted distinct ids of the rows,
     and ``<name>_codes``, each row's int32 index among them, so that code
     order is id order.  ``_columns`` names the other per-row columns: numpy
-    arrays indexed by row, lists, or objects with their own ``take``; any
-    may be None.  A subclass lists its fields in ``__slots__`` in
-    constructor order: vocabularies, codes, columns, then what ``take``
-    keeps as it is; last its caches, whose names start with an underscore
-    and which start as None.
+    arrays indexed by row, or objects with their own ``take``; any may be
+    None.  No column is a list, so no table holds a Python object per row.
+    A subclass lists its fields in ``__slots__`` in constructor order:
+    vocabularies, codes, columns, then what ``take`` keeps as it is; last
+    its caches, whose names start with an underscore and which start as
+    None.
 
     The constructor and ``from_columns`` trust their columns.  ``take``
     keeps each vocabulary to the ids of the taken rows, so a table holds
     exactly the ids its rows use, as the parse of its file gives them.
     ``_row`` builds a row view from the Python values of ``_row_fields``:
-    the ids of an id column, Box views of an [N, 4] array, the items of a
-    list and the values of any other array.
+    the ids of an id column, Box views of an [N, 4] array, the values of
+    any other array, and the items a column object gives for a slice.
     """
 
     __slots__ = ()
@@ -242,7 +243,6 @@ class _CodedTable:
     def take(self, indices: np.ndarray):
         """The rows at the given indices, in that order, over the ids they
         use."""
-        picked = indices.tolist()
         taken = {}
         for name in self._ids:
             taken[f"{name}_ids"], taken[f"{name}_codes"] = _compacted(
@@ -252,8 +252,6 @@ class _CodedTable:
             column = getattr(self, name)
             if isinstance(column, np.ndarray):
                 taken[name] = column[indices]
-            elif isinstance(column, list):
-                taken[name] = list(map(column.__getitem__, picked))
             elif column is not None:
                 taken[name] = column.take(indices)
         return self.from_columns(

@@ -3,14 +3,18 @@
 ``PredictionTable`` stores one row per prediction as a coded table
 (``records._CodedTable``): image and category ids interned to int32 codes
 into sorted vocabularies of exactly the ids its rows use, scores as float64
-``[N]``, boxes as float64 ``[N, 4]`` (x_min, y_min, x_max, y_max) and one
-``BinaryMask | None`` per row.  ``Prediction`` is the row type; ``rows()``,
-``row(i)`` and iteration build row views on demand.  ``GroundTruthTable``
-is the same table without scores, with ``GroundTruthInstance`` rows.  The
-prediction functions of ``fileio``, ``ensemble``, ``experts`` and
-``postprocess`` take a table or a list of rows: they convert a list with
-``as_table`` and run the same table code, and those that return predictions
-hand back a table for a table (``select``).
+``[N]``, boxes as float64 ``[N, 4]`` (x_min, y_min, x_max, y_max) and the
+masks as one column (``_Masks``): every masked row's runs back to back in
+one int64 array, 8 B a run, with int64 row offsets, widths and heights,
+24 B a row; a table without a masked row holds no per-row mask state.
+``Prediction`` is the row type; ``rows()``, ``row(i)``, iteration and
+``masks[i]`` build row views and ``BinaryMask`` views on demand.
+``GroundTruthTable`` is the same table without scores, with
+``GroundTruthInstance`` rows.  The prediction functions of ``fileio``,
+``ensemble``, ``experts`` and ``postprocess`` take a table or a list of
+rows: they convert a list with ``as_table`` and run the same table code,
+and those that return predictions hand back a table for a table
+(``select``).
 
 A verification file is a ``records.VerificationTable`` and a RoI pool a
 ``records.RoiPool``, coded tables too.  The parsers intern each id column
@@ -22,10 +26,11 @@ parse to write and to ``evaluate``, ``assign``, the RoI sampler and
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .geometry import _corners
+from .geometry import _INT64_MAX, BinaryMask, _corners, _mask
 from .records import GroundTruthInstance, Prediction, _CodedTable, _intern
 
 __all__ = [
@@ -79,9 +84,206 @@ class _RowLines:
         return _RowLines(data, ends)
 
 
+def _mask_text(width: int, height: int, runs: Sequence[int]) -> str:
+    """A row's three mask fields: empty for width 0, a row without a mask."""
+    return f"{width},{height},{' '.join(map(str, runs))}" if width else ",,"
+
+
+class _Masks(Sequence):
+    """The masks of a table's rows as columns: ``runs``, every masked row's
+    runs back to back as int64; ``offsets``, int64 ``[N+1]``, where each
+    row's runs start and end in it; and ``widths`` and ``heights``, int64
+    ``[N]``, 0 for a row without a mask, which has no runs.  A column
+    without a masked row holds only its length, its arrays None.  Item i
+    is row i's ``BinaryMask``, built on demand, or None.  The constructors
+    trust their columns and keep every column in that one form, so two
+    columns of the same masks are equal; a column is never changed once
+    built, so tables share one."""
+
+    __slots__ = ("size", "widths", "heights", "offsets", "runs")
+
+    def __init__(self, size: int, widths=None, heights=None, offsets=None, runs=None) -> None:
+        self.size = size
+        self.widths, self.heights, self.offsets, self.runs = widths, heights, offsets, runs
+
+    @classmethod
+    def _of(cls, widths: np.ndarray, heights: np.ndarray, counts: np.ndarray, runs: np.ndarray) -> _Masks:
+        """The column of rows of these widths and heights (0 for no mask)
+        and numbers of runs, whose runs are given back to back."""
+        if not widths.any():
+            return cls(len(widths))
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(len(widths), widths, heights, offsets, runs)
+
+    @classmethod
+    def from_rows(cls, masks: Sequence[BinaryMask | None]) -> _Masks:
+        """The column of mask records, which are checked already, or None."""
+        held = [mask for mask in masks if mask is not None]
+        widths = np.fromiter((0 if m is None else m.width for m in masks), np.int64, len(masks))
+        heights = np.fromiter((0 if m is None else m.height for m in masks), np.int64, len(masks))
+        counts = np.fromiter((0 if m is None else len(m.runs) for m in masks), np.int64, len(masks))
+        runs = np.fromiter(chain.from_iterable(m.runs for m in held), np.int64, int(counts.sum()))
+        return cls._of(widths, heights, counts, runs)
+
+    @classmethod
+    def from_fields(cls, widths: list[str], heights: list[str], rles: list[str]) -> _Masks | None:
+        """The column of a chunk's three mask fields, given as text columns,
+        when every row passes BinaryMask's checks: its three fields all
+        empty, or all present with numbers read through int() as the row
+        parse reads them.  None when a row fails a check; ValueError or
+        OverflowError when a number does not parse or does not fit int64.
+        Each row's runs are read into one buffer for the chunk, and then
+        checked per row with numpy: the first >= 0, the others >= 1, and
+        their sum width * height, at most int64's maximum."""
+        n = len(rles)
+        if rles.count("") == widths.count("") == heights.count("") == n:
+            return cls(n)
+        masked = list(map(bool, rles))
+        if list(map(bool, widths)) != masked or list(map(bool, heights)) != masked:
+            return None
+        texts = list(compress(rles, masked))
+        k = len(texts)
+        w, h = (np.fromiter(map(int, compress(c, masked)), np.int64, k) for c in (widths, heights))
+        if not (np.all(w >= 1) and np.all(h >= 1) and np.all(w <= _INT64_MAX // h)):
+            return None
+        counts = np.fromiter(map(str.count, texts, repeat(" ", k)), np.int64, k) + 1
+        stops = np.cumsum(counts)
+        firsts = stops - counts
+        runs = np.empty(int(stops[-1]), dtype=np.int64)
+        for text, first, stop in zip(texts, firsts.tolist(), stops.tolist()):
+            runs[first:stop] = np.fromiter(map(int, text.split(" ")), np.int64, stop - first)
+        valid = runs >= 1
+        valid[firsts] = runs[firsts] >= 0
+        if not valid.all():
+            return None
+        sums = np.add.reduceat(runs, firsts) == w * h
+        # A row whose runs could pass int64's maximum, and wrap, is summed exactly.
+        for i in np.flatnonzero(np.maximum.reduceat(runs, firsts) > _INT64_MAX // counts).tolist():
+            sums[i] = sum(runs[firsts[i] : stops[i]].tolist()) == int(w[i]) * int(h[i])
+        if not sums.all():
+            return None
+        full = [np.zeros(n, dtype=np.int64) for _ in range(3)]
+        for column, values in zip(full, (w, h, counts)):
+            column[masked] = values
+        return cls._of(*full, runs)
+
+    @classmethod
+    def concat(cls, columns: Sequence[_Masks]) -> _Masks:
+        """The rows of every column, in column order."""
+        if len(columns) == 1 or all(c.widths is None for c in columns):
+            return columns[0] if len(columns) == 1 else cls(sum(map(len, columns)))
+        parts = [c._filled() for c in columns]
+        widths, heights, offsets, runs = ([part[k] for part in parts] for k in range(4))
+        return cls._of(
+            np.concatenate(widths),
+            np.concatenate(heights),
+            np.concatenate([np.diff(o) for o in offsets]),
+            np.concatenate(runs),
+        )
+
+    def _filled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The widths, heights, offsets and runs, zeros for a column
+        without masks."""
+        if self.widths is not None:
+            return self.widths, self.heights, self.offsets, self.runs
+        zeros = np.zeros(self.size + 1, dtype=np.int64)
+        return zeros[1:], zeros[1:], zeros, zeros[:0]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            if self.widths is None:
+                return [None] * len(range(self.size)[index])
+            return list(
+                map(
+                    self._view,
+                    self.widths[index].tolist(),
+                    self.heights[index].tolist(),
+                    self.offsets[:-1][index].tolist(),
+                    self.offsets[1:][index].tolist(),
+                )
+            )
+        index = range(self.size)[index]
+        return self[index : index + 1][0]
+
+    def fields(self, rows: slice):
+        """The mask fields of each row of a slice with a start, as a file
+        holds them: ``width,height,runs``, or ``,,`` for a row without a
+        mask and for every row of a column without masks."""
+        if self.widths is None:
+            return repeat(",,", len(range(self.size)[rows]))
+        ends = self.offsets[rows.start : rows.stop + 1]
+        runs = self.runs[ends[0] : ends[-1]].tolist()
+        ends = (ends - ends[0]).tolist()
+        lists = map(runs.__getitem__, map(slice, ends, ends[1:]))
+        return map(_mask_text, self.widths[rows].tolist(), self.heights[rows].tolist(), lists)
+
+    def _view(self, width: int, height: int, start: int, stop: int) -> BinaryMask | None:
+        return _mask(width, height, tuple(self.runs[start:stop].tolist())) if width else None
+
+    def row_runs(self, index: int) -> np.ndarray:
+        """Row index's runs, a view of the column's runs."""
+        return self.runs[self.offsets[index] : self.offsets[index + 1]]
+
+    def masked(self) -> np.ndarray:
+        """Whether each row has a mask."""
+        return np.zeros(self.size, dtype=bool) if self.widths is None else self.widths != 0
+
+    def areas(self) -> np.ndarray:
+        """Each row's mask area, the int64 sum of its odd runs; 0 for a row
+        without a mask."""
+        areas = np.zeros(self.size, dtype=np.int64)
+        rows = np.flatnonzero(self.masked())
+        if len(rows):
+            firsts = self.offsets[rows]
+            # The runs at the column's odd positions are a row's odd runs
+            # when the row starts at an even position, else its even runs.
+            at_odd = self.runs.copy()
+            at_odd[::2] = 0
+            sums = np.add.reduceat(at_odd, firsts)
+            del at_odd
+            totals = np.add.reduceat(self.runs, firsts)
+            areas[rows] = np.where(firsts % 2 == 0, sums, totals - sums)
+        return areas
+
+    def take(self, indices: np.ndarray) -> _Masks:
+        """The masks of the rows at indices, in that order: this column for
+        every row in order, else the runs copied _TAKE_ROWS rows at a time."""
+        if self.widths is None:
+            return _Masks(len(indices))
+        if len(indices) == self.size and np.array_equal(indices, np.arange(self.size)):
+            return self
+        starts, stops = self.offsets[indices], self.offsets[indices + 1]
+        runs = np.empty(int((stops - starts).sum()), dtype=np.int64)
+        end = 0
+        for first in range(0, len(indices), _TAKE_ROWS):
+            rows = slice(first, first + _TAKE_ROWS)
+            parts = list(map(self.runs.__getitem__, map(slice, starts[rows].tolist(), stops[rows].tolist())))
+            chunk = np.concatenate(parts) if parts else runs[:0]
+            runs[end : end + len(chunk)] = chunk
+            end += len(chunk)
+        return _Masks._of(self.widths[indices], self.heights[indices], stops - starts, runs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Masks):
+            return NotImplemented
+        if self.size != other.size or (self.widths is None) != (other.widths is None):
+            return False
+        return self.widths is None or all(map(np.array_equal, self._filled(), other._filled()))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"_Masks({list(self)!r})"
+
+
 class _Annotations(_CodedTable):
     """The columns that predictions and ground truth share: image and
-    category ids, boxes and masks, and scores when the table has them."""
+    category ids, boxes and masks (``_Masks``), and scores when the table
+    has them."""
 
     __slots__ = ()
 
@@ -102,7 +304,7 @@ class _Annotations(_CodedTable):
             category_codes,
             *scores,
             _corners([row.box for row in rows]),
-            [row.mask for row in rows],
+            _Masks.from_rows([row.mask for row in rows]),
         )
 
 
@@ -153,7 +355,7 @@ class PredictionTable(_Annotations):
             category_codes,
             np.concatenate([t.scores for t in tables]),
             np.concatenate([t.boxes for t in tables]),
-            [mask for t in tables for mask in t.masks],
+            _Masks.concat([t.masks for t in tables]),
         )
 
 

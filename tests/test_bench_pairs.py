@@ -1,7 +1,8 @@
 """The no-regression verdict of scripts/bench_pairs.py on hand-made pairs
-of (parent, change) values."""
+of (parent, change) values, and its JSON document on faked runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -35,3 +36,52 @@ def test_a_tight_parent_within_the_margin_is_within_bound():
     pairs = [(100.0, 98.0), (100.5, 99.0), (99.5, 97.5)]
     assert verdict(True, 0.05, pairs) == "within bound"
     assert verdict(False, 0.05, pairs) == "within bound"
+
+
+def test_json_holds_every_pair_both_sides_quartiles_the_verdicts_and_the_machine(tmp_path, monkeypatch):
+    # Fake runs: the change's peak RSS 1 MB below the parent's in every pair.
+    root = SCRIPT.parent.parent
+    calls = []
+
+    def run_once(checkout, workload):
+        calls.append((checkout, workload))
+        index = len(calls)
+        peak = 35.0 + 0.01 * index - (1.0 if checkout == root else 0.0)
+        return {"failed": 0, "values": {"rows_per_s": 1800.0, "peak_rss_mb": peak, "setup_s": 0.15}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path), str(root), "--workload", "box-submission", "mask-submission", "--pairs", "3"]
+    assert bench_pairs.main([*argv, "--json", str(out)]) == 0
+    assert [w for _, w in calls] == ["box-submission"] * 6 + ["mask-submission"] * 6
+    document = json.loads(out.read_text())
+    assert set(document["machine"]) == {"python", "numpy", "nproc"}
+    assert document["machine"]["nproc"] >= 1
+    assert list(document["workloads"]) == ["box-submission", "mask-submission"]
+    for summary in document["workloads"].values():
+        assert summary["pairs"] == 3 and summary["failed"] == 0
+        assert set(summary["metrics"]) == {"rows_per_s", "peak_rss_mb", "setup_s"}
+        peak = summary["metrics"]["peak_rss_mb"]
+        assert len(peak["pairs"]) == 3
+        assert all(p["parent"] - p["change"] > 0.9 for p in peak["pairs"])
+        assert peak["parent"]["q1"] <= peak["parent"]["median"] <= peak["parent"]["q3"]
+        assert peak["change"]["median"] < peak["parent"]["median"] - 0.9
+        assert (peak["better"], peak["bound"], peak["change_wins"]) == ("lower", 0.05, 3)
+        assert (peak["gain"], peak["regression"]) == ("holds", "within bound")
+        rows = summary["metrics"]["rows_per_s"]
+        assert (rows["gain"], rows["regression"], rows["change_wins"]) == ("not shown", "within bound", 0)
+
+
+def test_a_regressed_metric_fails_and_still_writes_the_json(tmp_path, monkeypatch):
+    root = SCRIPT.parent.parent
+
+    def run_once(checkout, workload):
+        peak = 40.0 if checkout == root else 35.0
+        return {"failed": 0, "values": {"rows_per_s": 1800.0, "peak_rss_mb": peak, "setup_s": 0.15}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path), str(root), "--workload", "mask-submission", "--pairs", "2", "--json", str(out)]
+    assert bench_pairs.main(argv) == 1
+    metrics = json.loads(out.read_text())["workloads"]["mask-submission"]["metrics"]
+    assert metrics["peak_rss_mb"]["regression"] == "regressed"

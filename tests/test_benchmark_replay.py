@@ -21,11 +21,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize(
     "fixture, expected_spans",
     [
-        # The masked fixture: its parse, mask fusion and mask decoding are
-        # the layers the mask-submission workload times.
+        # The masked fixture: its parse, NMS and mask decoding are layers
+        # the mask-submission workload times.  ensemble fuses masked groups
+        # from its table's columns, not through fuse_group, so no
+        # ensemble.fuse_group span is recorded.
         (
             "pipeline",
-            {"cli.run", "fileio.parse_prediction_table", "ensemble.fuse_group", "geometry.mask_decode"},
+            {"cli.run", "fileio.parse_prediction_table", "ensemble.nms", "geometry.mask_decode"},
         ),
         ("expert_pipeline", {"cli.run", "federated.expand_verification"}),
     ],

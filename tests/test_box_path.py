@@ -44,7 +44,7 @@ from detpipe.fileio import (
     _split,
 )
 from detpipe.records import NEGATIVE, POSITIVE
-from detpipe.table import PredictionTable, _intern
+from detpipe.table import PredictionTable, _intern, _Masks
 
 from generators import random_box
 from oracles import csv_lines_ref
@@ -509,7 +509,7 @@ def stratified_table(n_strata: int, members: int = 4) -> PredictionTable:
     images, image_codes = _intern([f"im{s // 10}" for s in strata])
     categories, category_codes = _intern([f"c{s % 10}" for s in strata])
     return PredictionTable(
-        images, categories, image_codes, category_codes, rng.uniform(0.01, 0.99, n), boxes, [None] * n
+        images, categories, image_codes, category_codes, rng.uniform(0.01, 0.99, n), boxes, _Masks(n)
     )
 
 

@@ -7,8 +7,8 @@ and ground truth, verification, RoI pools, and the label and logit
 matrices) and the six small-file parsers, which read the rows one by one.
 Any chunk sizes, down to one line, give the same value, or the same
 ``ParseError`` line and message, as the default ones.  A parse's transient memory is set by one chunk, not by
-the file, and a written predictions table holds its rows' lines as one
-encoded buffer.
+the file, a written predictions table holds its rows' lines as one
+encoded buffer, and a parsed table holds its masks' runs as int64.
 """
 
 import gc
@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from detpipe import BinaryMask, ParseError, fileio
 from detpipe.federated import LabelMatrix
+
+from generators import mask_submission
 
 # Sizes the parsers run at here: one line at a time, chunks cut by the line
 # count, chunks cut by the character budget, and both.
@@ -343,3 +345,15 @@ def test_a_written_table_holds_at_most_64_bytes_per_row_beyond_its_columns():
     table.lines = lines
     assert fileio.write_predictions(table).decode() == fileio.PREDICTIONS_HEADER + "\n" + text
     assert held / rows <= 64, held / rows
+
+
+def test_a_parsed_masked_table_holds_at_most_10_bytes_per_run():
+    # 100 rectangle masks at 1024x768, 289 runs a row on average, half of
+    # them above 256.  A BinaryMask per row, its runs a tuple of Python
+    # ints, held 23 B/run here (Python 3.11, numpy 2.4); int64 run
+    # columns hold 8 B a run and 24 B a masked row.
+    text = mask_submission(0, 1)["model_a.csv"].decode()
+    runs = sum(line.rsplit(",", 1)[1].count(" ") + 1 for line in text.splitlines()[1:])
+    table, held, _ = traced(fileio.parse_prediction_table, text)
+    assert len(table) == 100
+    assert held / runs <= 10, held / runs

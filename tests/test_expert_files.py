@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -998,6 +999,43 @@ def test_masked_and_box_only_rows_parse_as_the_rows_do(case, chunk_lines):
         same_records(actual[1].rows(), expected[1])
         assert not row_path.called
     else:
+        assert actual == expected
+
+
+INT64_MAX = 2**63 - 1
+# Mask fields whose run texts int() reads but a stricter reader would not,
+# and runs at int64's limits, where a check of int64 columns could part from
+# the row walker's checks of Python ints.
+EDGE_MASKS = {
+    "int() spellings": "13,5,007 +5 5_0 ٣",
+    "a leading 0 run": "2,2,0 4",
+    "a run above int64's maximum": f"4,4,{2**63} 1",
+    "a width above int64's maximum": f"{2**63},1,{2**63}",
+    "runs whose int64 sum wraps to width * height": f"{2**31},{2**31},{' '.join([str(2**62)] * 5)}",
+    "runs whose int64 sum wraps past a row's end": f"2,2,{INT64_MAX} 2 4",
+    "width * height at int64's maximum": f"7,{INT64_MAX // 7},{2**62 - 1} {2**62}",
+    "width * height one above int64's maximum": f"{2**62},2,{2**62} {2**62}",
+}
+
+
+@pytest.mark.parametrize("scored", [True, False])
+@pytest.mark.parametrize("chunk_lines", [1, 4096])
+@pytest.mark.parametrize("mask", EDGE_MASKS.values(), ids=EDGE_MASKS.keys())
+def test_edge_run_texts_parse_as_the_row_walker_reads_them(mask, chunk_lines, scored):
+    # The mask sits between a masked row and a box-only row of one chunk.
+    parse, reference, header = ANNOTATIONS[scored]
+    ids = "a,c,0.5" if scored else "a,c"
+    data = as_file(header, [f"{ids},0,0,1,1,2,2,1 3", f"{ids},0,0,1,1,{mask}", f"{ids},0,0,1,1,,,"])
+    expected = outcome(reference, data)
+    walker = mock.patch.object(fileio, "_annotation_rows", wraps=fileio._annotation_rows)
+    with mock.patch.object(fileio, "_CHUNK_LINES", chunk_lines), walker as row_path:
+        actual = outcome(parse, data)
+    if expected[0] == "ok":
+        assert actual[0] == "ok", actual
+        same_records(actual[1].rows(), expected[1])
+        assert not row_path.called
+    else:
+        assert expected[0] == "ParseError" and expected[1].startswith("line 3: "), expected
         assert actual == expected
 
 

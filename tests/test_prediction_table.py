@@ -41,7 +41,6 @@ from detpipe import (
 from detpipe.evaluation import evaluate
 from detpipe.fileio import (
     PREDICTIONS_HEADER,
-    _mask_fields,
     _parse_box,
     _parse_float,
     _parse_mask_fields,
@@ -78,9 +77,13 @@ def box_fields_ref(box):
     return f"{box.x_min!r},{box.y_min!r},{box.x_max!r},{box.y_max!r}"
 
 
+def mask_fields_ref(mask):
+    return ",," if mask is None else f"{mask.width},{mask.height},{' '.join(map(str, mask.runs))}"
+
+
 def prediction_row_ref(p):
     return ",".join(
-        (p.image_id, p.category_id, repr(p.score), box_fields_ref(p.box), _mask_fields(p.mask))
+        (p.image_id, p.category_id, repr(p.score), box_fields_ref(p.box), mask_fields_ref(p.mask))
     )
 
 
@@ -259,7 +262,7 @@ def valid_fields(draw):
         y[0][0],
         x[1][0],
         y[1][0],
-        _mask_fields(draw(masks())) if draw(st.booleans()) else ",,",
+        mask_fields_ref(draw(masks())) if draw(st.booleans()) else ",,",
     ]
 
 
@@ -498,22 +501,20 @@ class TestOperations:
         else:
             assert actual[1] == expected[1] == fused[1]
 
-    def test_ensemble_fuses_each_group_through_fuse_group(self):
+    def test_ensemble_fuses_each_masked_group_as_fuse_group_does(self):
         mask = mask_encode(np.ones((MASK_SIZE[1], MASK_SIZE[0]), dtype=np.uint8))
-        masked = [Prediction("a", "x", 0.9, Box(0, 0, 2, 2), mask)] * 2
+        half = mask_encode(np.tri(MASK_SIZE[1], MASK_SIZE[0], dtype=np.uint8))
+        masked = [Prediction("a", "x", 0.9, Box(0, 0, 2, 2), mask), Prediction("a", "x", 0.7, Box(0, 0, 2, 3), half)]
         boxed = [Prediction("b", "x", 0.8, Box(0, 0, 2, 2))] * 2
-        for predictions in (masked + boxed, PredictionTable.from_rows(masked + boxed)):
-            seen = []
-
-            def counting(group):
-                seen.append(group)
-                return fuse_group(group)
-
-            with mock.patch("detpipe.ensemble.fuse_group", counting):
-                fused = ensemble([predictions], 0.5)
-            # Only the masked group is fused; the box-only group is its seed row.
-            assert [len(g.members) for g in seen] == [1]
-            assert fileio.write_predictions(fused) == write_predictions_ref([masked[0], boxed[0]])
+        group = PredictionGroup(tuple(masked), 0)
+        sets = [[masked[0], boxed[0]], [masked[1], boxed[1]]]
+        for predictions in (sets, list(map(PredictionTable.from_rows, sets))):
+            with mock.patch("detpipe.ensemble.fuse_group", side_effect=AssertionError):
+                fused = ensemble(predictions, 0.5)
+            # The masked group is fused from the columns to fuse_group's
+            # mask; the box-only group is its seed row.
+            expected = [fuse_group(group), boxed[0]]
+            assert fileio.write_predictions(fused) == write_predictions_ref(expected)
 
     @given(prediction_lists(), st.sampled_from([0, 1, 4, 6, 13]))
     @settings(max_examples=100, deadline=None)
@@ -558,14 +559,15 @@ class TestOperations:
         predictions = [Prediction("a", f"c{i % 3}", i / 10, Box(0, 0, 1, 1)) for i in range(10)]
         table = PredictionTable.from_rows(predictions)
         calls = []
-        original = fileio._mask_fields
+        original = fileio._row_lines
 
-        def counting(mask):
-            calls.append(mask)
-            return original(mask)
+        def counting(table, rows):
+            lines = original(table, rows)
+            calls.extend(lines)
+            return lines
 
         budget = fileio.serialized_size(predictions[:6])
-        with mock.patch.object(fileio, "_mask_fields", counting):
+        with mock.patch.object(fileio, "_row_lines", counting):
             survivors, _ = trim_to_budget(table, budget)
             data = fileio.write_predictions(survivors)
         assert len(calls) == len(predictions)
@@ -843,11 +845,8 @@ class TestEnsembleSeeds:
         masked = [Prediction("c", "x", score, box, bits_mask([1] * 12)) for score in (0.9, 0.8)]
         cases = (
             ([boxed[0::2], boxed[1::2]], {}),
-            # Only the masked group's two rows are built, and its fused row.
-            (
-                [boxed[0::2] + masked[:1], boxed[1::2] + masked[1:]],
-                {"row": 2, "Prediction": 3, "fuse_group": 1},
-            ),
+            # The masked group is fused from the columns: no row is built.
+            ([boxed[0::2] + masked[:1], boxed[1::2] + masked[1:]], {}),
         )
         for sets, expected_calls in cases:
             tables = [PredictionTable.from_rows(rows) for rows in sets]
